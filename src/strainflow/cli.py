@@ -28,10 +28,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_CONFIG_FLAGS = ("n", "viscosity", "dt", "t_end", "dealias", "record_every",
-                 "initial_data", "seed", "max_wavenumber", "amplitude",
-                 "initial_file", "force", "q_list", "csv", "snapshot_dir",
-                 "snapshot_every", "adaptive_cfl")
+_CONFIG_FLAGS = tuple(config_mod._PARSERS)
 
 
 def _add_config_flags(parser):

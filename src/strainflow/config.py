@@ -11,7 +11,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, InvalidInputError
 from .solver import SolverConfig
 
 ENV_PREFIX = "STRAINFLOW_"
@@ -159,12 +159,10 @@ def build_config(config_path=None, cli_overrides=None, environ=None) -> RunConfi
 
 
 def _validate(config: RunConfig) -> None:
-    if config.n < 8 or config.n % 2:
-        raise ConfigError(f"n must be an even integer >= 8, got {config.n}")
-    if config.viscosity <= 0 or config.dt <= 0 or config.t_end <= 0:
-        raise ConfigError("viscosity, dt, and t_end must be positive")
-    if config.record_every < 1:
-        raise ConfigError("record_every must be >= 1")
+    try:
+        config.solver_config()
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
     if config.snapshot_every < 0:
         raise ConfigError("snapshot_every must be >= 0")
     if config.initial_data not in ("taylor_green", "shear", "random_div_free", "from_file"):

@@ -29,7 +29,8 @@ from . import solver, sym3
 from .exceptions import InvalidExponentError, InvalidInputError
 from .numerics import (check_uniform_spacing, cumulative_trapezoid,
                        fd4_derivative)
-from .spectral import Grid, strain_norm_sq, sym_gradient, vorticity
+from .spectral import (Grid, strain_field, strain_norm_sq, sym_gradient,
+                       vorticity)
 
 # Coefficient of the cubic enstrophy-growth monitor (whole-space sharp
 # Sobolev value; on the torus it is monitored, never asserted).
@@ -57,8 +58,7 @@ class StrainPointData:
 
 
 def pointwise_strain_analysis(grid: Grid, u_hat) -> StrainPointData:
-    s_hat = sym_gradient(grid, u_hat)
-    strain = sym3.TraceFreeSym3.from_components(grid.ifft(s_hat))
+    strain = strain_field(grid, sym_gradient(grid, u_hat))
     return StrainPointData(strain, sym3.eigenvalues(strain),
                            sym3.det(strain), strain.norm_sq())
 
@@ -220,7 +220,7 @@ def directional_criterion(grid: Grid, u_hat, regions, directions, q) -> float:
         cover += mask
     if cover.min() < 1 or cover.max() > 1:
         raise InvalidInputError("regions must partition the grid (no gaps, no overlap)")
-    strain = sym3.TraceFreeSym3.from_components(grid.ifft(sym_gradient(grid, u_hat)))
+    strain = strain_field(grid, sym_gradient(grid, u_hat))
     total = 0.0
     peak = 0.0
     for mask, v in zip(regions, directions):
@@ -281,7 +281,7 @@ class RecordCollector:
     def __call__(self, state) -> DiagnosticsRecord:
         grid = self.grid
         s_hat = sym_gradient(grid, state.u_hat)
-        data = sym3.TraceFreeSym3.from_components(grid.ifft(s_hat))
+        data = strain_field(grid, s_hat)
         eig = sym3.eigenvalues(data)
         det_field = sym3.det(data)
         tr3_field = sym3.tr_cubed(data)

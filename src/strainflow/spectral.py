@@ -101,9 +101,6 @@ class Grid:
                                            where=self.ksq_diff_half > 0)
         self.dealias_mask_half = self.dealias_mask[..., :half + 1]
 
-    def k_diff(self, axis: int):
-        return (self.kdx, self.kdy, self.kdz)[axis]
-
     def coords(self):
         """Sparse physical coordinate arrays (X, Y, Z) for broadcasting."""
         xs = 2.0 * np.pi * np.arange(self.n) / self.n
@@ -173,25 +170,28 @@ def expand_half(grid: Grid, half):
     return out
 
 
+def _mirror(coeffs):
+    """Coefficients at -xi in the slot of xi (the conjugate of the input
+    for a real field)."""
+    axes = (-3, -2, -1)
+    return np.roll(np.flip(coeffs, axis=axes), shift=(1, 1, 1), axis=axes)
+
+
 def hermitian_symmetrize(coeffs):
     """Project spectral coefficients onto the Hermitian-symmetric set.
 
     Guards against floating-point drift breaking realness after nonlinear
     physical-space products.
     """
-    axes = (-3, -2, -1)
-    mirror = np.roll(np.flip(coeffs, axis=axes), shift=(1, 1, 1), axis=axes)
-    return 0.5 * (coeffs + np.conj(mirror))
+    return 0.5 * (coeffs + np.conj(_mirror(coeffs)))
 
 
 def hermitian_residual(coeffs):
     """Max deviation from Hermitian symmetry, relative to the peak mode."""
-    axes = (-3, -2, -1)
-    mirror = np.roll(np.flip(coeffs, axis=axes), shift=(1, 1, 1), axis=axes)
     peak = np.max(np.abs(coeffs))
     if peak == 0.0:
         return 0.0
-    return float(np.max(np.abs(coeffs - np.conj(mirror))) / peak)
+    return float(np.max(np.abs(coeffs - np.conj(_mirror(coeffs)))) / peak)
 
 
 def zero_nyquist(grid: Grid, coeffs):

@@ -200,6 +200,21 @@ def _extrapolate_blowup_time(t1, lam1, t2, lam2):
     return t2 + inv2  # slope -> -1 fallback
 
 
+def _classify_end(status, times, lambda3, r, decay_threshold, norm=None):
+    """Outcome and estimated blow-up time (None unless blown up) of a run.
+
+    A run that reached its end has "decayed" when the matrix norm,
+    lambda3 sqrt(2 r^2 - 2 r + 2) in reduced coordinates unless given,
+    is below decay_threshold, else it "completed".
+    """
+    if status == "blew_up":
+        return "blew_up", float(_extrapolate_blowup_time(
+            times[-2], lambda3[-2], times[-1], lambda3[-1]))
+    if norm is None:
+        norm = lambda3[-1] * math.sqrt(2.0 * r[-1] ** 2 - 2.0 * r[-1] + 2.0)
+    return ("decayed" if norm < decay_threshold else "completed"), None
+
+
 def _integrate_reduced(lambda3: float, r: float, t_end: float, *,
                        blowup_threshold: float, rtol: float, atol: float,
                        record: bool, t_eval=None):
@@ -380,7 +395,7 @@ def integrate(initial: ToyState, t_end: float,
         lam2 = (rs - 1.0) * l3s
         traj = ToyTrajectory(times + initial.t, lam1, lam2, l3s, rs)
         final_matrix = None
-        norm = l3s[-1] * math.sqrt(max(2.0 * rs[-1] ** 2 - 2.0 * rs[-1] + 2.0, 0.0))
+        norm = None
     else:
         m0 = initial.matrix
         y0 = np.array([m0.m11, m0.m22, m0.m12, m0.m13, m0.m23], dtype=float)
@@ -395,15 +410,9 @@ def integrate(initial: ToyState, t_end: float,
         final_matrix = sym3.TraceFreeSym3(last[0], last[1], last[2], last[3], last[4])
         norm = float(final_matrix.norm())
 
-    if status == "blew_up":
-        if traj.t.size >= 2:
-            t_est = _extrapolate_blowup_time(traj.t[-2], traj.lambda3[-2],
-                                             traj.t[-1], traj.lambda3[-1])
-        else:
-            t_est = traj.t[-1] + 1.0 / traj.lambda3[-1]
-        return ToyResult("blew_up", float(t_est), traj, final_matrix)
-    outcome = "decayed" if norm < decay_threshold else "completed"
-    return ToyResult(outcome, None, traj, final_matrix)
+    outcome, t_est = _classify_end(status, traj.t, traj.lambda3, traj.r,
+                                   decay_threshold, norm)
+    return ToyResult(outcome, t_est, traj, final_matrix)
 
 
 @dataclass(frozen=True)
@@ -432,16 +441,9 @@ def phase_sweep(lambda3_values, r_values, t_end: float = 1e7,
                 float(l3_0), float(r_0), t_end,
                 blowup_threshold=blowup_threshold, rtol=rtol, atol=atol,
                 record=False)
-            if status == "blew_up":
-                t_est = _extrapolate_blowup_time(times[-2], l3s[-2],
-                                                 times[-1], l3s[-1])
-                cells.append(SweepCell(float(l3_0), float(r_0), "blew_up",
-                                       float(t_est), float(rs[-1])))
-            else:
-                norm = l3s[-1] * math.sqrt(2.0 * rs[-1] ** 2 - 2.0 * rs[-1] + 2.0)
-                outcome = "decayed" if norm < decay_threshold else "completed"
-                cells.append(SweepCell(float(l3_0), float(r_0), outcome,
-                                       None, float(rs[-1])))
+            outcome, t_est = _classify_end(status, times, l3s, rs, decay_threshold)
+            cells.append(SweepCell(float(l3_0), float(r_0), outcome, t_est,
+                                   float(rs[-1])))
     return cells
 
 

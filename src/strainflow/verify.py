@@ -14,6 +14,9 @@ import numpy as np
 
 from . import diagnostics, initial_data, solver, spectral, sym3, toy_ode
 
+SEED = 2024         # seeds the random matrices, fields and rotations
+SWEEP_CELLS = 5     # toy attractor sweep resolution per axis
+
 
 @dataclass
 class Check:
@@ -28,16 +31,13 @@ def random_trace_free(rng, shape=(), scale: float = 1.0) -> sym3.TraceFreeSym3:
     return sym3.TraceFreeSym3.from_components(comps)
 
 
-def random_rotations(rng, count: int):
-    """Uniform-ish rotation matrices from QR of Gaussian samples."""
-    out = []
-    for _ in range(count):
-        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-        q = q * np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        out.append(q)
-    return out
+def random_rotation(rng):
+    """Uniform-ish rotation matrix from the QR of a Gaussian sample."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def rotate(m: sym3.TraceFreeSym3, q) -> sym3.TraceFreeSym3:
@@ -63,12 +63,11 @@ def _check(name, fn) -> Check:
 
 
 def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0,
-               seed: int = 2024, sweep_cells: int = 5,
                det_sign_flip: bool = False) -> list[Check]:
     """Run every check; det_sign_flip is a mutation hook for test
     hygiene (it corrupts the determinant inside the vortex-stretching
     identity check, which must then fail)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     checks = []
 
     # --- matrix algebra sweeps -------------------------------------------
@@ -85,8 +84,8 @@ def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0,
         gap = sym3.det_bound_gap(ms)
         floor = -1e-12 * ms.norm() ** 3
         assert np.all(gap >= floor), f"min gap {gap.min():.3e}"
-        for q in random_rotations(rng, 50):
-            m = rotate(sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0), q)
+        for _ in range(50):
+            m = rotate(sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0), random_rotation(rng))
             g = sym3.det_bound_gap(m)
             assert abs(g) < 1e-12 * m.norm() ** 3, f"family gap {g:.3e}"
         return ""
@@ -136,7 +135,7 @@ def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0,
         return ""
     checks.append(_check("spectral: FFT roundtrip", fft_roundtrip))
 
-    u_rand = initial_data.random_div_free(grid, seed=seed + 1)
+    u_rand = initial_data.random_div_free(grid, seed=SEED + 1)
 
     def constraint_both_ways():
         s_hat = spectral.sym_gradient(grid, u_rand)
@@ -173,7 +172,7 @@ def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0,
     def isometries():
         worst = 0.0
         for k in range(5):
-            u = initial_data.random_div_free(grid, seed=seed + 10 + k)
+            u = initial_data.random_div_free(grid, seed=SEED + 10 + k)
             for alpha in (0.0, 1.0):
                 worst = max(worst, spectral.isometry_audit(grid, u, alpha).max_rel_deviation)
         assert worst < 1e-12, f"max deviation {worst:.3e}"
@@ -208,16 +207,9 @@ def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0,
     checks.append(_check("solver: single shear mode decays exactly", shear_decay))
 
     cfg = solver.SolverConfig(n=n, viscosity=1.0, dt=dt, t_end=t_end, record_every=10)
-    u0 = initial_data.taylor_green(grid)
-    collector = diagnostics.RecordCollector(grid, force=solver.make_force(grid, "none"))
-    kinetic = []
-
-    def _collect(state):
-        collector(state)
-        kinetic.append(solver.kinetic_energy(grid, state.u_hat))
-
-    tg = solver.run(cfg, u0, grid=grid, on_record=_collect, keep_states=True)
-    records = collector.finalize()
+    tg, records = diagnostics.run_with_diagnostics(
+        cfg, initial_data.taylor_green(grid), grid=grid, keep_states=True)
+    kinetic = [solver.kinetic_energy(grid, s.u_hat) for s in tg.states]
     times = tg.times
 
     def energy_monotone():
@@ -231,20 +223,9 @@ def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0,
 
     def vortex_stretch_identity():
         sign = -1.0 if det_sign_flip else 1.0
-        worst = 0.0
-        for state in tg.states:
-            s_hat = spectral.sym_gradient(grid, state.u_hat)
-            data = sym3.TraceFreeSym3.from_components(grid.ifft(s_hat))
-            w = grid.ifft(spectral.vorticity(grid, state.u_hat))
-            stretch = grid.integrate(
-                data.m11 * w[0] ** 2 + data.m22 * w[1] ** 2 + data.m33 * w[2] ** 2
-                + 2.0 * (data.m12 * w[0] * w[1] + data.m13 * w[0] * w[2]
-                         + data.m23 * w[1] * w[2]))
-            det_int = sign * grid.integrate(sym3.det(data))
-            tr3_int = grid.integrate(sym3.tr_cubed(data))
-            cubic = grid.integrate(data.norm_sq() ** 1.5)
-            worst = max(worst, diagnostics.vortex_stretch_identity_residual(
-                stretch, det_int, tr3_int, cubic_scale=cubic))
+        worst = max(diagnostics.vortex_stretch_identity_residual(
+            r.vortex_stretch, sign * r.det_integral, r.tr3_integral,
+            cubic_scale=r.strain_cubed) for r in records)
         assert worst < 1e-10, f"identity residual {worst:.3e}"
         return f"max residual {worst:.1e}"
     checks.append(_check("diagnostics: vortex-stretching identity chain", vortex_stretch_identity))
@@ -297,7 +278,7 @@ def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0,
 
     def toy_reduced_vs_matrix():
         m0 = rotate(sym3.TraceFreeSym3(-1.3, 0.4, 0.0, 0.0, 0.0),
-                    random_rotations(rng, 1)[0])
+                    random_rotation(rng))
         eig = sym3.eigenvalues(m0)
         res_m = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=50.0,
                                   blowup_threshold=1e6, rtol=1e-12, atol=1e-14)
@@ -329,8 +310,8 @@ def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0,
                          toy_reduced_vs_matrix))
 
     def toy_mini_sweep():
-        cells = toy_ode.phase_sweep(np.linspace(0.5, 5.0, sweep_cells),
-                                    np.linspace(0.6, 2.0, sweep_cells))
+        cells = toy_ode.phase_sweep(np.linspace(0.5, 5.0, SWEEP_CELLS),
+                                    np.linspace(0.6, 2.0, SWEEP_CELLS))
         assert all(c.outcome == "blew_up" for c in cells)
         assert all(abs(c.r_terminal - 2.0) < 1e-3 for c in cells)
         decay = toy_ode.phase_sweep([1.0], [0.5])

@@ -1,30 +1,10 @@
-import numpy as np
 import pytest
 
-from strainflow import diagnostics, initial_data, solver, sym3
+from strainflow import diagnostics, initial_data, solver
 from strainflow.spectral import Grid
-
-
-def random_trace_free(rng, shape=(), scale=1.0):
-    """Random trace-free symmetric matrices with N(0, scale^2) entries."""
-    return sym3.TraceFreeSym3.from_components(
-        scale * rng.standard_normal((5,) + tuple(shape)))
-
-
-def random_rotation(rng):
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def rotate_matrix(m, q):
-    a = q @ m.to_matrix() @ q.T
-    return sym3.TraceFreeSym3(a[0, 0], a[1, 1],
-                              0.5 * (a[0, 1] + a[1, 0]),
-                              0.5 * (a[0, 2] + a[2, 0]),
-                              0.5 * (a[1, 2] + a[2, 1]))
+# matrix helpers shared with `strainflow verify`; the test modules import them
+from strainflow.verify import random_rotation, random_trace_free  # noqa: F401
+from strainflow.verify import rotate as rotate_matrix  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -45,31 +25,18 @@ def grid32():
 class TaylorGreenRun:
     """Shared Taylor-Green reference run with full diagnostics."""
 
-    def __init__(self, grid, dt, t_end, keep_states):
+    def __init__(self, grid, dt, t_end):
         config = solver.SolverConfig(n=grid.n, viscosity=1.0, dt=dt,
                                      t_end=t_end, record_every=10)
+        result, self.records = diagnostics.run_with_diagnostics(
+            config, initial_data.taylor_green(grid), grid=grid, keep_states=True)
         self.grid = grid
-        self.config = config
-        collector = diagnostics.RecordCollector(
-            grid, force=solver.make_force(grid, "none"), viscosity=1.0)
-        self.kinetic = []
-
-        def on_record(state):
-            collector(state)
-            self.kinetic.append(solver.kinetic_energy(grid, state.u_hat))
-
-        self.result = solver.run(config, initial_data.taylor_green(grid),
-                                 grid=grid, on_record=on_record,
-                                 keep_states=keep_states)
-        self.records = collector.finalize()
-        self.times = self.result.times
-
-    @property
-    def states(self):
-        return self.result.states
+        self.states = result.states
+        self.times = result.times
+        self.kinetic = [solver.kinetic_energy(grid, s.u_hat) for s in self.states]
 
 
 @pytest.fixture(scope="session")
 def tg16(grid16):
     """Small, fast Taylor-Green run for module-level tests."""
-    return TaylorGreenRun(grid16, dt=1e-3, t_end=0.25, keep_states=True)
+    return TaylorGreenRun(grid16, dt=1e-3, t_end=0.25)

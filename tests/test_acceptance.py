@@ -17,8 +17,6 @@ from strainflow import (diagnostics, initial_data, solver, spectral, sym3,
                         toy_ode)
 from strainflow.spectral import Grid
 
-DET_BOUND_COEFF = 2.0 * np.sqrt(6.0) / 9.0
-
 _cache = {}
 
 
@@ -29,11 +27,9 @@ def tg_reference(dt=1e-3, keep_states=True):
         grid = Grid(32)
         config = solver.SolverConfig(n=32, viscosity=1.0, dt=dt, t_end=1.0,
                                      record_every=10)
-        collector = diagnostics.RecordCollector(
-            grid, force=solver.make_force(grid, "none"), viscosity=1.0)
-        result = solver.run(config, initial_data.taylor_green(grid), grid=grid,
-                            on_record=collector, keep_states=keep_states)
-        _cache[key] = (grid, result, collector.finalize())
+        result, records = diagnostics.run_with_diagnostics(
+            config, initial_data.taylor_green(grid), grid=grid, keep_states=keep_states)
+        _cache[key] = (grid, result, records)
     return _cache[key]
 
 
@@ -44,10 +40,6 @@ class _Timer:
 
     def __exit__(self, *exc):
         self.seconds = time.perf_counter() - self.start
-
-    @property
-    def elapsed(self):
-        return time.perf_counter() - self.start
 
 
 def _report(number, label, detail, timer, budget):

@@ -152,9 +152,8 @@ class TestVortexStretchIdentity:
 
     def test_integrated_det_bound(self, tg16):
         # -4 int det <= (2/9) sqrt(6) int |S|^3, integrated form
-        coeff = 2.0 * np.sqrt(6.0) / 9.0
         for r in tg16.records:
-            assert -4.0 * r.det_integral <= coeff * r.strain_cubed * (1 + 1e-12)
+            assert -4.0 * r.det_integral <= sym3.DET_BOUND_COEFF * r.strain_cubed * (1 + 1e-12)
 
 
 class TestGrowthInequality:

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -140,12 +141,10 @@ class TestConfig:
             config_mod.parse_config_file(bad)
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            config_mod.build_config(None, {"n": "7"})
-        with pytest.raises(ConfigError):
-            config_mod.build_config(None, {"dt": "banana"})
-        with pytest.raises(ConfigError):
-            config_mod.build_config(None, {"q_list": "1.2"})
+        for key, value in (("n", "7"), ("dt", "banana"), ("q_list", "1.2"),
+                           ("t_end", "inf"), ("dt", "nan"), ("viscosity", "nan")):
+            with pytest.raises(ConfigError):
+                config_mod.build_config(None, {key: value})
 
 
 class TestCli:
@@ -173,11 +172,22 @@ class TestCli:
         assert cli.main(args_common + ["--csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_config_no_partial_csv(self, tmp_path):
+    def test_bad_config_no_partial_csv(self, tmp_path, capsys):
         csv = tmp_path / "never.csv"
-        code = cli.main(["simulate", "--n", "9", "--csv", str(csv)])
-        assert code == 1
-        assert not csv.exists()
+        for flag, value in (("--n", "9"), ("--t-end", "inf"), ("--dt", "nan"),
+                            ("--viscosity", "nan")):
+            code = cli.main(["simulate", flag, value, "--csv", str(csv)])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not csv.exists()
+
+    def test_long_decaying_run_completes(self, tmp_path):
+        # Taylor-Green decays as exp(-3t), rounding noise at |xi| = 1 as exp(-t):
+        # unless u0 is projected, its divergence trips the record check by t=10
+        csv = tmp_path / "long.csv"
+        assert cli.main(["simulate", "--n", "8", "--dt", "1e-2", "--t-end", "10",
+                         "--csv", str(csv)]) == 0
+        assert len(csv.read_text().splitlines()) == 102
 
     def test_usage_error_exit_code(self):
         assert cli.main(["simulate", "--no-such-flag", "1"]) == 1
@@ -226,11 +236,38 @@ class TestCli:
         assert len(lines) == 5
 
 
+VERIFY_CHECK_NAMES = (
+    "sym3: tr(M^3) = 3 det(M)",
+    "sym3: cubic determinant bound (sharp family tight)",
+    "sym3: -det <= |M|^2 lambda2+/2",
+    "sym3: extremal eigenvalue floors |M|/sqrt(6)",
+    "sym3: |Mv| >= |lambda2| for unit v",
+    "sym3: eigenvalue sum zero, Frobenius identity",
+    "spectral: FFT roundtrip",
+    "spectral: strain constraint separates gradients",
+    "spectral: velocity-from-strain roundtrip",
+    "spectral: Helmholtz split orthogonal and exact",
+    "spectral: gradient-energy isometries (alpha 0, 1)",
+    "spectral: shear-flow strain and curl analytics",
+    "solver: single shear mode decays exactly",
+    "solver: energy decay, energy budget, divergence-free",
+    "diagnostics: vortex-stretching identity chain",
+    "diagnostics: enstrophy budget residual",
+    "diagnostics: pointwise inequalities on run snapshots",
+    "diagnostics: growth inequality margin and envelope",
+    "toy: scaling-family blow-up and decay solutions",
+    "toy: full-matrix and reduced trajectories agree",
+    "toy: attractor sweep and decay line",
+)
+
+
 class TestVerify:
-    def test_minimal_grid_suite_passes(self):
-        checks = verify.run_checks(n=8, dt=1e-3, t_end=0.3)
-        failed = [c.name for c in checks if not c.passed]
-        assert not failed, failed
+    def test_minimal_grid_suite_passes(self, capsys):
+        assert cli.main(["verify", "--n", "8", "--dt", "1e-3", "--t-end", "0.3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [re.split(r"\s{2,}", line)[:2] for line in lines[:-1]] == [
+            ["PASS", name] for name in VERIFY_CHECK_NAMES]
+        assert lines[-1] == "21/21 checks passed"
 
     def test_det_sign_flip_is_caught(self):
         checks = verify.run_checks(n=8, dt=1e-3, t_end=0.3, det_sign_flip=True)

@@ -115,6 +115,13 @@ class TestRun:
         with pytest.raises(InvalidInputError):
             solver.run(config, np.zeros((3, 4, 4, 4), dtype=complex), grid=grid8)
 
+    def test_divergent_initial_velocity_rejected(self, grid8):
+        config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)
+        u0 = initial_data.taylor_green(grid8)
+        u0[0, 1, 0, 0] = u0[0, -1, 0, 0] = 1e-6  # cos(x) e1: xi . u != 0
+        with pytest.raises(InvalidInputError, match="divergence-free"):
+            solver.run(config, u0, grid=grid8)
+
     def test_dealias_changes_wideband_budget(self, grid16):
         # with spectral content beyond the 2/3 band, aliasing shifts the
         # budget; the dealiased run keeps the energy identity tighter
@@ -226,9 +233,8 @@ class TestForcing:
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(InvalidInputError):
-            solver.SolverConfig(viscosity=0.0)
-        with pytest.raises(InvalidInputError):
-            solver.SolverConfig(dt=-1e-3)
-        with pytest.raises(InvalidInputError):
-            solver.SolverConfig(record_every=0)
+        for bad in ({"viscosity": 0.0}, {"dt": -1e-3}, {"record_every": 0},
+                    {"t_end": math.inf}, {"dt": math.nan}, {"viscosity": math.nan},
+                    {"n": 7}, {"n": 6}):
+            with pytest.raises(InvalidInputError):
+                solver.SolverConfig(**bad)

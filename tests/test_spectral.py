@@ -8,10 +8,6 @@ from strainflow.spectral import Grid
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
 
-def shear_hat(grid, amplitude=1.0):
-    return initial_data.shear(grid, amplitude)
-
-
 class TestGridAndFFT:
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
@@ -26,7 +22,7 @@ class TestGridAndFFT:
         assert kdx[4] == 0.0 and kdx[3] == 3.0  # Nyquist slot zeroed
 
     def test_single_mode_placement(self, grid16):
-        u_hat = shear_hat(grid16)
+        u_hat = initial_data.shear(grid16)
         n = grid16.n
         # sin(y) e1 lives at xi = (0, +-1, 0) with coefficients -+ i n^3/2
         assert u_hat[0, 0, 1, 0] == pytest.approx(-0.5j * n ** 3, abs=1e-9)
@@ -71,7 +67,7 @@ class TestGridAndFFT:
 class TestSymGradient:
     def test_shear_strain(self, grid16):
         s_phys = spectral.strain_to_physical(
-            grid16, spectral.sym_gradient(grid16, shear_hat(grid16)))
+            grid16, spectral.sym_gradient(grid16, initial_data.shear(grid16)))
         _, y, _ = grid16.coords()
         full = np.broadcast_to(0.5 * np.cos(y), (grid16.n,) * 3)
         assert np.max(np.abs(s_phys[2] - full)) < 1e-13
@@ -128,7 +124,7 @@ class TestStrainConstraint:
         assert spectral.consistency_residual(grid8, s_hat) > 0.1
 
     def test_velocity_reconstruction_shear(self, grid16):
-        u_hat = shear_hat(grid16)
+        u_hat = initial_data.shear(grid16)
         back = spectral.velocity_from_strain(
             grid16, spectral.sym_gradient(grid16, u_hat))
         assert np.max(np.abs(back - u_hat)) < 1e-13 * np.max(np.abs(u_hat))
@@ -179,7 +175,7 @@ class TestHelmholtz:
 
 class TestVorticity:
     def test_shear_curl(self, grid16):
-        w = grid16.ifft(spectral.vorticity(grid16, shear_hat(grid16)))
+        w = grid16.ifft(spectral.vorticity(grid16, initial_data.shear(grid16)))
         _, y, _ = grid16.coords()
         assert np.max(np.abs(w[2] + np.broadcast_to(np.cos(y), (grid16.n,) * 3))) < 1e-13
         assert np.max(np.abs(w[0])) < 1e-13 and np.max(np.abs(w[1])) < 1e-13
@@ -236,7 +232,7 @@ class TestSobolevNorms:
 
 class TestIsometryAudit:
     def test_shear_values(self, grid16):
-        report = spectral.isometry_audit(grid16, shear_hat(grid16), 0.0)
+        report = spectral.isometry_audit(grid16, initial_data.shear(grid16), 0.0)
         for value in report.values():
             assert value == pytest.approx(TWO_PI_CUBED / 4.0, rel=1e-13)
 
@@ -261,12 +257,12 @@ class TestIsometryAudit:
 
 class TestDirectionalStrain:
     def test_shear_null_direction(self, grid16):
-        sv = spectral.directional_strain(grid16, shear_hat(grid16),
+        sv = spectral.directional_strain(grid16, initial_data.shear(grid16),
                                          np.array([0.0, 0.0, 1.0]))
         assert np.max(np.abs(sv)) < 1e-13
 
     def test_shear_streamwise_direction(self, grid16):
-        sv = spectral.directional_strain(grid16, shear_hat(grid16),
+        sv = spectral.directional_strain(grid16, initial_data.shear(grid16),
                                          np.array([1.0, 0.0, 0.0]))
         _, y, _ = grid16.coords()
         expected = np.broadcast_to(0.5 * np.cos(y), (grid16.n,) * 3)

@@ -7,8 +7,6 @@ from conftest import random_rotation, random_trace_free, rotate_matrix
 from strainflow import sym3
 from strainflow.exceptions import InvalidInputError
 
-SQRT6 = np.sqrt(6.0)
-
 
 def bisect_eigenvalues(m, tol=1e-13):
     """Oracle: roots of det(M - lambda I) by bracketed bisection.
