@@ -165,6 +165,10 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if config.snapshot_every < 0:
         raise ConfigError("snapshot_every must be >= 0")
+    if config.snapshot_every % config.record_every:
+        # snapshots are written from record steps only
+        raise ConfigError(f"snapshot_every={config.snapshot_every} is not a multiple "
+                          f"of record_every={config.record_every}")
     if config.initial_data not in ("taylor_green", "shear", "random_div_free", "from_file"):
         raise ConfigError(f"unknown initial_data {config.initial_data!r}")
     if config.initial_data == "from_file" and not config.initial_file:

@@ -29,8 +29,8 @@ from . import solver, sym3
 from .exceptions import InvalidExponentError, InvalidInputError
 from .numerics import (check_uniform_spacing, cumulative_trapezoid,
                        fd4_derivative)
-from .spectral import (Grid, strain_field, strain_norm_sq, sym_gradient,
-                       vorticity)
+from .spectral import (Grid, sobolev_inner, sobolev_norm_sq, strain_field,
+                       strain_norm_sq, sym_gradient, vorticity)
 
 # Coefficient of the cubic enstrophy-growth monitor (whole-space sharp
 # Sobolev value; on the torus it is monitored, never asserted).
@@ -58,9 +58,20 @@ class StrainPointData:
 
 
 def pointwise_strain_analysis(grid: Grid, u_hat) -> StrainPointData:
-    strain = strain_field(grid, sym_gradient(grid, u_hat))
-    return StrainPointData(strain, sym3.eigenvalues(strain),
-                           sym3.det(strain), strain.norm_sq())
+    """Strain, eigenvalues, det and |S|^2 at every grid point.
+
+    Reads only the kz >= 0 half of u_hat, so u_hat must be the spectrum
+    of a real field (a full cube or its half).
+    """
+    return _strain_point_data(grid, sym_gradient(grid, grid.half(u_hat)))
+
+
+def _strain_point_data(grid: Grid, s_half) -> StrainPointData:
+    strain = strain_field(grid, s_half)
+    norm_sq = strain.norm_sq()
+    det = sym3.det(strain)
+    return StrainPointData(strain, sym3.eigenvalues(strain, norm_sq, det),
+                           det, norm_sq)
 
 
 def lq_norm(grid: Grid, scalar_field, q) -> float:
@@ -73,12 +84,17 @@ def lq_norm(grid: Grid, scalar_field, q) -> float:
         raise InvalidExponentError(f"q must be >= 3/2, got {q}")
     field_arr = np.asarray(scalar_field, dtype=float)
     low = field_arr.min()
-    if low < -1e-12 * max(np.abs(field_arr).max(), 1.0):
-        raise InvalidInputError("L^q norms here expect a non-negative field")
-    field_arr = np.maximum(field_arr, 0.0)
+    if low < 0.0:
+        if low < -1e-12 * max(np.abs(field_arr).max(), 1.0):
+            raise InvalidInputError("L^q norms here expect a non-negative field")
+        field_arr = np.maximum(field_arr, 0.0)
     if np.isinf(q):
         return float(field_arr.max())
-    return float(np.sum(field_arr ** q) * grid.quad_weight) ** (1.0 / q)
+    if q == 1.5:  # the borderline exponent: a general pow costs 10x a sqrt
+        powered = field_arr * np.sqrt(field_arr)
+    else:
+        powered = field_arr ** q
+    return float(np.sum(powered) * grid.quad_weight) ** (1.0 / q)
 
 
 def criterion_exponent(q) -> float:
@@ -220,7 +236,7 @@ def directional_criterion(grid: Grid, u_hat, regions, directions, q) -> float:
         cover += mask
     if cover.min() < 1 or cover.max() > 1:
         raise InvalidInputError("regions must partition the grid (no gaps, no overlap)")
-    strain = strain_field(grid, sym_gradient(grid, u_hat))
+    strain = strain_field(grid, sym_gradient(grid, grid.half(u_hat)))
     total = 0.0
     peak = 0.0
     for mask, v in zip(regions, directions):
@@ -265,6 +281,12 @@ class RecordCollector:
     inequality margin, cubic monitor, criterion integrals) are filled in
     by finalize(), which needs at least 5 uniformly spaced records and
     writes NaN otherwise.
+
+    A record reads only the kz >= 0 half of state.u_hat (and of the
+    force), so both must be spectra of real fields, as solver states and
+    FFTs of snapshots are: strain and vorticity go to physical space by
+    c2r transforms, and the spectral sums count each half-plane for its
+    mirror image.
     """
 
     def __init__(self, grid: Grid, q_list=DEFAULT_Q_LIST, force=None,
@@ -280,38 +302,35 @@ class RecordCollector:
 
     def __call__(self, state) -> DiagnosticsRecord:
         grid = self.grid
-        s_hat = sym_gradient(grid, state.u_hat)
-        data = strain_field(grid, s_hat)
-        eig = sym3.eigenvalues(data)
-        det_field = sym3.det(data)
-        tr3_field = sym3.tr_cubed(data)
-        norm_sq = data.norm_sq()
-
-        w = grid.ifft(vorticity(grid, state.u_hat))
-        stretch = (data.m11 * w[0] ** 2 + data.m22 * w[1] ** 2
-                   + data.m33 * w[2] ** 2
-                   + 2.0 * (data.m12 * w[0] * w[1] + data.m13 * w[0] * w[2]
-                            + data.m23 * w[1] * w[2]))
+        u_half = grid.half(state.u_hat)
+        s_half = sym_gradient(grid, u_half)
+        data = _strain_point_data(grid, s_half)
+        m = data.strain
+        w = grid.ifft(vorticity(grid, u_half))
+        stretch = (m.m11 * w[0] ** 2 + m.m22 * w[1] ** 2 + m.m33 * w[2] ** 2
+                   + 2.0 * (m.m12 * w[0] * w[1] + m.m13 * w[0] * w[2]
+                            + m.m23 * w[1] * w[2]))
 
         force_term = 0.0
         force_sq = 0.0
         if self.force is not None:
             f_hat = self.force(state.t)
             if f_hat is not None:
-                force_term = float(np.sum(grid.ksq * np.real(
-                    np.conj(state.u_hat) * f_hat))) * grid.spectral_weight
-                force_sq = float(np.sum(np.abs(f_hat) ** 2)) * grid.spectral_weight
+                f_half = grid.half(f_hat)
+                force_term = sobolev_inner(grid, u_half, f_half, 1.0)
+                force_sq = sobolev_norm_sq(grid, f_half, 0.0)
 
+        lam2p = data.eig.lambda2_plus
         record = DiagnosticsRecord(
             t=state.t,
-            enstrophy=strain_norm_sq(grid, s_hat, 0.0),
-            dissipation=strain_norm_sq(grid, s_hat, 1.0),
-            det_integral=grid.integrate(det_field),
-            tr3_integral=grid.integrate(tr3_field),
+            enstrophy=strain_norm_sq(grid, s_half, 0.0),
+            dissipation=strain_norm_sq(grid, s_half, 1.0),
+            det_integral=grid.integrate(data.det),
+            tr3_integral=grid.integrate(sym3.tr_cubed(m)),
             vortex_stretch=grid.integrate(stretch),
-            strain_cubed=grid.integrate(norm_sq ** 1.5),
-            lambda2_norms={q: lq_norm(grid, eig.lambda2_plus, q) for q in self.q_list},
-            lambda2_weighted=grid.integrate(eig.lambda2_plus * norm_sq),
+            strain_cubed=grid.integrate(data.norm_sq * np.sqrt(data.norm_sq)),
+            lambda2_norms={q: lq_norm(grid, lam2p, q) for q in self.q_list},
+            lambda2_weighted=grid.integrate(lam2p * data.norm_sq),
             force_term=force_term,
             force_norm_sq=force_sq,
         )

@@ -53,6 +53,14 @@ class SolverConfig:
                 raise InvalidInputError(f"{name} must be positive and finite, got {value}")
         if self.record_every < 1:
             raise InvalidInputError("record_every must be >= 1")
+        if not self.adaptive_cfl:
+            # a fixed-step run takes whole steps only, so t_end must be
+            # reached exactly rather than overshot
+            ratio = self.t_end / self.dt
+            if not (math.isfinite(ratio) and round(ratio) >= 1
+                    and abs(ratio - round(ratio)) <= 1e-9):
+                raise InvalidInputError(
+                    f"t_end={self.t_end} is not a whole number of steps dt={self.dt}")
 
 
 @dataclass
@@ -355,9 +363,7 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
             if state.step_count % config.record_every == 0 or state.t >= config.t_end - 1e-12:
                 record(state)
     else:
-        ratio = config.t_end / config.dt
-        n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
-        n_steps = max(n_steps, 1)
+        n_steps = round(config.t_end / config.dt)
         for k in range(1, n_steps + 1):
             state = stepper.step(state, config.dt)
             state.t = k * config.dt  # exact uniform spacing, no accumulation drift

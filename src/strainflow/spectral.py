@@ -15,6 +15,12 @@ Conventions (fixed once, used everywhere):
   heat factor uses the true |xi|^2.
 * Integrals are discrete sums with quadrature weight (2*pi/n)^3, so the
   spectral Plancherel factor is (2*pi)^3 / n^6.
+* The spectrum of a real field is Hermitian, so its kz in [0, n/2] half,
+  shaped (..., n, n, n/2 + 1) as rfftn returns it (Mortensen &
+  Langtangen, CPC 203, 2016), holds all of it.  The differentiation
+  operators, Grid.ifft and the Plancherel sums take either layout and
+  tell them apart by the last axis; the sums count every plane strictly
+  inside 0 < kz < n/2 twice, for its mirror image.
 """
 
 from __future__ import annotations
@@ -100,6 +106,11 @@ class Grid:
                                            out=np.zeros_like(self.ksq_diff_half),
                                            where=self.ksq_diff_half > 0)
         self.dealias_mask_half = self.dealias_mask[..., :half + 1]
+        self.ksq_half = self.ksq[..., :half + 1]
+        # modes each half-spectrum plane stands for: 1 on the self-mirrored
+        # kz = 0 and kz = n/2 planes, 2 elsewhere
+        self.half_multiplicity = np.full((1, 1, half + 1), 2.0)
+        self.half_multiplicity[..., [0, half]] = 1.0
 
     def coords(self):
         """Sparse physical coordinate arrays (X, Y, Z) for broadcasting."""
@@ -113,19 +124,38 @@ class Grid:
         return _fftn(field)
 
     def ifft(self, coeffs):
-        """Inverse FFT over the last three axes; returns the real field."""
+        """Inverse FFT over the last three axes; returns the real field.
+
+        A kz in [0, n/2] half-spectrum goes through the real-output (c2r)
+        transform, which reads it as the half of a Hermitian cube.
+        """
         coeffs = np.asarray(coeffs)
-        self._check_grid_shape(coeffs)
+        if self.is_half(coeffs):
+            return _irfftn(coeffs, self.n)
         return _ifftn(coeffs).real
+
+    def half(self, coeffs):
+        """The kz in [0, n/2] half of a spectral array (a view; a
+        half-spectrum comes back whole)."""
+        return coeffs[..., :self.n // 2 + 1]
+
+    def is_half(self, coeffs) -> bool:
+        """True for a kz in [0, n/2] half-spectrum, False for a full cube;
+        any other shape is rejected."""
+        shape = np.shape(coeffs)[-3:]
+        if shape == (self.n, self.n, self.n // 2 + 1):
+            return True
+        self._check_grid_shape(coeffs)
+        return False
 
     def integrate(self, field):
         """Quadrature of a physical field over the box."""
         return float(np.sum(field)) * self.quad_weight
 
     def _check_grid_shape(self, arr):
-        if arr.shape[-3:] != (self.n, self.n, self.n):
+        if np.shape(arr)[-3:] != (self.n, self.n, self.n):
             raise InvalidInputError(
-                f"field shape {arr.shape} does not end in ({self.n},)*3")
+                f"field shape {np.shape(arr)} does not end in ({self.n},)*3")
 
 
 def ifft_hermitian(grid: Grid, coeffs):
@@ -204,10 +234,14 @@ def zero_nyquist(grid: Grid, coeffs):
 
 
 def divergence_residual(grid: Grid, u_hat) -> float:
-    """max_xi |xi . uhat| normalized by max_xi |xi| |uhat|."""
-    div = grid.kdx * u_hat[0] + grid.kdy * u_hat[1] + grid.kdz * u_hat[2]
+    """max_xi |xi . uhat| normalized by max_xi |xi| |uhat| (the same on
+    a half-spectrum as on its Hermitian cube)."""
+    half = grid.is_half(u_hat)
+    kz = grid.kdz_half if half else grid.kdz
+    div = grid.kdx * u_hat[0] + grid.kdy * u_hat[1] + kz * u_hat[2]
     speed = np.sqrt(np.abs(u_hat[0]) ** 2 + np.abs(u_hat[1]) ** 2 + np.abs(u_hat[2]) ** 2)
-    denom = np.max(np.sqrt(grid.ksq_diff) * speed)
+    ksq_diff = grid.ksq_diff_half if half else grid.ksq_diff
+    denom = np.max(np.sqrt(ksq_diff) * speed)
     if denom == 0.0:
         return 0.0
     return float(np.max(np.abs(div)) / denom)
@@ -233,19 +267,25 @@ def helmholtz_project(grid: Grid, v_hat):
     return v_hat - grad, grad
 
 
+def _kdz(grid: Grid, coeffs):
+    """Differentiation kz for the layout of coeffs (full cube or half)."""
+    return grid.kdz_half if grid.is_half(coeffs) else grid.kdz
+
+
 def sym_gradient(grid: Grid, u_hat, check: bool = True):
     """Spectral strain tensor of a divergence-free velocity field.
 
-    Returns the five independent components, shaped (5, n, n, n), in the
-    order (11, 22, 12, 13, 23); the 33 component is -(11 + 22) and is
-    never stored, so the output is trace-free structurally.
+    Returns the five independent components, shaped (5,) + the input's
+    grid shape (full cube or half-spectrum), in the order (11, 22, 12,
+    13, 23); the 33 component is -(11 + 22) and is never stored, so the
+    output is trace-free structurally.
     """
     if check:
         resid = divergence_residual(grid, u_hat)
         if resid > DIVERGENCE_TOL:
             raise InvalidInputError(
                 f"velocity is not divergence-free (residual {resid:.3e})")
-    kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
+    kx, ky, kz = grid.kdx, grid.kdy, _kdz(grid, u_hat)
     u1, u2, u3 = u_hat[0], u_hat[1], u_hat[2]
     return np.stack([
         1j * kx * u1,
@@ -311,8 +351,8 @@ def velocity_from_strain(grid: Grid, s_hat, tol: float = CONSISTENCY_TOL):
 
 
 def vorticity(grid: Grid, u_hat):
-    """Spectral curl of a velocity field."""
-    kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
+    """Spectral curl of a velocity field (full cube or half-spectrum)."""
+    kx, ky, kz = grid.kdx, grid.kdy, _kdz(grid, u_hat)
     u1, u2, u3 = u_hat[0], u_hat[1], u_hat[2]
     return np.stack([
         1j * (ky * u3 - kz * u2),
@@ -337,15 +377,28 @@ def antisym_matrix(omega):
     ])
 
 
-def _spectral_weight_pow(grid: Grid, alpha: float):
+def _plancherel_sum(grid: Grid, mode_values, alpha: float) -> float:
+    """Plancherel sum of |xi|^(2 alpha) times per-mode values (summed over
+    any leading component axes first), over a full cube or over a
+    half-spectrum with each plane counted for its mirror."""
     if not (-1.5 < alpha <= 1.5):
         raise InvalidInputError(f"Sobolev exponent must lie in (-3/2, 3/2], got {alpha}")
+    if mode_values.ndim > 3:
+        mode_values = mode_values.sum(axis=tuple(range(mode_values.ndim - 3)))
+    half = grid.is_half(mode_values)
+    ksq = grid.ksq_half if half else grid.ksq
     if alpha == 0.0:
-        return np.ones_like(grid.ksq)
-    weight = np.zeros_like(grid.ksq)
-    nonzero = grid.ksq > 0
-    weight[nonzero] = grid.ksq[nonzero] ** alpha
-    return weight
+        weighted = mode_values
+    elif alpha == 1.0:
+        weighted = ksq * mode_values
+    else:
+        weight = np.zeros_like(ksq)
+        nonzero = ksq > 0
+        weight[nonzero] = ksq[nonzero] ** alpha
+        weighted = weight * mode_values
+    if half:
+        weighted = weighted * grid.half_multiplicity
+    return float(np.sum(weighted)) * grid.spectral_weight
 
 
 def sobolev_norm_sq(grid: Grid, coeffs, alpha: float = 0.0) -> float:
@@ -355,17 +408,19 @@ def sobolev_norm_sq(grid: Grid, coeffs, alpha: float = 0.0) -> float:
     or full tensor).  For alpha < 0 the field must be mean-zero.
     """
     coeffs = np.asarray(coeffs)
-    weight = _spectral_weight_pow(grid, alpha)
     if alpha < 0:
         peak = np.max(np.abs(coeffs))
         mean = np.max(np.abs(coeffs[..., 0, 0, 0]))
         if peak > 0 and mean > 1e-12 * peak:
             raise InvalidInputError(
                 "negative-order norms require a mean-zero field")
-    comp_sq = np.abs(coeffs) ** 2
-    if comp_sq.ndim > 3:
-        comp_sq = comp_sq.sum(axis=tuple(range(comp_sq.ndim - 3)))
-    return float(np.sum(weight * comp_sq)) * grid.spectral_weight
+    return _plancherel_sum(grid, np.abs(coeffs) ** 2, alpha)
+
+
+def sobolev_inner(grid: Grid, a_hat, b_hat, alpha: float = 0.0) -> float:
+    """Real homogeneous Sobolev inner product of two spectral fields of
+    the same layout, summed over leading component axes."""
+    return _plancherel_sum(grid, np.real(np.conj(a_hat) * b_hat), alpha)
 
 
 def strain_norm_sq(grid: Grid, s_hat, alpha: float = 0.0) -> float:
@@ -375,8 +430,7 @@ def strain_norm_sq(grid: Grid, s_hat, alpha: float = 0.0) -> float:
     s11, s22, s12, s13, s23 = np.asarray(s_hat)
     frob_sq = (np.abs(s11) ** 2 + np.abs(s22) ** 2 + np.abs(s11 + s22) ** 2
                + 2.0 * (np.abs(s12) ** 2 + np.abs(s13) ** 2 + np.abs(s23) ** 2))
-    weight = _spectral_weight_pow(grid, alpha)
-    return float(np.sum(weight * frob_sq)) * grid.spectral_weight
+    return _plancherel_sum(grid, frob_sq, alpha)
 
 
 @dataclass(frozen=True)
@@ -440,7 +494,8 @@ def isometry_audit(grid: Grid, u_hat, alpha: float) -> IsometryReport:
 
 
 def strain_to_physical(grid: Grid, s_hat):
-    """Physical-space strain components, shaped (5, n, n, n)."""
+    """Physical-space strain components, shaped (5, n, n, n), from a full
+    cube or (by the c2r transform) from a half-spectrum."""
     return grid.ifft(np.asarray(s_hat))
 
 

@@ -34,6 +34,29 @@ ZERO_MATRIX_THRESHOLD = 1e-300
 
 _SQRT6 = np.sqrt(6.0)
 
+# Elements per chunk in _blockwise (128 kB per float64 temporary): the
+# temporaries of a polynomial in the entries then stay in a 1-2 MB L2 cache
+# instead of each of its ~25 operations streaming whole fields through memory.
+_BLOCK = 16384
+
+
+def _blockwise(formula, m: "TraceFreeSym3"):
+    """formula(m11, m22, m12, m13, m23) over a field of matrices, chunk
+    by chunk.  Only for arithmetic formulas: those are elementwise, so the
+    result is bit-identical to one whole-field call."""
+    entries = (m.m11, m.m22, m.m12, m.m13, m.m23)
+    if getattr(m.m11, "size", 1) <= _BLOCK:  # scalar entries are floats
+        return formula(*entries)
+    shape = m.m11.shape
+    if any(np.shape(x) != shape for x in entries):
+        return formula(*entries)
+    flat = [np.ravel(x) for x in entries]
+    out = np.empty(flat[0].size)
+    for start in range(0, out.size, _BLOCK):
+        chunk = slice(start, start + _BLOCK)
+        out[chunk] = formula(*(x[chunk] for x in flat))
+    return out.reshape(shape)
+
 
 @dataclass(frozen=True)
 class TraceFreeSym3:
@@ -101,8 +124,7 @@ class TraceFreeSym3:
 
     def norm_sq(self):
         """Squared Frobenius norm |M|^2 (sum over all nine entries)."""
-        return (self.m11 ** 2 + self.m22 ** 2 + self.m33 ** 2
-                + 2.0 * (self.m12 ** 2 + self.m13 ** 2 + self.m23 ** 2))
+        return _blockwise(_norm_sq, self)
 
     def norm(self):
         return np.sqrt(self.norm_sq())
@@ -127,11 +149,17 @@ class EigenTriple:
     r_defined: object
 
 
-def eigenvalues(m: TraceFreeSym3) -> EigenTriple:
-    """Closed-form eigenvalues, sorted ascending, broadcast over fields."""
-    norm = m.norm()
-    norm3 = norm ** 3
-    d = det(m)
+def eigenvalues(m: TraceFreeSym3, norm_sq=None, determinant=None) -> EigenTriple:
+    """Closed-form eigenvalues, sorted ascending, broadcast over fields.
+
+    norm_sq and determinant, when given, must be m.norm_sq() and det(m);
+    a caller that needs them anyway passes them in to save recomputing.
+    """
+    if norm_sq is None:
+        norm_sq = m.norm_sq()
+    norm = np.sqrt(norm_sq)
+    norm3 = norm_sq * norm
+    d = det(m) if determinant is None else determinant
     arg = np.divide(3.0 * _SQRT6 * d, norm3,
                     out=np.zeros_like(np.asarray(norm3, dtype=float)),
                     where=norm3 > 0)
@@ -151,22 +179,37 @@ def eigenvalues(m: TraceFreeSym3) -> EigenTriple:
     return EigenTriple(lam1, lam2, lam3, lam2_plus, r, defined)
 
 
+def _norm_sq(m11, m22, m12, m13, m23):
+    m33 = -m11 - m22
+    return (m11 ** 2 + m22 ** 2 + m33 ** 2
+            + 2.0 * (m12 ** 2 + m13 ** 2 + m23 ** 2))
+
+
+def _det(m11, m22, m12, m13, m23):
+    m33 = -m11 - m22
+    return (m11 * (m22 * m33 - m23 ** 2)
+            - m12 * (m12 * m33 - m23 * m13)
+            + m13 * (m12 * m23 - m22 * m13))
+
+
+def _tr_cubed(a, b, d, e, f):
+    c = -a - b
+    # tr(M^3) = sum of diag(M*M*M); expanded to avoid building 3x3 products,
+    # with products instead of ** 3 (a general pow on every element)
+    return (a * a * a + b * b * b + c * c * c
+            + 3.0 * (d * d * (a + b) + e * e * (a + c) + f * f * (b + c))
+            + 6.0 * d * e * f)
+
+
 def det(m: TraceFreeSym3):
     """Determinant (equals the product of the eigenvalues)."""
-    m33 = m.m33
-    return (m.m11 * (m.m22 * m33 - m.m23 ** 2)
-            - m.m12 * (m.m12 * m33 - m.m23 * m.m13)
-            + m.m13 * (m.m12 * m.m23 - m.m22 * m.m13))
+    return _blockwise(_det, m)
 
 
 def tr_cubed(m: TraceFreeSym3):
-    """Trace of M^3; for trace-free symmetric M this is 3*det(M)."""
-    a, b, c = m.m11, m.m22, m.m33
-    d, e, f = m.m12, m.m13, m.m23
-    # tr(M^3) = sum of diag(M*M*M); expanded to avoid building 3x3 products.
-    return (a ** 3 + b ** 3 + c ** 3
-            + 3.0 * (d ** 2 * (a + b) + e ** 2 * (a + c) + f ** 2 * (b + c))
-            + 6.0 * d * e * f)
+    """Trace of M^3; for trace-free symmetric M this is 3*det(M), but it
+    is evaluated on its own formula so the identity stays a check."""
+    return _blockwise(_tr_cubed, m)
 
 
 def det_bound_gap(m: TraceFreeSym3):
@@ -175,7 +218,8 @@ def det_bound_gap(m: TraceFreeSym3):
     Returns (2/9)*sqrt(6)*|M|^3 + 4*det(M), which is >= 0 and vanishes
     exactly when the eigenvalues are (-2c, c, c) for some c > 0.
     """
-    return DET_BOUND_COEFF * m.norm() ** 3 + 4.0 * det(m)
+    norm_sq = m.norm_sq()
+    return DET_BOUND_COEFF * norm_sq * np.sqrt(norm_sq) + 4.0 * det(m)
 
 
 def lambda2_bound_gap(m: TraceFreeSym3):
@@ -183,8 +227,10 @@ def lambda2_bound_gap(m: TraceFreeSym3):
 
     Returns |M|^2 * lambda2_plus / 2 + det(M) >= 0.
     """
-    eig = eigenvalues(m)
-    return 0.5 * m.norm_sq() * eig.lambda2_plus + det(m)
+    norm_sq = m.norm_sq()
+    d = det(m)
+    eig = eigenvalues(m, norm_sq, d)
+    return 0.5 * norm_sq * eig.lambda2_plus + d
 
 
 def extremal_eigen_bounds(m: TraceFreeSym3):

@@ -274,6 +274,93 @@ class TestDirectionalCriterion:
             diagnostics.directional_criterion(grid8, u_hat, [full, full], [e1, e1], 2.0)
 
 
+def full_cube_reference(grid, u_hat, f_hat=None):
+    """Record fields rebuilt on the full cube: c2c inverse transforms, the
+    stretching term from the full 3x3 matrix, and spectral sums over every
+    mode; the slow path the record's half-spectrum path replaced."""
+    s_hat = spectral.sym_gradient(grid, u_hat)
+    strain = sym3.TraceFreeSym3.from_components(grid.ifft(s_hat))
+    w = grid.ifft(spectral.vorticity(grid, u_hat))
+    norm_sq = strain.norm_sq()
+    lam2p = sym3.eigenvalues(strain).lambda2_plus
+    ref = {
+        "enstrophy": spectral.strain_norm_sq(grid, s_hat, 0.0),
+        "dissipation": spectral.strain_norm_sq(grid, s_hat, 1.0),
+        "det_integral": grid.integrate(sym3.det(strain)),
+        "tr3_integral": grid.integrate(sym3.tr_cubed(strain)),
+        "vortex_stretch": grid.integrate(
+            np.einsum("ij...,i...,j...->...", strain.to_matrix(), w, w)),
+        "strain_cubed": grid.integrate(norm_sq ** 1.5),
+        "lambda2_weighted": grid.integrate(lam2p * norm_sq),
+        "force_term": 0.0,
+        "force_norm_sq": 0.0,
+    }
+    if f_hat is not None:
+        ref["force_term"] = float(np.sum(grid.ksq * np.real(
+            np.conj(u_hat) * f_hat))) * grid.spectral_weight
+        ref["force_norm_sq"] = float(np.sum(np.abs(f_hat) ** 2)) * grid.spectral_weight
+    return ref, lam2p
+
+
+def nyquist_noise_state(grid):
+    rng = np.random.default_rng(77)
+    u_hat = spectral.project_divergence_free(
+        grid, grid.fft(rng.standard_normal((3,) + (grid.n,) * 3)))
+    assert np.max(np.abs(u_hat[:, :, :, grid.n // 2])) > 0.0
+    return u_hat
+
+
+def expr_forced_state(grid):
+    config = solver.SolverConfig(n=grid.n, dt=1e-3, t_end=0.02,
+                                 force="expr:sin(2*y);cos(3*z)*t;sin(x)")
+    result = solver.run(config, initial_data.random_div_free(grid, seed=78), grid=grid)
+    return result.final_state
+
+
+class TestHalfSpectrumRecord:
+    """The record reads only the kz >= 0 half; every field must match the
+    full-cube path it replaced."""
+
+    CANCELLING = ("det_integral", "tr3_integral", "vortex_stretch")
+
+    @pytest.mark.parametrize("case", ["taylor_green", "random_div_free",
+                                      "nyquist_noise", "expr_forced"])
+    def test_record_matches_full_cube(self, grid16, case):
+        force = None
+        if case == "taylor_green":
+            state = solver.SolverState(initial_data.taylor_green(grid16), 0.0, 0)
+        elif case == "random_div_free":
+            state = solver.SolverState(initial_data.random_div_free(grid16, seed=76), 0.0, 0)
+        elif case == "nyquist_noise":
+            state = solver.SolverState(nyquist_noise_state(grid16), 0.0, 0)
+        else:
+            state = expr_forced_state(grid16)
+            force = solver.make_force(grid16, "expr:sin(2*y);cos(3*z)*t;sin(x)")
+        f_hat = None if force is None else force(state.t)
+        record = diagnostics.RecordCollector(grid16, force=force)(state)
+        ref, lam2p = full_cube_reference(grid16, state.u_hat, f_hat)
+
+        cubic = ref["strain_cubed"]
+        assert cubic > 0.0
+        for name, expected in ref.items():
+            got = getattr(record, name)
+            if name in self.CANCELLING:
+                assert abs(got - expected) <= 1e-12 * cubic, name
+            else:
+                assert abs(got - expected) <= 1e-12 * abs(expected), name
+        if force is not None:
+            assert ref["force_norm_sq"] > 0.0 and ref["force_term"] != 0.0
+
+        data = diagnostics.pointwise_strain_analysis(grid16, state.u_hat)
+        scale = np.sqrt(np.max(data.norm_sq))
+        assert np.max(np.abs(data.eig.lambda2_plus - lam2p)) <= 1e-12 * scale
+        for q in diagnostics.DEFAULT_Q_LIST:
+            expected = diagnostics.lq_norm(grid16, lam2p, q)
+            assert record.lambda2_norms[q] == pytest.approx(expected, rel=1e-12)
+            assert diagnostics.lq_norm(grid16, data.eig.lambda2_plus, q) == pytest.approx(
+                expected, rel=1e-12)
+
+
 class TestRecordsAndCsv:
     def test_csv_contract(self, tmp_path, grid16):
         config = solver.SolverConfig(n=grid16.n, dt=1e-3, t_end=0.05, record_every=10)

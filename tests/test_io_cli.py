@@ -142,7 +142,8 @@ class TestConfig:
 
     def test_invalid_values_rejected(self):
         for key, value in (("n", "7"), ("dt", "banana"), ("q_list", "1.2"),
-                           ("t_end", "inf"), ("dt", "nan"), ("viscosity", "nan")):
+                           ("t_end", "inf"), ("dt", "nan"), ("viscosity", "nan"),
+                           ("t_end", "0.0305")):
             with pytest.raises(ConfigError):
                 config_mod.build_config(None, {key: value})
 
@@ -174,9 +175,12 @@ class TestCli:
 
     def test_bad_config_no_partial_csv(self, tmp_path, capsys):
         csv = tmp_path / "never.csv"
-        for flag, value in (("--n", "9"), ("--t-end", "inf"), ("--dt", "nan"),
-                            ("--viscosity", "nan")):
-            code = cli.main(["simulate", flag, value, "--csv", str(csv)])
+        for flags in (["--n", "9"], ["--t-end", "inf"], ["--dt", "nan"],
+                      ["--viscosity", "nan"],
+                      # snapshots come from record steps: 15 and 45 would never be written
+                      ["--n", "8", "--dt", "1e-3", "--t-end", "0.06",
+                       "--record-every", "10", "--snapshot-every", "15"]):
+            code = cli.main(["simulate", *flags, "--csv", str(csv)])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: ")
             assert not csv.exists()

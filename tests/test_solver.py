@@ -235,6 +235,6 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         for bad in ({"viscosity": 0.0}, {"dt": -1e-3}, {"record_every": 0},
                     {"t_end": math.inf}, {"dt": math.nan}, {"viscosity": math.nan},
-                    {"n": 7}, {"n": 6}):
+                    {"n": 7}, {"n": 6}, {"n": 8, "dt": 1e-3, "t_end": 0.0305}):
             with pytest.raises(InvalidInputError):
                 solver.SolverConfig(**bad)
