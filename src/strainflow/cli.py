@@ -29,17 +29,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CONFIG_FLAGS = tuple(config_mod._PARSERS)
+_DIAGNOSE_FLAGS = ("q_list", "csv")  # the settings diagnose reads
 
 
-def _add_config_flags(parser):
+def _add_config_flags(parser, keys=_CONFIG_FLAGS):
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    for key in _CONFIG_FLAGS:
+    for key in keys:
         parser.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}",
                             metavar="VALUE", help=f"override the {key} setting")
 
 
 def _build_config(args) -> config_mod.RunConfig:
-    overrides = {key: getattr(args, f"cfg_{key}") for key in _CONFIG_FLAGS}
+    overrides = {key: getattr(args, f"cfg_{key}", None) for key in _CONFIG_FLAGS}
     return config_mod.build_config(args.config, overrides)
 
 
@@ -101,6 +102,9 @@ def cmd_diagnose(args) -> int:
             raise ConfigError(f"{path}: diagnose expects velocity snapshots")
         if snap.n != n:
             raise ConfigError(f"{path}: mixed grid sizes {snap.n} vs {n}")
+        if snap.viscosity != snaps[0].viscosity:
+            raise ConfigError(
+                f"{path}: mixed viscosities {snap.viscosity} vs {snaps[0].viscosity}")
     snaps.sort(key=lambda s: s.time)
     grid = Grid(n)
     collector = diagnostics.RecordCollector(grid, q_list=run_config.q_list,
@@ -176,7 +180,7 @@ def build_parser() -> _Parser:
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_diag = sub.add_parser("diagnose", help="diagnostics over snapshot files")
-    _add_config_flags(p_diag)
+    _add_config_flags(p_diag, _DIAGNOSE_FLAGS)
     p_diag.add_argument("snapshots", nargs="+", metavar="SNAPSHOT")
     p_diag.set_defaults(fn=cmd_diagnose)
 

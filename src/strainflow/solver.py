@@ -20,6 +20,7 @@ dealiasing.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass, field
 
@@ -82,27 +83,72 @@ class NoForce:
         return None
 
 
+_FORCE_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
+                    "tanh": np.tanh, "sqrt": np.sqrt}
+_FORCE_VARIABLES = ("x", "y", "z", "t", "pi")
+_FORCE_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _parse_force_component(text: str):
+    """Compile one force component after checking it against the grammar:
+    numbers, the names x, y, z, t, pi, one-argument calls of sin, cos,
+    exp, tanh, sqrt, the operators + - * / ** and unary minus.  Returns
+    (code, names used)."""
+    text = text.strip()
+    try:
+        tree = ast.parse(text, mode="eval")
+        code = compile(tree, "<force>", "eval")  # compiling runs nothing
+    except (SyntaxError, RecursionError) as exc:
+        raise InvalidInputError(f"bad force expression {text!r}: {exc}") from exc
+    names = set()
+    pending = [tree.body]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            continue
+        if isinstance(node, ast.Name) and node.id in _FORCE_VARIABLES:
+            names.add(node.id)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _FORCE_OPERATORS):
+            pending += [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            pending.append(node.operand)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FORCE_FUNCTIONS and len(node.args) == 1
+              and not node.keywords):
+            pending.append(node.args[0])
+        else:
+            raise InvalidInputError(
+                f"force expression {text!r} may not contain {ast.unparse(node)!r}")
+    return code, names
+
+
+def _force_hat(grid: Grid, field):
+    """Spectral force from a physical field: projected divergence-free
+    (which also absorbs the pressure part of any gradient), Nyquist-zeroed
+    and mean-zeroed."""
+    f_hat = project_divergence_free(grid, grid.fft(field))
+    zero_nyquist(grid, f_hat)
+    f_hat[:, 0, 0, 0] = 0.0
+    return f_hat
+
+
 class ExprForce:
     """Force from three component expressions in x, y, z, t.
 
-    Expressions are evaluated with numpy on the grid and the result is
-    projected divergence-free (this also absorbs the pressure
-    contribution of any gradient part), mean-zeroed, and Nyquist-zeroed.
+    Each component is checked against the grammar of
+    _parse_force_component, evaluated with numpy on the grid, and turned
+    into a spectral force by _force_hat.
     """
 
     def __init__(self, grid: Grid, expressions):
         if len(expressions) != 3:
             raise InvalidInputError("force expression needs three components")
         self.grid = grid
-        try:
-            self._codes = [compile(e.strip(), "<force>", "eval") for e in expressions]
-        except SyntaxError as exc:
-            raise InvalidInputError(f"bad force expression: {exc}") from exc
-        self.time_dependent = any("t" in c.co_names for c in self._codes)
+        parsed = [_parse_force_component(e) for e in expressions]
+        self._codes = [code for code, _ in parsed]
+        self.time_dependent = any("t" in names for _, names in parsed)
         x, y, z = grid.coords()
-        self._names = {"x": x, "y": y, "z": z, "sin": np.sin, "cos": np.cos,
-                       "exp": np.exp, "tanh": np.tanh, "sqrt": np.sqrt,
-                       "pi": np.pi, "np": np}
+        self._names = {"x": x, "y": y, "z": z, "pi": np.pi, **_FORCE_FUNCTIONS}
         self._cached = None
 
     def __call__(self, t: float):
@@ -113,12 +159,12 @@ class ExprForce:
         ones = np.ones((self.grid.n,) * 3)
         comps = []
         for code in self._codes:
-            value = eval(code, {"__builtins__": {}}, names)  # restricted namespace
+            try:
+                value = eval(code, {"__builtins__": {}}, names)  # checked grammar only
+            except ArithmeticError as exc:  # e.g. 1/0 or 10.0**400 in constants
+                raise InvalidInputError(f"force expression failed at t={t}: {exc}") from exc
             comps.append(np.broadcast_to(np.asarray(value, dtype=float), ones.shape) * ones)
-        f_hat = self.grid.fft(np.stack(comps))
-        f_hat = project_divergence_free(self.grid, f_hat)
-        zero_nyquist(self.grid, f_hat)
-        f_hat[:, 0, 0, 0] = 0.0
+        f_hat = _force_hat(self.grid, np.stack(comps))
         if not self.time_dependent:
             self._cached = f_hat
         return f_hat
@@ -130,11 +176,7 @@ def _load_force_field(grid: Grid, path):
         raise InvalidInputError(f"force snapshot must hold a velocity field, got {snap.kind}")
     if snap.n != grid.n:
         raise InvalidInputError(f"force grid size {snap.n} != solver grid {grid.n}")
-    f_hat = grid.fft(snap.data)
-    f_hat = project_divergence_free(grid, f_hat)
-    zero_nyquist(grid, f_hat)
-    f_hat[:, 0, 0, 0] = 0.0
-    return snap.time, f_hat
+    return snap.time, _force_hat(grid, snap.data)
 
 
 class FileForce:
@@ -204,36 +246,34 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
     half-spectrum and mirrors back, which enforces the symmetry of the
     output structurally.  The output is always mean- and Nyquist-free.
     """
-    u_hat = np.asarray(u_hat)
-    half = _nonlinear_half(grid, u_hat[..., :grid.n // 2 + 1], dealias)
+    half = _nonlinear_half(grid, grid.half(np.asarray(u_hat)), dealias)
     return spectral.expand_half(grid, half)
 
 
 def _nonlinear_half(grid: Grid, u_half, dealias: bool):
     """Half-spectrum core of nonlinear_term (kz in [0, n/2])."""
-    hn = grid.n // 2
+    mask = grid.like(grid.dealias_mask, u_half)
+    inv_ksq = grid.like(grid.inv_ksq_diff, u_half)
     if dealias:
-        u_half = u_half * grid.dealias_mask_half
-    u = spectral._irfftn(u_half, grid.n)
+        u_half = u_half * mask
+    u = grid.ifft(u_half)
     # products in the order (11, 22, 33, 12, 13, 23)
     prods = np.stack([u[0] * u[0], u[1] * u[1], u[2] * u[2],
                       u[0] * u[1], u[0] * u[2], u[1] * u[2]])
     p_hat = spectral.rfft_half(grid, prods)
-    kx, ky, kz = grid.kdx, grid.kdy, grid.kdz_half
+    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_half)
     n_half = np.stack([
         -1j * (kx * p_hat[0] + ky * p_hat[3] + kz * p_hat[4]),
         -1j * (kx * p_hat[3] + ky * p_hat[1] + kz * p_hat[5]),
         -1j * (kx * p_hat[4] + ky * p_hat[5] + kz * p_hat[2]),
     ])
     if dealias:
-        n_half *= grid.dealias_mask_half
-    n_half[:, hn, :, :] = 0.0
-    n_half[:, :, hn, :] = 0.0
-    n_half[:, :, :, hn] = 0.0
+        n_half *= mask
+    zero_nyquist(grid, n_half)
     n_half[:, 0, 0, 0] = 0.0
     spectral.symmetrize_kz0_plane(grid, n_half)
     # Leray projection on the half-spectrum
-    dot = (kx * n_half[0] + ky * n_half[1] + kz * n_half[2]) * grid.inv_ksq_diff_half
+    dot = (kx * n_half[0] + ky * n_half[1] + kz * n_half[2]) * inv_ksq
     n_half[0] -= kx * dot
     n_half[1] -= ky * dot
     n_half[2] -= kz * dot
@@ -247,23 +287,21 @@ class Stepper:
         self.grid = grid
         self.config = config
         self.force = force if force is not None else make_force(grid, config.force)
-        self._factors = {}
+        self._factors = None  # (dt, E, E^2) for the latest dt only
 
     def _heat_factors(self, dt: float):
-        # factors live on the kz in [0, n/2] half-cube like the stages
-        cached = self._factors.get(dt)
-        if cached is None:
-            ksq_half = self.grid.ksq[..., :self.grid.n // 2 + 1]
-            half = np.exp(-self.config.viscosity * ksq_half * (0.5 * dt))
-            cached = (half, half * half)
-            self._factors[dt] = cached
-        return cached
+        # factors live on the kz in [0, n/2] half-cube like the stages; an
+        # adaptive run changes dt every step, so older factors are dropped
+        if self._factors is None or self._factors[0] != dt:
+            half = np.exp(-self.config.viscosity * self.grid.half(self.grid.ksq) * (0.5 * dt))
+            self._factors = (dt, half, half * half)
+        return self._factors[1:]
 
     def _rhs_half(self, u_half, t):
         out = _nonlinear_half(self.grid, u_half, self.config.dealias)
         f_hat = self.force(t)
         if f_hat is not None:
-            out = out + f_hat[..., :self.grid.n // 2 + 1]
+            out = out + self.grid.half(f_hat)
         return out
 
     def cfl_dt(self, state: SolverState) -> float:
@@ -278,7 +316,7 @@ class Stepper:
         if dt is None:
             dt = self.cfl_dt(state) if self.config.adaptive_cfl else self.config.dt
         e_half, e_full = self._heat_factors(dt)
-        u = state.u_hat[..., :self.grid.n // 2 + 1]
+        u = self.grid.half(state.u_hat)
         t = state.t
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
             na = self._rhs_half(u, t)

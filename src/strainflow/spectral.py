@@ -5,7 +5,7 @@ Conventions (fixed once, used everywhere):
 * Physical arrays are real, shaped (..., n, n, n), indexed [ix, iy, iz]
   with x_i = 2*pi*i/n.
 * Spectral arrays are complex, shaped (..., n, n, n), produced by an
-  unscaled forward FFT (numpy's fftn); the inverse divides by n^3.  The
+  unscaled forward FFT (scipy.fft.fftn); the inverse divides by n^3.  The
   trigonometric interpolant is  f(x) = sum_xi (fhat(xi)/n^3) exp(i xi.x).
 * Wavenumber layout per axis of length n: index k holds the integer
   wavenumber xi = k for k <= n/2 and xi = k - n for k > n/2, i.e.
@@ -17,10 +17,13 @@ Conventions (fixed once, used everywhere):
   spectral Plancherel factor is (2*pi)^3 / n^6.
 * The spectrum of a real field is Hermitian, so its kz in [0, n/2] half,
   shaped (..., n, n, n/2 + 1) as rfftn returns it (Mortensen &
-  Langtangen, CPC 203, 2016), holds all of it.  The differentiation
-  operators, Grid.ifft and the Plancherel sums take either layout and
-  tell them apart by the last axis; the sums count every plane strictly
-  inside 0 < kz < n/2 twice, for its mirror image.
+  Langtangen, CPC 203, 2016), holds all of it.  Grid keeps one set of
+  wavenumber arrays, on the full cube; Grid.half cuts a spectrum to its
+  half and Grid.like cuts a wavenumber array to the layout of a given
+  spectrum, so every operator takes either layout.  Only two things
+  depend on the layout: Grid.ifft inverts a half by the c2r transform,
+  and the Plancherel sums count every plane strictly inside
+  0 < kz < n/2 twice, for its mirror image.
 """
 
 from __future__ import annotations
@@ -29,41 +32,30 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # scipy's pocketfft is noticeably faster and can use worker threads
-    from scipy import fft as _fft_module
-    _FFT_WORKERS = os.cpu_count() or 1
-
-    def _fftn(arr):
-        return _fft_module.fftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-
-    def _ifftn(arr):
-        return _fft_module.ifftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-
-    def _rfftn(arr):
-        return _fft_module.rfftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-
-    def _irfftn(arr, n):
-        return _fft_module.irfftn(arr, s=(n, n, n), axes=(-3, -2, -1),
-                                  workers=_FFT_WORKERS)
-except ImportError:  # pragma: no cover - exercised only without scipy
-    def _fftn(arr):
-        return np.fft.fftn(arr, axes=(-3, -2, -1))
-
-    def _ifftn(arr):
-        return np.fft.ifftn(arr, axes=(-3, -2, -1))
-
-    def _rfftn(arr):
-        return np.fft.rfftn(arr, axes=(-3, -2, -1))
-
-    def _irfftn(arr, n):
-        return np.fft.irfftn(arr, s=(n, n, n), axes=(-3, -2, -1))
+from scipy import fft as _fft_module  # pocketfft, with worker threads
 
 from . import sym3
 from .exceptions import ConstraintViolationError, InvalidInputError
 
 DIVERGENCE_TOL = 1e-12
 CONSISTENCY_TOL = 1e-10
+_FFT_WORKERS = os.cpu_count() or 1
+
+
+def _fftn(arr):
+    return _fft_module.fftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+
+
+def _ifftn(arr):
+    return _fft_module.ifftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+
+
+def _rfftn(arr):
+    return _fft_module.rfftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+
+
+def _irfftn(arr, n):
+    return _fft_module.irfftn(arr, s=(n, n, n), axes=(-3, -2, -1), workers=_FFT_WORKERS)
 
 
 class Grid:
@@ -96,17 +88,8 @@ class Grid:
         self.volume = (2.0 * np.pi) ** 3
         self.quad_weight = self.volume / n ** 3
         self.spectral_weight = self.volume / float(n) ** 6
-        # half-spectrum metadata (kz restricted to [0, n/2]) used by the
-        # Hermitian fast paths
         half = n // 2
         self._rev = (n - np.arange(n)) % n  # index of -xi per axis
-        self.kdz_half = self.kdz[..., :half + 1]
-        self.ksq_diff_half = self.kdx ** 2 + self.kdy ** 2 + self.kdz_half ** 2
-        self.inv_ksq_diff_half = np.divide(1.0, self.ksq_diff_half,
-                                           out=np.zeros_like(self.ksq_diff_half),
-                                           where=self.ksq_diff_half > 0)
-        self.dealias_mask_half = self.dealias_mask[..., :half + 1]
-        self.ksq_half = self.ksq[..., :half + 1]
         # modes each half-spectrum plane stands for: 1 on the self-mirrored
         # kz = 0 and kz = n/2 planes, 2 elsewhere
         self.half_multiplicity = np.full((1, 1, half + 1), 2.0)
@@ -139,6 +122,14 @@ class Grid:
         half-spectrum comes back whole)."""
         return coeffs[..., :self.n // 2 + 1]
 
+    def like(self, wavenumbers, coeffs):
+        """A wavenumber array of this grid (kdz, ksq, ksq_diff,
+        inv_ksq_diff, dealias_mask, ...) restricted to the layout of
+        coeffs, full cube or half-spectrum: a view of its first
+        coeffs.shape[-1] kz planes.  Any other coeffs shape is rejected."""
+        self.is_half(coeffs)
+        return wavenumbers[..., :np.shape(coeffs)[-1]]
+
     def is_half(self, coeffs) -> bool:
         """True for a kz in [0, n/2] half-spectrum, False for a full cube;
         any other shape is rejected."""
@@ -167,7 +158,7 @@ def ifft_hermitian(grid: Grid, coeffs):
     """
     coeffs = np.asarray(coeffs)
     grid._check_grid_shape(coeffs)
-    return _irfftn(coeffs[..., :grid.n // 2 + 1], grid.n)
+    return grid.ifft(grid.half(coeffs))
 
 
 def rfft_half(grid: Grid, field):
@@ -236,12 +227,9 @@ def zero_nyquist(grid: Grid, coeffs):
 def divergence_residual(grid: Grid, u_hat) -> float:
     """max_xi |xi . uhat| normalized by max_xi |xi| |uhat| (the same on
     a half-spectrum as on its Hermitian cube)."""
-    half = grid.is_half(u_hat)
-    kz = grid.kdz_half if half else grid.kdz
-    div = grid.kdx * u_hat[0] + grid.kdy * u_hat[1] + kz * u_hat[2]
+    div = grid.kdx * u_hat[0] + grid.kdy * u_hat[1] + grid.like(grid.kdz, u_hat) * u_hat[2]
     speed = np.sqrt(np.abs(u_hat[0]) ** 2 + np.abs(u_hat[1]) ** 2 + np.abs(u_hat[2]) ** 2)
-    ksq_diff = grid.ksq_diff_half if half else grid.ksq_diff
-    denom = np.max(np.sqrt(ksq_diff) * speed)
+    denom = np.max(np.sqrt(grid.like(grid.ksq_diff, u_hat)) * speed)
     if denom == 0.0:
         return 0.0
     return float(np.max(np.abs(div)) / denom)
@@ -267,11 +255,6 @@ def helmholtz_project(grid: Grid, v_hat):
     return v_hat - grad, grad
 
 
-def _kdz(grid: Grid, coeffs):
-    """Differentiation kz for the layout of coeffs (full cube or half)."""
-    return grid.kdz_half if grid.is_half(coeffs) else grid.kdz
-
-
 def sym_gradient(grid: Grid, u_hat, check: bool = True):
     """Spectral strain tensor of a divergence-free velocity field.
 
@@ -285,7 +268,7 @@ def sym_gradient(grid: Grid, u_hat, check: bool = True):
         if resid > DIVERGENCE_TOL:
             raise InvalidInputError(
                 f"velocity is not divergence-free (residual {resid:.3e})")
-    kx, ky, kz = grid.kdx, grid.kdy, _kdz(grid, u_hat)
+    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_hat)
     u1, u2, u3 = u_hat[0], u_hat[1], u_hat[2]
     return np.stack([
         1j * kx * u1,
@@ -352,7 +335,7 @@ def velocity_from_strain(grid: Grid, s_hat, tol: float = CONSISTENCY_TOL):
 
 def vorticity(grid: Grid, u_hat):
     """Spectral curl of a velocity field (full cube or half-spectrum)."""
-    kx, ky, kz = grid.kdx, grid.kdy, _kdz(grid, u_hat)
+    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_hat)
     u1, u2, u3 = u_hat[0], u_hat[1], u_hat[2]
     return np.stack([
         1j * (ky * u3 - kz * u2),
@@ -385,8 +368,7 @@ def _plancherel_sum(grid: Grid, mode_values, alpha: float) -> float:
         raise InvalidInputError(f"Sobolev exponent must lie in (-3/2, 3/2], got {alpha}")
     if mode_values.ndim > 3:
         mode_values = mode_values.sum(axis=tuple(range(mode_values.ndim - 3)))
-    half = grid.is_half(mode_values)
-    ksq = grid.ksq_half if half else grid.ksq
+    ksq = grid.like(grid.ksq, mode_values)
     if alpha == 0.0:
         weighted = mode_values
     elif alpha == 1.0:
@@ -396,7 +378,7 @@ def _plancherel_sum(grid: Grid, mode_values, alpha: float) -> float:
         nonzero = ksq > 0
         weight[nonzero] = ksq[nonzero] ** alpha
         weighted = weight * mode_values
-    if half:
+    if grid.is_half(mode_values):
         weighted = weighted * grid.half_multiplicity
     return float(np.sum(weighted)) * grid.spectral_weight
 

@@ -223,6 +223,28 @@ class TestCli:
         diag_first = lines[1].split(",")
         assert float(diag_first[1]) == pytest.approx(float(sim_first[1]), rel=1e-12)
 
+    def test_diagnose_mixed_viscosity_rejected(self, tmp_path, capsys, grid8):
+        u_phys = grid8.ifft(initial_data.taylor_green(grid8))
+        paths = [str(tmp_path / f"s{i}.snap") for i in range(2)]
+        for i, (path, viscosity) in enumerate(zip(paths, (1.0, 0.5))):
+            snapshots.save_snapshot(path, "velocity", 0.1 * i, viscosity, u_phys)
+        out = tmp_path / "diag.csv"
+        assert cli.main(["diagnose", "--csv", str(out)] + paths) == 1
+        assert "mixed viscosities" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diagnose_rejects_settings_it_ignores(self, tmp_path, capsys, grid8):
+        path = str(tmp_path / "s.snap")
+        snapshots.save_snapshot(path, "velocity", 0.0, 1.0,
+                                grid8.ifft(initial_data.taylor_green(grid8)))
+        out = tmp_path / "diag.csv"
+        for flags in (["--viscosity", "0.5"], ["--n", "64"], ["--force", "expr:1;0;0"]):
+            assert cli.main(["diagnose", *flags, "--csv", str(out), path]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
+        assert cli.main(["diagnose", "--q-list", "inf,2", "--csv", str(out), path]) == 0
+        assert out.exists()
+
     def test_toy_ode_subcommand(self, tmp_path):
         traj = tmp_path / "traj.csv"
         code = cli.main(["toy-ode", "--matrix=-2,1,0,0,0", "--t-end", "5",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,22 @@ class TestStep:
 
         d1, d2 = defect(2e-2), defect(1e-2)
         assert 24.0 < d1 / d2 < 40.0
+
+    def test_changing_dt_keeps_one_set_of_heat_factors(self, grid16):
+        # an adaptive run changes dt every step; factors kept for every dt
+        # seen would grow the stepper by two half-spectrum arrays a step
+        stepper = solver.Stepper(grid16, solver.SolverConfig(n=16, dt=1e-3, t_end=0.1))
+        state = solver.SolverState(initial_data.taylor_green(grid16))
+        tracemalloc.start()
+        try:
+            state = stepper.step(state, 1e-3)
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(1, 11):
+                state = stepper.step(state, 1e-3 * (1.0 + 0.01 * k))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < grid16.half(grid16.ksq).nbytes
 
     def test_instability_reported_with_last_state(self, grid8):
         config = solver.SolverConfig(n=8, viscosity=1e-6, dt=5.0, t_end=50.0)
@@ -229,6 +246,23 @@ class TestForcing:
             solver.make_force(grid8, "expr:sin(y)")  # needs three components
         with pytest.raises(InvalidInputError):
             solver.make_force(grid8, "files:")
+
+    def test_expression_outside_grammar_rejected(self, tmp_path, grid8, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "x.npy"
+        for expr in (f"np.save({str(target)!r}, 1) or 0", "sin.__class__",
+                     "sin", "sin(x, y)", "x // 2", "x < y", "True", "1j",
+                     "__import__('os')", "(lambda: 1)()", "1 +", "x+" * 5000 + "1"):
+            with pytest.raises(InvalidInputError):
+                solver.make_force(grid8, f"expr:{expr};0;0")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(InvalidInputError):
+            solver.make_force(grid8, "expr:1/0;0;0")(0.0)
+
+    def test_time_dependence_from_names(self, grid8):
+        # "t" inside sqrt or tanh is not the time variable
+        assert not solver.make_force(grid8, "expr:sqrt(2)*tanh(y);0;0").time_dependent
+        assert solver.make_force(grid8, "expr:0;0;-t**2*sin(x)").time_dependent
 
 
 class TestConfigValidation:

@@ -326,3 +326,53 @@ class TestOrthogonalityRelations:
         scale = np.sqrt(spectral.strain_norm_sq(grid16, s_hat)
                         * spectral.sobolev_norm_sq(grid16, f_hat, 1.0)) + 1e-300
         assert abs(inner) / scale < 1e-12
+
+
+def _nyquist_noise(grid):
+    """Projected real white noise: a divergence-free field with Nyquist content."""
+    rng = np.random.default_rng(40)
+    noise = spectral.hermitian_symmetrize(grid.fft(rng.standard_normal((3,) + (grid.n,) * 3)))
+    return spectral.project_divergence_free(grid, noise)
+
+
+class TestHalfSpectrumLayout:
+    @pytest.mark.parametrize("make", [
+        lambda grid: initial_data.random_div_free(grid, seed=41), _nyquist_noise,
+    ], ids=["random_div_free", "nyquist_noise"])
+    def test_half_matches_full_cube(self, grid16, make):
+        u_hat = make(grid16)
+        if make is _nyquist_noise:
+            assert np.max(np.abs(u_hat[..., grid16.n // 2])) > 0
+        other = u_hat + 0.5 * u_hat[[1, 2, 0]]  # correlated with u, so no cancellation
+        grad = np.stack([1j * grid16.kdx * u_hat[0], 1j * grid16.kdy * u_hat[0],
+                         1j * grid16.kdz * u_hat[0]])
+        half = grid16.half
+
+        def close(on_half, on_full):
+            return abs(on_half - on_full) <= 1e-14 * abs(on_full)
+
+        for op in (spectral.sym_gradient, spectral.vorticity):
+            full = op(grid16, u_hat)
+            assert np.max(np.abs(op(grid16, half(u_hat)) - half(full))) \
+                <= 1e-14 * np.max(np.abs(full))
+        for v_hat in (u_hat, u_hat + grad):
+            assert close(spectral.divergence_residual(grid16, half(v_hat)),
+                         spectral.divergence_residual(grid16, v_hat))
+        s_hat = spectral.sym_gradient(grid16, u_hat)
+        for alpha in (0.0, 1.0):
+            assert close(spectral.sobolev_norm_sq(grid16, half(u_hat), alpha),
+                         spectral.sobolev_norm_sq(grid16, u_hat, alpha))
+            assert close(spectral.strain_norm_sq(grid16, half(s_hat), alpha),
+                         spectral.strain_norm_sq(grid16, s_hat, alpha))
+            assert close(spectral.sobolev_inner(grid16, half(u_hat), half(other), alpha),
+                         spectral.sobolev_inner(grid16, u_hat, other, alpha))
+
+    def test_wrong_last_axis_rejected(self, grid16):
+        u_hat = initial_data.random_div_free(grid16, seed=42)
+        for bad in (u_hat[..., :grid16.n // 2], u_hat[..., :grid16.n // 2 + 2]):
+            with pytest.raises(InvalidInputError):
+                grid16.like(grid16.kdz, bad)
+            for op in (spectral.sym_gradient, spectral.vorticity,
+                       spectral.divergence_residual, spectral.sobolev_norm_sq):
+                with pytest.raises(InvalidInputError):
+                    op(grid16, bad)
