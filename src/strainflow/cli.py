@@ -39,9 +39,9 @@ def _add_config_flags(parser, keys=_CONFIG_FLAGS):
                             metavar="VALUE", help=f"override the {key} setting")
 
 
-def _build_config(args) -> config_mod.RunConfig:
+def _build_config(args, keys=None) -> config_mod.RunConfig:
     overrides = {key: getattr(args, f"cfg_{key}", None) for key in _CONFIG_FLAGS}
-    return config_mod.build_config(args.config, overrides)
+    return config_mod.build_config(args.config, overrides, keys=keys)
 
 
 def _write_snapshots(grid, state, run_config, final=False):
@@ -92,7 +92,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    run_config = _build_config(args)
+    run_config = _build_config(args, _DIAGNOSE_FLAGS)
     snaps = [snapshots.load_snapshot(path) for path in args.snapshots]
     if not snaps:
         raise ConfigError("diagnose needs at least one snapshot")

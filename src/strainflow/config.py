@@ -128,12 +128,23 @@ def env_overrides(environ=None) -> dict:
     return raw
 
 
-def build_config(config_path=None, cli_overrides=None, environ=None) -> RunConfig:
-    """Assemble a RunConfig from file, environment, and CLI layers."""
+def build_config(config_path=None, cli_overrides=None, environ=None,
+                 keys=None) -> RunConfig:
+    """Assemble a RunConfig from file, environment, and CLI layers.
+
+    keys, if given, are the only settings the caller reads: a file or
+    environment setting outside them is rejected rather than ignored.
+    """
     raw = {}
     if config_path is not None:
         raw.update(parse_config_file(config_path))
-    raw.update(env_overrides(environ))
+    env = env_overrides(environ)
+    if keys is not None:
+        unread = [f"{key} (config file)" for key in raw if key not in keys]
+        unread += [ENV_PREFIX + key.upper() for key in env if key not in keys]
+        if unread:
+            raise ConfigError(f"settings this command does not read: {', '.join(unread)}")
+    raw.update(env)
     if cli_overrides:
         for key, value in cli_overrides.items():
             if key not in _PARSERS:

@@ -29,8 +29,8 @@ from . import solver, sym3
 from .exceptions import InvalidExponentError, InvalidInputError
 from .numerics import (check_uniform_spacing, cumulative_trapezoid,
                        fd4_derivative)
-from .spectral import (Grid, sobolev_inner, sobolev_norm_sq, strain_field,
-                       strain_norm_sq, sym_gradient, vorticity)
+from .spectral import (Grid, plancherel_sum, sobolev_inner, sobolev_norm_sq,
+                       strain_field, strain_frobenius_sq, sym_gradient, vorticity)
 
 # Coefficient of the cubic enstrophy-growth monitor (whole-space sharp
 # Sobolev value; on the torus it is monitored, never asserted).
@@ -282,11 +282,12 @@ class RecordCollector:
     by finalize(), which needs at least 5 uniformly spaced records and
     writes NaN otherwise.
 
-    A record reads only the kz >= 0 half of state.u_hat (and of the
-    force), so both must be spectra of real fields, as solver states and
-    FFTs of snapshots are: strain and vorticity go to physical space by
-    c2r transforms, and the spectral sums count each half-plane for its
-    mirror image.
+    A record reads only state.half, the kz >= 0 half of the velocity
+    spectrum (and the half of the force), so both must be spectra of
+    real fields, as solver states and FFTs of snapshots are: strain and
+    vorticity go to physical space by c2r transforms, and the spectral
+    sums count each half-plane for its mirror image.  E and diss_H1 are
+    two Plancherel sums over one per-mode strain Frobenius norm.
     """
 
     def __init__(self, grid: Grid, q_list=DEFAULT_Q_LIST, force=None,
@@ -302,7 +303,7 @@ class RecordCollector:
 
     def __call__(self, state) -> DiagnosticsRecord:
         grid = self.grid
-        u_half = grid.half(state.u_hat)
+        u_half = state.half
         s_half = sym_gradient(grid, u_half)
         data = _strain_point_data(grid, s_half)
         m = data.strain
@@ -321,10 +322,11 @@ class RecordCollector:
                 force_sq = sobolev_norm_sq(grid, f_half, 0.0)
 
         lam2p = data.eig.lambda2_plus
+        frob_sq = strain_frobenius_sq(s_half)
         record = DiagnosticsRecord(
             t=state.t,
-            enstrophy=strain_norm_sq(grid, s_half, 0.0),
-            dissipation=strain_norm_sq(grid, s_half, 1.0),
+            enstrophy=plancherel_sum(grid, frob_sq, 0.0),
+            dissipation=plancherel_sum(grid, frob_sq, 1.0),
             det_integral=grid.integrate(data.det),
             tr3_integral=grid.integrate(sym3.tr_cubed(m)),
             vortex_stretch=grid.integrate(stretch),

@@ -1,9 +1,11 @@
 """Pseudo-spectral time integration of incompressible Navier-Stokes.
 
-The state is the spectral velocity; each step applies the heat semigroup
-exactly through integrating factors and advances the projected advection
-term with classical RK4 on the transformed variable.  With the factors
-E = exp(-nu |xi|^2 dt/2) and N(u) the projected nonlinearity plus force,
+The state is the kz >= 0 half of the spectral velocity (a real field's
+spectrum is Hermitian, so the half holds all of it); each step applies
+the heat semigroup exactly through integrating factors and advances the
+projected advection term with classical RK4 on the transformed variable.
+With the factors E = exp(-nu |xi|^2 dt/2) and N(u) the projected
+nonlinearity plus force,
 
     Na = N(u, t)
     Nb = N(E (u + dt/2 Na), t + dt/2)
@@ -64,14 +66,45 @@ class SolverConfig:
                     f"t_end={self.t_end} is not a whole number of steps dt={self.dt}")
 
 
-@dataclass
 class SolverState:
-    u_hat: np.ndarray  # (3, n, n, n) complex spectral velocity
-    t: float = 0.0
-    step_count: int = 0
+    """A velocity field at time t, after step_count steps.
+
+    The field is stored as `half`, its kz in [0, n/2] half-spectrum
+    shaped (3, n, n, n/2 + 1), which holds the whole spectrum of a real
+    field (Mortensen & Langtangen, CPC 203, 2016).  `u_hat`, the full
+    Hermitian cube (3, n, n, n), is expanded from it on first read and
+    cached.  The constructor takes either layout; a full cube given to it
+    becomes that cache and `half` is a view of it.  A half is expanded
+    with `grid` (built from the shape if none is given).  States are never
+    modified once made.
+    """
+
+    def __init__(self, u_hat, t: float = 0.0, step_count: int = 0,
+                 grid: Grid | None = None):
+        u_hat = np.asarray(u_hat)
+        n = u_hat.shape[-2]
+        self._full = None
+        if u_hat.shape[-1] == n:
+            self._full = u_hat
+            u_hat = u_hat[..., :n // 2 + 1]
+        elif u_hat.shape[-1] != n // 2 + 1:
+            raise InvalidInputError(f"velocity spectrum has shape {u_hat.shape}")
+        self.half = u_hat
+        self.t = t
+        self.step_count = step_count
+        self._grid = grid
+
+    @property
+    def u_hat(self) -> np.ndarray:
+        """The full Hermitian spectral cube (3, n, n, n)."""
+        if self._full is None:
+            if self._grid is None:
+                self._grid = Grid(self.half.shape[-2])
+            self._full = spectral.expand_half(self._grid, self.half)
+        return self._full
 
     def copy(self) -> "SolverState":
-        return SolverState(self.u_hat.copy(), self.t, self.step_count)
+        return SolverState(self.half.copy(), self.t, self.step_count, self._grid)
 
 
 class NoForce:
@@ -92,12 +125,12 @@ _FORCE_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 def _parse_force_component(text: str):
     """Compile one force component after checking it against the grammar:
     numbers, the names x, y, z, t, pi, one-argument calls of sin, cos,
-    exp, tanh, sqrt, the operators + - * / ** and unary minus.  Returns
-    (code, names used)."""
+    exp, tanh, sqrt, the operators + - * / ** and unary minus.  Numbers
+    are taken as floats, so constant arithmetic overflows instead of
+    building huge integers.  Returns (code, names used)."""
     text = text.strip()
     try:
         tree = ast.parse(text, mode="eval")
-        code = compile(tree, "<force>", "eval")  # compiling runs nothing
     except (SyntaxError, RecursionError) as exc:
         raise InvalidInputError(f"bad force expression {text!r}: {exc}") from exc
     names = set()
@@ -105,8 +138,11 @@ def _parse_force_component(text: str):
     while pending:
         node = pending.pop()
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            continue
-        if isinstance(node, ast.Name) and node.id in _FORCE_VARIABLES:
+            try:
+                node.value = float(node.value)
+            except OverflowError as exc:
+                raise InvalidInputError(f"bad force expression {text!r}: {exc}") from exc
+        elif isinstance(node, ast.Name) and node.id in _FORCE_VARIABLES:
             names.add(node.id)
         elif isinstance(node, ast.BinOp) and isinstance(node.op, _FORCE_OPERATORS):
             pending += [node.left, node.right]
@@ -119,6 +155,10 @@ def _parse_force_component(text: str):
         else:
             raise InvalidInputError(
                 f"force expression {text!r} may not contain {ast.unparse(node)!r}")
+    try:
+        code = compile(tree, "<force>", "eval")  # compiling runs nothing
+    except RecursionError as exc:
+        raise InvalidInputError(f"bad force expression {text!r}: {exc}") from exc
     return code, names
 
 
@@ -161,9 +201,13 @@ class ExprForce:
         for code in self._codes:
             try:
                 value = eval(code, {"__builtins__": {}}, names)  # checked grammar only
-            except ArithmeticError as exc:  # e.g. 1/0 or 10.0**400 in constants
+                value = np.asarray(value, dtype=float)
+            except (ArithmeticError, TypeError) as exc:
+                # 1/0 or 9**9**9 in constants; a complex power (-8)**(1/3)
                 raise InvalidInputError(f"force expression failed at t={t}: {exc}") from exc
-            comps.append(np.broadcast_to(np.asarray(value, dtype=float), ones.shape) * ones)
+            if not np.all(np.isfinite(value)):
+                raise InvalidInputError(f"force expression is not finite at t={t}")
+            comps.append(np.broadcast_to(value, ones.shape) * ones)
         f_hat = _force_hat(self.grid, np.stack(comps))
         if not self.time_dependent:
             self._cached = f_hat
@@ -246,67 +290,102 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
     half-spectrum and mirrors back, which enforces the symmetry of the
     output structurally.  The output is always mean- and Nyquist-free.
     """
-    half = _nonlinear_half(grid, grid.half(np.asarray(u_hat)), dealias)
-    return spectral.expand_half(grid, half)
+    u_half = grid.half(np.asarray(u_hat))
+    out = np.empty(u_half.shape, dtype=complex)
+    _nonlinear_half(grid, u_half, dealias, out, _NonlinearScratch(grid))
+    return spectral.expand_half(grid, out)
 
 
-def _nonlinear_half(grid: Grid, u_half, dealias: bool):
-    """Half-spectrum core of nonlinear_term (kz in [0, n/2])."""
-    mask = grid.like(grid.dealias_mask, u_half)
-    inv_ksq = grid.like(grid.inv_ksq_diff, u_half)
+class _NonlinearScratch:
+    """Work arrays of _nonlinear_half: the six velocity products in
+    physical space and two scalar half-spectrum fields."""
+
+    def __init__(self, grid: Grid):
+        self.prods = np.empty((6,) + (grid.n,) * 3)
+        self.scalars = np.empty((2, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
+
+
+def _nonlinear_half(grid: Grid, u_half, dealias: bool, out, scratch: _NonlinearScratch):
+    """Half-spectrum core of nonlinear_term (kz in [0, n/2]), written into
+    out; u_half is only read, and out may not overlap it."""
+    mask = grid.like(grid.dealias_mask, out)
+    inv_ksq = grid.like(grid.inv_ksq_diff, out)
     if dealias:
-        u_half = u_half * mask
+        # out holds the masked input until the c2r has read it
+        u_half = np.multiply(u_half, mask, out=out)
     u = grid.ifft(u_half)
     # products in the order (11, 22, 33, 12, 13, 23)
-    prods = np.stack([u[0] * u[0], u[1] * u[1], u[2] * u[2],
-                      u[0] * u[1], u[0] * u[2], u[1] * u[2]])
+    prods = scratch.prods
+    for k, (i, j) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+        np.multiply(u[i], u[j], out=prods[k])
+    del u
     p_hat = spectral.rfft_half(grid, prods)
-    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_half)
-    n_half = np.stack([
-        -1j * (kx * p_hat[0] + ky * p_hat[3] + kz * p_hat[4]),
-        -1j * (kx * p_hat[3] + ky * p_hat[1] + kz * p_hat[5]),
-        -1j * (kx * p_hat[4] + ky * p_hat[5] + kz * p_hat[2]),
-    ])
+    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, out)
+    acc, term = scratch.scalars
+
+    def k_dot(a, b, c):
+        # kx a + ky b + kz c into acc
+        np.multiply(kx, a, out=acc)
+        np.multiply(ky, b, out=term)
+        np.add(acc, term, out=acc)
+        np.multiply(kz, c, out=term)
+        return np.add(acc, term, out=acc)
+
+    for m, (a, b, c) in enumerate(((0, 3, 4), (3, 1, 5), (4, 5, 2))):
+        np.multiply(-1j, k_dot(p_hat[a], p_hat[b], p_hat[c]), out=out[m])
+    del p_hat
     if dealias:
-        n_half *= mask
-    zero_nyquist(grid, n_half)
-    n_half[:, 0, 0, 0] = 0.0
-    spectral.symmetrize_kz0_plane(grid, n_half)
+        out *= mask
+    zero_nyquist(grid, out)
+    out[:, 0, 0, 0] = 0.0
+    spectral.symmetrize_kz0_plane(grid, out)
     # Leray projection on the half-spectrum
-    dot = (kx * n_half[0] + ky * n_half[1] + kz * n_half[2]) * inv_ksq
-    n_half[0] -= kx * dot
-    n_half[1] -= ky * dot
-    n_half[2] -= kz * dot
-    return n_half
+    dot = k_dot(out[0], out[1], out[2])
+    dot *= inv_ksq
+    for m, k in enumerate((kx, ky, kz)):
+        np.multiply(k, dot, out=term)
+        out[m] -= term
+    return out
 
 
 class Stepper:
-    """Integrating-factor RK4 stepper with cached heat factors."""
+    """Integrating-factor RK4 stepper on the half-spectrum.
+
+    The heat factors are cached for the latest dt only.  The four stages
+    run in place in work buffers made on the first step: the stage
+    output, Nb + Nc, the stage argument and the scratch of
+    _nonlinear_half.  A step allocates only the half-spectrum of the
+    state it returns, which is also its RK accumulator, so a state the
+    caller keeps never shares memory with the buffers, and the input
+    state is never written.
+    """
 
     def __init__(self, grid: Grid, config: SolverConfig, force=None):
         self.grid = grid
         self.config = config
         self.force = force if force is not None else make_force(grid, config.force)
-        self._factors = None  # (dt, E, E^2) for the latest dt only
+        self._factors = None  # (dt, E, E^2, 2E) for the latest dt only
+        self._buffers = None  # (stage, pair, arg)
+        self._scratch = None
 
     def _heat_factors(self, dt: float):
         # factors live on the kz in [0, n/2] half-cube like the stages; an
         # adaptive run changes dt every step, so older factors are dropped
         if self._factors is None or self._factors[0] != dt:
             half = np.exp(-self.config.viscosity * self.grid.half(self.grid.ksq) * (0.5 * dt))
-            self._factors = (dt, half, half * half)
+            self._factors = (dt, half, half * half, 2.0 * half)
         return self._factors[1:]
 
-    def _rhs_half(self, u_half, t):
-        out = _nonlinear_half(self.grid, u_half, self.config.dealias)
+    def _rhs_half(self, u_half, t, out):
+        _nonlinear_half(self.grid, u_half, self.config.dealias, out, self._scratch)
         f_hat = self.force(t)
         if f_hat is not None:
-            out = out + self.grid.half(f_hat)
+            out += self.grid.half(f_hat)
         return out
 
     def cfl_dt(self, state: SolverState) -> float:
         """Advective CFL step: safety * dx / max|u|."""
-        speed = np.sqrt(np.sum(self.grid.ifft(state.u_hat) ** 2, axis=0)).max()
+        speed = np.sqrt(np.sum(self.grid.ifft(state.half) ** 2, axis=0)).max()
         dx = 2.0 * np.pi / self.grid.n
         if speed <= 0:
             return self.config.dt
@@ -315,29 +394,46 @@ class Stepper:
     def step(self, state: SolverState, dt: float | None = None) -> SolverState:
         if dt is None:
             dt = self.cfl_dt(state) if self.config.adaptive_cfl else self.config.dt
-        e_half, e_full = self._heat_factors(dt)
-        u = self.grid.half(state.u_hat)
+        e_half, e_full, e_twice = self._heat_factors(dt)
+        u = state.half
+        if self._buffers is None:
+            self._buffers = tuple(np.empty(u.shape, dtype=complex) for _ in range(3))
+            self._scratch = _NonlinearScratch(self.grid)
+        stage, pair, arg = self._buffers
+        u_new = np.empty(u.shape, dtype=complex)  # also the RK accumulator
         t = state.t
+        # u' = E^2 u + dt/6 (E^2 Na + 2 E (Nb + Nc) + Nd), every product and
+        # sum taken in the order of the textbook expressions
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
-            na = self._rhs_half(u, t)
-            nb = self._rhs_half(e_half * (u + (0.5 * dt) * na), t + 0.5 * dt)
-            nc = self._rhs_half(e_half * u + (0.5 * dt) * nb, t + 0.5 * dt)
-            nd = self._rhs_half(e_full * u + dt * (e_half * nc), t + dt)
-            u_new_half = e_full * u + (dt / 6.0) * (e_full * na
-                                                    + 2.0 * e_half * (nb + nc) + nd)
-        u_new = spectral.expand_half(self.grid, u_new_half)
+            self._rhs_half(u, t, stage)                  # Na
+            np.multiply(0.5 * dt, stage, out=arg)        # E (u + dt/2 Na)
+            np.add(u, arg, out=arg)
+            np.multiply(e_half, arg, out=arg)
+            np.multiply(e_full, stage, out=u_new)        # E^2 Na
+            self._rhs_half(arg, t + 0.5 * dt, pair)      # Nb
+            np.multiply(e_half, u, out=arg)              # E u + dt/2 Nb
+            np.multiply(0.5 * dt, pair, out=stage)
+            np.add(arg, stage, out=arg)
+            self._rhs_half(arg, t + 0.5 * dt, stage)     # Nc
+            pair += stage                                # Nb + Nc
+            np.multiply(e_half, stage, out=stage)        # E^2 u + dt E Nc
+            np.multiply(dt, stage, out=stage)
+            np.multiply(e_full, u, out=arg)
+            np.add(arg, stage, out=arg)
+            self._rhs_half(arg, t + dt, stage)           # Nd
+            np.multiply(e_twice, pair, out=pair)
+            u_new += pair
+            u_new += stage
+            np.multiply(dt / 6.0, u_new, out=u_new)
+            np.multiply(e_full, u, out=arg)
+            np.add(arg, u_new, out=u_new)
         u_new[:, 0, 0, 0] = 0.0
         if not np.all(np.isfinite(u_new)):
             raise InstabilityError(
                 f"non-finite velocity after step {state.step_count + 1} "
                 f"(last stable time t={state.t:.6g})",
                 last_state=state)
-        return SolverState(u_new, state.t + dt, state.step_count + 1)
-
-
-def step(grid: Grid, state: SolverState, config: SolverConfig, force=None) -> SolverState:
-    """Single-step convenience wrapper around Stepper."""
-    return Stepper(grid, config, force).step(state)
+        return SolverState(u_new, state.t + dt, state.step_count + 1, self.grid)
 
 
 @dataclass
@@ -381,7 +477,7 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     u0_hat[...] = project_divergence_free(grid, u0_hat)
 
     stepper = Stepper(grid, config)
-    state = SolverState(u0_hat, 0.0, 0)
+    state = SolverState(u0_hat, 0.0, 0, grid)
     times = [0.0]
     states = [state.copy()] if keep_states else None
     if on_record is not None:
@@ -413,7 +509,7 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
 
 def divergence_invariant(grid: Grid, state: SolverState) -> float:
     """Divergence residual of a solver state (should stay below 1e-12)."""
-    return divergence_residual(grid, state.u_hat)
+    return divergence_residual(grid, state.half)
 
 
 def kinetic_energy(grid: Grid, u_hat) -> float:

@@ -360,7 +360,7 @@ def antisym_matrix(omega):
     ])
 
 
-def _plancherel_sum(grid: Grid, mode_values, alpha: float) -> float:
+def plancherel_sum(grid: Grid, mode_values, alpha: float) -> float:
     """Plancherel sum of |xi|^(2 alpha) times per-mode values (summed over
     any leading component axes first), over a full cube or over a
     half-spectrum with each plane counted for its mirror."""
@@ -396,23 +396,27 @@ def sobolev_norm_sq(grid: Grid, coeffs, alpha: float = 0.0) -> float:
         if peak > 0 and mean > 1e-12 * peak:
             raise InvalidInputError(
                 "negative-order norms require a mean-zero field")
-    return _plancherel_sum(grid, np.abs(coeffs) ** 2, alpha)
+    return plancherel_sum(grid, np.abs(coeffs) ** 2, alpha)
 
 
 def sobolev_inner(grid: Grid, a_hat, b_hat, alpha: float = 0.0) -> float:
     """Real homogeneous Sobolev inner product of two spectral fields of
     the same layout, summed over leading component axes."""
-    return _plancherel_sum(grid, np.real(np.conj(a_hat) * b_hat), alpha)
+    return plancherel_sum(grid, np.real(np.conj(a_hat) * b_hat), alpha)
+
+
+def strain_frobenius_sq(s_hat):
+    """Per-mode squared Frobenius norm of a 5-component strain field (the
+    stored off-diagonals count twice, the 33 entry is reconstructed)."""
+    s11, s22, s12, s13, s23 = np.asarray(s_hat)
+    return (np.abs(s11) ** 2 + np.abs(s22) ** 2 + np.abs(s11 + s22) ** 2
+            + 2.0 * (np.abs(s12) ** 2 + np.abs(s13) ** 2 + np.abs(s23) ** 2))
 
 
 def strain_norm_sq(grid: Grid, s_hat, alpha: float = 0.0) -> float:
     """Squared Sobolev norm of a 5-component strain field (full Frobenius
-    weight: the stored off-diagonals count twice, the 33 entry is
-    reconstructed)."""
-    s11, s22, s12, s13, s23 = np.asarray(s_hat)
-    frob_sq = (np.abs(s11) ** 2 + np.abs(s22) ** 2 + np.abs(s11 + s22) ** 2
-               + 2.0 * (np.abs(s12) ** 2 + np.abs(s13) ** 2 + np.abs(s23) ** 2))
-    return _plancherel_sum(grid, frob_sq, alpha)
+    weight)."""
+    return plancherel_sum(grid, strain_frobenius_sq(s_hat), alpha)
 
 
 @dataclass(frozen=True)

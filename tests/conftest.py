@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from strainflow import diagnostics, initial_data, solver
+from strainflow import diagnostics, initial_data, solver, spectral
 from strainflow.spectral import Grid
 # matrix helpers shared with `strainflow verify`; the test modules import them
 from strainflow.verify import random_rotation, random_trace_free  # noqa: F401
@@ -34,6 +35,15 @@ class TaylorGreenRun:
         self.states = result.states
         self.times = result.times
         self.kinetic = [solver.kinetic_energy(grid, s.u_hat) for s in self.states]
+
+
+def nyquist_noise_state(grid):
+    """A projected real-noise velocity spectrum with Nyquist content."""
+    rng = np.random.default_rng(77)
+    u_hat = spectral.project_divergence_free(
+        grid, grid.fft(rng.standard_normal((3,) + (grid.n,) * 3)))
+    assert np.max(np.abs(u_hat[:, :, :, grid.n // 2])) > 0.0
+    return u_hat
 
 
 @pytest.fixture(scope="session")

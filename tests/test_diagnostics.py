@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import nyquist_noise_state
 from strainflow import diagnostics, initial_data, solver, spectral, sym3
 from strainflow.exceptions import InvalidExponentError, InvalidInputError
 
@@ -300,14 +301,6 @@ def full_cube_reference(grid, u_hat, f_hat=None):
             np.conj(u_hat) * f_hat))) * grid.spectral_weight
         ref["force_norm_sq"] = float(np.sum(np.abs(f_hat) ** 2)) * grid.spectral_weight
     return ref, lam2p
-
-
-def nyquist_noise_state(grid):
-    rng = np.random.default_rng(77)
-    u_hat = spectral.project_divergence_free(
-        grid, grid.fft(rng.standard_normal((3,) + (grid.n,) * 3)))
-    assert np.max(np.abs(u_hat[:, :, :, grid.n // 2])) > 0.0
-    return u_hat
 
 
 def expr_forced_state(grid):

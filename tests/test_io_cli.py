@@ -126,6 +126,19 @@ class TestConfig:
         assert cfg.viscosity == 0.25     # cli beats everything
         assert cfg.dealias is False
 
+    def test_unread_settings_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("csv = a.csv\n")
+        cfg = config_mod.build_config(cfg_file, {"q_list": "inf"}, environ={},
+                                      keys=("csv", "q_list"))
+        assert cfg.csv == "a.csv" and cfg.q_list == (np.inf,)
+        with pytest.raises(ConfigError, match="STRAINFLOW_SEED"):
+            config_mod.build_config(None, None, environ={"STRAINFLOW_SEED": "3"},
+                                    keys=("csv",))
+        cfg_file.write_text("seed = 3\n")
+        with pytest.raises(ConfigError, match="seed"):
+            config_mod.build_config(cfg_file, None, environ={}, keys=("csv",))
+
     def test_dt_auto_enables_cfl(self):
         cfg = config_mod.build_config(None, {"dt": "auto"})
         assert cfg.adaptive_cfl is True
@@ -243,6 +256,38 @@ class TestCli:
             assert capsys.readouterr().err.startswith("error: ")
             assert not out.exists()
         assert cli.main(["diagnose", "--q-list", "inf,2", "--csv", str(out), path]) == 0
+        assert out.exists()
+
+    def test_diagnose_rejects_env_settings_it_ignores(self, tmp_path, capsys, grid8,
+                                                       monkeypatch):
+        path = str(tmp_path / "s.snap")
+        snapshots.save_snapshot(path, "velocity", 0.0, 1.0,
+                                grid8.ifft(initial_data.taylor_green(grid8)))
+        out = tmp_path / "diag.csv"
+        for key, value in (("VISCOSITY", "0.5"), ("N", "64"), ("FORCE", "expr:1;0;0")):
+            with monkeypatch.context() as env:
+                env.setenv("STRAINFLOW_" + key, value)
+                assert cli.main(["diagnose", "--csv", str(out), path]) == 1
+            assert f"STRAINFLOW_{key}" in capsys.readouterr().err
+            assert not out.exists()
+        monkeypatch.setenv("STRAINFLOW_Q_LIST", "inf,2")
+        assert cli.main(["diagnose", "--csv", str(out), path]) == 0
+        assert out.exists()
+
+    def test_diagnose_rejects_config_file_settings_it_ignores(self, tmp_path, capsys, grid8):
+        path = str(tmp_path / "s.snap")
+        snapshots.save_snapshot(path, "velocity", 0.0, 1.0,
+                                grid8.ifft(initial_data.taylor_green(grid8)))
+        out = tmp_path / "diag.csv"
+        cfg = tmp_path / "c.cfg"
+        for lines in ("viscosity = 0.5\n", "n = 64\n", "q_list = inf\nn = 64\n"):
+            cfg.write_text(lines)
+            assert cli.main(["diagnose", "--config", str(cfg), "--csv", str(out), path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "config file" in err
+            assert not out.exists()
+        cfg.write_text(f"q_list = inf,2\ncsv = {out}\n")
+        assert cli.main(["diagnose", "--config", str(cfg), path]) == 0
         assert out.exists()
 
     def test_toy_ode_subcommand(self, tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import nyquist_noise_state
 from strainflow import initial_data, solver, spectral
 from strainflow.exceptions import InstabilityError, InvalidInputError
 
@@ -106,6 +107,143 @@ class TestStep:
             solver.run(config, u0, grid=grid8)
         last = excinfo.value.last_state
         assert last is not None and np.all(np.isfinite(last.u_hat))
+
+
+def reference_nonlinear_half(grid, u_half, dealias):
+    """The allocating form of solver._nonlinear_half: every product and
+    sum a fresh array, in the same order."""
+    mask = grid.like(grid.dealias_mask, u_half)
+    inv_ksq = grid.like(grid.inv_ksq_diff, u_half)
+    if dealias:
+        u_half = u_half * mask
+    u = grid.ifft(u_half)
+    prods = np.stack([u[0] * u[0], u[1] * u[1], u[2] * u[2],
+                      u[0] * u[1], u[0] * u[2], u[1] * u[2]])
+    p_hat = spectral.rfft_half(grid, prods)
+    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_half)
+    n_half = np.stack([
+        -1j * (kx * p_hat[0] + ky * p_hat[3] + kz * p_hat[4]),
+        -1j * (kx * p_hat[3] + ky * p_hat[1] + kz * p_hat[5]),
+        -1j * (kx * p_hat[4] + ky * p_hat[5] + kz * p_hat[2]),
+    ])
+    if dealias:
+        n_half *= mask
+    spectral.zero_nyquist(grid, n_half)
+    n_half[:, 0, 0, 0] = 0.0
+    spectral.symmetrize_kz0_plane(grid, n_half)
+    dot = (kx * n_half[0] + ky * n_half[1] + kz * n_half[2]) * inv_ksq
+    n_half[0] -= kx * dot
+    n_half[1] -= ky * dot
+    n_half[2] -= kz * dot
+    return n_half
+
+
+def reference_step(grid, config, force, u_half, t, dt):
+    """The allocating integrating-factor RK4 step on the half-spectrum."""
+    e_half = np.exp(-config.viscosity * grid.half(grid.ksq) * (0.5 * dt))
+    e_full = e_half * e_half
+
+    def rhs(v, time):
+        out = reference_nonlinear_half(grid, v, config.dealias)
+        f_hat = force(time)
+        return out if f_hat is None else out + grid.half(f_hat)
+
+    na = rhs(u_half, t)
+    nb = rhs(e_half * (u_half + (0.5 * dt) * na), t + 0.5 * dt)
+    nc = rhs(e_half * u_half + (0.5 * dt) * nb, t + 0.5 * dt)
+    nd = rhs(e_full * u_half + dt * (e_half * nc), t + dt)
+    u_new = e_full * u_half + (dt / 6.0) * (e_full * na + 2.0 * e_half * (nb + nc) + nd)
+    u_new[:, 0, 0, 0] = 0.0
+    return u_new
+
+
+class TestInPlaceStep:
+    """Stepper.step runs in preallocated buffers; it must give the bits of
+    the allocating form and never hand out a buffer."""
+
+    CASES = {
+        "taylor_green": (lambda g: initial_data.taylor_green(g), True, "none"),
+        "random_div_free": (lambda g: initial_data.random_div_free(g, seed=5, amplitude=5.0),
+                            True, "none"),
+        "nyquist_noise": (nyquist_noise_state, True, "none"),
+        "no_dealias": (lambda g: initial_data.random_div_free(g, seed=6, amplitude=5.0),
+                       False, "none"),
+        "expr_forced": (lambda g: initial_data.random_div_free(g, seed=7),
+                        True, "expr:sin(2*y);cos(3*z)*t;sin(x)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_allocating_reference(self, grid16, case):
+        make, dealias, force = self.CASES[case]
+        config = solver.SolverConfig(n=16, viscosity=0.1, dt=1e-3, t_end=0.1,
+                                     dealias=dealias, force=force)
+        stepper = solver.Stepper(grid16, config)
+        state = solver.SolverState(make(grid16))
+        for dt in (1e-3, 1e-3, 2e-3):
+            expected = reference_step(grid16, config, stepper.force, state.half,
+                                      state.t, dt)
+            state = stepper.step(state, dt)
+            assert np.array_equal(state.half, expected)
+        assert np.array_equal(
+            solver.nonlinear_term(grid16, state.u_hat, dealias),
+            spectral.expand_half(grid16, reference_nonlinear_half(
+                grid16, state.half, dealias)))
+
+    def test_returned_states_never_alias(self, grid16):
+        stepper = solver.Stepper(grid16, solver.SolverConfig(n=16, dt=1e-3, t_end=0.1))
+        first = solver.SolverState(initial_data.random_div_free(grid16, seed=8, amplitude=5.0))
+        kept = stepper.step(first)
+        kept_half = kept.half.copy()
+        later = stepper.step(stepper.step(kept))
+        assert np.array_equal(kept.half, kept_half)
+        assert not np.shares_memory(later.half, kept.half)
+        assert np.array_equal(first.u_hat[..., :9], first.half)
+
+    def test_instability_keeps_last_state_intact(self, grid8):
+        config = solver.SolverConfig(n=8, viscosity=1e-6, dt=5.0, t_end=50.0)
+        stepper = solver.Stepper(grid8, config)
+        state = solver.SolverState(initial_data.random_div_free(grid8, seed=3, amplitude=1e4))
+        with pytest.raises(InstabilityError) as excinfo:
+            for _ in range(10):
+                before = state.half.copy()
+                state = stepper.step(state)
+        last = excinfo.value.last_state
+        assert last is state and np.array_equal(last.half, before)
+        assert np.all(np.isfinite(last.u_hat))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_step_allocates_under_four_half_arrays(self, n):
+        # a warmed-up step allocates its output, the r2c output of the
+        # products and the c2r velocity; the allocating form peaked near 12
+        grid = spectral.Grid(n)
+        stepper = solver.Stepper(grid, solver.SolverConfig(n=n, dt=1e-3, t_end=0.1))
+        state = stepper.step(solver.SolverState(initial_data.taylor_green(grid)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state = stepper.step(state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * state.half.nbytes
+
+
+class TestSolverState:
+    def test_layouts(self, grid8):
+        u_hat = initial_data.taylor_green(grid8)
+        full = solver.SolverState(u_hat, 0.5, 3)
+        assert full.u_hat is u_hat and np.shares_memory(full.half, u_hat)
+        assert full.half.shape == (3, 8, 8, 5)
+        half = solver.SolverState(full.half.copy(), 0.5, 3, grid8)
+        assert np.array_equal(half.u_hat, u_hat)
+        assert half.u_hat is half.u_hat  # expanded once, then cached
+        assert np.array_equal(solver.SolverState(full.half.copy()).u_hat, u_hat)
+        copy = full.copy()
+        assert (copy.t, copy.step_count) == (0.5, 3)
+        assert not np.shares_memory(copy.half, u_hat)
+        assert np.array_equal(copy.u_hat, u_hat)
+        with pytest.raises(InvalidInputError):
+            solver.SolverState(np.zeros((3, 8, 8, 6), dtype=complex))
 
 
 class TestRun:
@@ -258,6 +396,15 @@ class TestForcing:
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(InvalidInputError):
             solver.make_force(grid8, "expr:1/0;0;0")(0.0)
+
+    def test_non_finite_expression_rejected(self, grid8):
+        # constants are floats, so 9**9**9 overflows instead of building a
+        # huge integer; a complex or non-finite value is rejected too
+        for expr in ("9**9**9", "1" + "0" * 400, "(-8)**(1/3)", "x**1e300",
+                     "sqrt(x - 1)", "t**-1"):
+            with pytest.raises(InvalidInputError):
+                with np.errstate(all="ignore"):
+                    solver.make_force(grid8, f"expr:{expr};0;0")(0.0)
 
     def test_time_dependence_from_names(self, grid8):
         # "t" inside sqrt or tanh is not the time variable
