@@ -73,7 +73,8 @@ def cmd_simulate(args) -> int:
 
     solver_config = run_config.solver_config()
     try:
-        result = solver.run(solver_config, u0, grid=grid, on_record=on_record)
+        result = solver.run(solver_config, u0, grid=grid, on_record=on_record,
+                            force=force)
     except NumericalFailureError as exc:
         records = collector.finalize()
         if records:

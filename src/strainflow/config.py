@@ -184,6 +184,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"unknown initial_data {config.initial_data!r}")
     if config.initial_data == "from_file" and not config.initial_file:
         raise ConfigError("initial_data=from_file requires initial_file")
+    if not math.isfinite(config.amplitude):
+        raise ConfigError(f"amplitude must be finite, got {config.amplitude}")
     for q in config.q_list:
-        if q < 1.5:
+        if not q >= 1.5:  # NaN fails this too; +inf is the sup norm
             raise ConfigError(f"q_list entries must be >= 1.5, got {q}")

@@ -295,7 +295,7 @@ class RecordCollector:
         self.grid = grid
         self.q_list = tuple(dict.fromkeys(tuple(q_list) + tuple(DEFAULT_Q_LIST)))
         for q in self.q_list:
-            if q < 1.5:
+            if not q >= 1.5:  # NaN fails this too
                 raise InvalidExponentError(f"q must be >= 3/2, got {q}")
         self.force = force
         self.viscosity = viscosity
@@ -384,7 +384,7 @@ def run_with_diagnostics(config, u0_hat, grid: Grid | None = None,
     collector = RecordCollector(grid, q_list=q_list, force=force,
                                 viscosity=config.viscosity)
     result = solver.run(config, u0_hat, grid=grid, on_record=collector,
-                        keep_states=keep_states)
+                        keep_states=keep_states, force=force)
     return result, collector.finalize()
 
 

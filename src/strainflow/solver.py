@@ -56,6 +56,10 @@ class SolverConfig:
                 raise InvalidInputError(f"{name} must be positive and finite, got {value}")
         if self.record_every < 1:
             raise InvalidInputError("record_every must be >= 1")
+        if not (math.isfinite(self.cfl_safety) and self.cfl_safety > 0):
+            # a step of cfl_safety * dx / max|u| must move time forward
+            raise InvalidInputError(
+                f"cfl_safety must be positive and finite, got {self.cfl_safety}")
         if not self.adaptive_cfl:
             # a fixed-step run takes whole steps only, so t_end must be
             # reached exactly rather than overshot
@@ -177,7 +181,12 @@ class ExprForce:
 
     Each component is checked against the grammar of
     _parse_force_component, evaluated with numpy on the grid, and turned
-    into a spectral force by _force_hat.
+    into a spectral force by _force_hat.  The latest value is kept with
+    the t it was evaluated at, so the two t + dt/2 stages of an RK4 step
+    share one evaluation, and so do a record at t and the first stage of
+    the step that starts at t when they read the same force; a
+    time-independent force is evaluated once in all.  The returned array
+    is shared between calls, so it is read-only.
     """
 
     def __init__(self, grid: Grid, expressions):
@@ -189,11 +198,12 @@ class ExprForce:
         self.time_dependent = any("t" in names for _, names in parsed)
         x, y, z = grid.coords()
         self._names = {"x": x, "y": y, "z": z, "pi": np.pi, **_FORCE_FUNCTIONS}
-        self._cached = None
+        self._cached = None  # (t, f_hat) of the latest evaluation
 
     def __call__(self, t: float):
-        if not self.time_dependent and self._cached is not None:
-            return self._cached
+        if self._cached is not None and (not self.time_dependent
+                                         or self._cached[0] == t):
+            return self._cached[1]
         names = dict(self._names)
         names["t"] = t
         ones = np.ones((self.grid.n,) * 3)
@@ -209,8 +219,8 @@ class ExprForce:
                 raise InvalidInputError(f"force expression is not finite at t={t}")
             comps.append(np.broadcast_to(value, ones.shape) * ones)
         f_hat = _force_hat(self.grid, np.stack(comps))
-        if not self.time_dependent:
-            self._cached = f_hat
+        f_hat.flags.writeable = False
+        self._cached = (t, f_hat)
         return f_hat
 
 
@@ -278,12 +288,18 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
     """Leray projection of -(u . grad) u, evaluated pseudo-spectrally.
 
     The advection is formed in conservation form, (u . grad)u_m =
-    sum_j d_j(u_j u_m) for divergence-free u: the six unique products
-    u_j u_m are built in physical space (with the inputs truncated by
-    the 2/3 rule when dealias is set), transformed back, differentiated
-    mode-wise, and projected; subtracting the pressure gradient and
-    projecting are the same operation.  For band-limited dealiased
-    states this agrees exactly with the advective form.
+    sum_j d_j(u_j u_m) for divergence-free u, with the product tensor
+    shifted by a multiple of the identity: P = u u^T - u_3^2 I, whose
+    stored entries are (11 - 33, 22 - 33, 12, 13, 23) and whose 33 entry
+    is zero.  The five entries are built in physical space (with the
+    inputs truncated by the 2/3 rule when dealias is set), transformed
+    back, differentiated mode-wise, and projected; subtracting the
+    pressure gradient and projecting are the same operation.  The shift
+    adds grad(u_3^2), which lies along xi in every mode and survives the
+    masking, Nyquist zeroing and kz = 0 symmetrization as such, so the
+    projection removes it and the result equals that of the unshifted
+    products to rounding, with or without dealiasing.  For band-limited
+    dealiased states this agrees exactly with the advective form.
 
     The input must be Hermitian-symmetric (a real velocity field, as
     every solver state is); the evaluation then runs on the rfft
@@ -297,42 +313,51 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
 
 
 class _NonlinearScratch:
-    """Work arrays of _nonlinear_half: the six velocity products in
-    physical space and two scalar half-spectrum fields."""
+    """Work arrays of _nonlinear_half: the five shifted velocity products
+    in physical space and two scalar half-spectrum fields."""
 
     def __init__(self, grid: Grid):
-        self.prods = np.empty((6,) + (grid.n,) * 3)
+        self.prods = np.empty((5,) + (grid.n,) * 3)
         self.scalars = np.empty((2, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
 
 
 def _nonlinear_half(grid: Grid, u_half, dealias: bool, out, scratch: _NonlinearScratch):
     """Half-spectrum core of nonlinear_term (kz in [0, n/2]), written into
-    out; u_half is only read, and out may not overlap it."""
+    out; u_half is only read, and out may not overlap it.  A call does a
+    c2r of 3 cubes and an r2c of the 5 shifted products."""
     mask = grid.like(grid.dealias_mask, out)
     inv_ksq = grid.like(grid.inv_ksq_diff, out)
     if dealias:
         # out holds the masked input until the c2r has read it
         u_half = np.multiply(u_half, mask, out=out)
     u = grid.ifft(u_half)
-    # products in the order (11, 22, 33, 12, 13, 23)
+    # u u^T - u_3^2 I in the order (11 - 33, 22 - 33, 12, 13, 23); slot 4
+    # holds u_3^2 until both diagonal entries have read it
     prods = scratch.prods
-    for k, (i, j) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+    np.multiply(u[2], u[2], out=prods[4])
+    for k in (0, 1):
+        np.multiply(u[k], u[k], out=prods[k])
+        np.subtract(prods[k], prods[4], out=prods[k])
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=2):
         np.multiply(u[i], u[j], out=prods[k])
     del u
     p_hat = spectral.rfft_half(grid, prods)
     kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, out)
     acc, term = scratch.scalars
 
-    def k_dot(a, b, c):
-        # kx a + ky b + kz c into acc
+    def k_dot(a, b, c=None):
+        # kx a + ky b (+ kz c) into acc
         np.multiply(kx, a, out=acc)
         np.multiply(ky, b, out=term)
         np.add(acc, term, out=acc)
-        np.multiply(kz, c, out=term)
-        return np.add(acc, term, out=acc)
+        if c is not None:
+            np.multiply(kz, c, out=term)
+            np.add(acc, term, out=acc)
+        return acc
 
-    for m, (a, b, c) in enumerate(((0, 3, 4), (3, 1, 5), (4, 5, 2))):
-        np.multiply(-1j, k_dot(p_hat[a], p_hat[b], p_hat[c]), out=out[m])
+    # row 3 of P is (13, 23, 0)
+    for m, row in enumerate(((0, 2, 3), (2, 1, 4), (3, 4))):
+        np.multiply(-1j, k_dot(*(p_hat[r] for r in row)), out=out[m])
     del p_hat
     if dealias:
         out *= mask
@@ -445,13 +470,15 @@ class RunResult:
 
 
 def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
-        on_record=None, keep_states: bool = False) -> RunResult:
+        on_record=None, keep_states: bool = False, force=None) -> RunResult:
     """Integrate to t_end, recording every record_every steps.
 
     on_record(state) is called with each recorded state (including the
     initial one and the final one); with keep_states the recorded states
-    are also returned.  Instability raises InstabilityError carrying the
-    last finite state.
+    are also returned.  force is the stepper's force, made from
+    config.force if not given; a caller that records the force passes the
+    one it reads.  Instability raises InstabilityError carrying the last
+    finite state.
     """
     if grid is None:
         grid = Grid(config.n)
@@ -476,7 +503,7 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     # the heap layout and tripled the page faults of every later step
     u0_hat[...] = project_divergence_free(grid, u0_hat)
 
-    stepper = Stepper(grid, config)
+    stepper = Stepper(grid, config, force)
     state = SolverState(u0_hat, 0.0, 0, grid)
     times = [0.0]
     states = [state.copy()] if keep_states else None

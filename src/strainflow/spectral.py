@@ -28,18 +28,26 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft_module  # pocketfft, with worker threads
+from scipy import fft as _fft_module  # pocketfft
 
 from . import sym3
 from .exceptions import ConstraintViolationError, InvalidInputError
 
 DIVERGENCE_TOL = 1e-12
 CONSISTENCY_TOL = 1e-10
-_FFT_WORKERS = os.cpu_count() or 1
+# One pocketfft thread.  On a 2-vCPU host a warmed solver step took, with
+# 1 worker against 2 (five alternating pairs at n=32, three at n=64):
+#   n=32: CPU 16.3-22.2 ms against 21.7-23.6 ms, wall 16.3-22.8 ms against
+#         21.9-32.3 ms;
+#   n=64: CPU 176-205 ms against 195-198 ms, wall 177-209 ms against
+#         173-190 ms.
+# A second thread on these 3- and 5-cube transforms costs more CPU than
+# the wall time it saves, if any.  The bits of a step do not depend on
+# the count.
+_FFT_WORKERS = 1
 
 
 def _fftn(arr):

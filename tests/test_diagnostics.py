@@ -151,6 +151,12 @@ class TestVortexStretchIdentity:
             record = collector(solver.SolverState(u_hat, 0.0, 0))
             assert record.vortex_stretch_residual < 1e-10
 
+    def test_collector_rejects_nan_exponent(self, grid8):
+        # NaN passes a q < 3/2 test; +inf is the sup norm and stays valid
+        with pytest.raises(InvalidExponentError):
+            diagnostics.RecordCollector(grid8, q_list=(1.6, math.nan))
+        assert math.inf in diagnostics.RecordCollector(grid8, q_list=(math.inf,)).q_list
+
     def test_integrated_det_bound(self, tg16):
         # -4 int det <= (2/9) sqrt(6) int |S|^3, integrated form
         for r in tg16.records:

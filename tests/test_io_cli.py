@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,7 +158,8 @@ class TestConfig:
     def test_invalid_values_rejected(self):
         for key, value in (("n", "7"), ("dt", "banana"), ("q_list", "1.2"),
                            ("t_end", "inf"), ("dt", "nan"), ("viscosity", "nan"),
-                           ("t_end", "0.0305")):
+                           ("t_end", "0.0305"), ("q_list", "1.6,nan"),
+                           ("amplitude", "inf"), ("amplitude", "-inf")):
             with pytest.raises(ConfigError):
                 config_mod.build_config(None, {key: value})
 
@@ -196,6 +199,23 @@ class TestCli:
             code = cli.main(["simulate", *flags, "--csv", str(csv)])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: ")
+            assert not csv.exists()
+
+    def test_non_finite_inputs_rejected_quietly(self, tmp_path):
+        # NaN passed the q >= 3/2 check, and an infinite amplitude printed a
+        # numpy warning before its error line; a child process shows the
+        # stderr a user sees
+        csv = tmp_path / "never.csv"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+        for flags in (["--q-list", "1.6,nan"], ["--amplitude", "inf"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "strainflow.cli", "simulate", "--n", "8",
+                 "--dt", "1e-3", "--t-end", "0.01", "--initial-data", "random_div_free",
+                 *flags, "--csv", str(csv)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
             assert not csv.exists()
 
     def test_long_decaying_run_completes(self, tmp_path):

@@ -111,7 +111,29 @@ class TestStep:
 
 def reference_nonlinear_half(grid, u_half, dealias):
     """The allocating form of solver._nonlinear_half: every product and
-    sum a fresh array, in the same order."""
+    sum a fresh array, in the same order, on the shifted products
+    u u^T - u_3^2 I."""
+    mask = grid.like(grid.dealias_mask, u_half)
+    inv_ksq = grid.like(grid.inv_ksq_diff, u_half)
+    if dealias:
+        u_half = u_half * mask
+    u = grid.ifft(u_half)
+    u33 = u[2] * u[2]
+    prods = np.stack([u[0] * u[0] - u33, u[1] * u[1] - u33,
+                      u[0] * u[1], u[0] * u[2], u[1] * u[2]])
+    p_hat = spectral.rfft_half(grid, prods)
+    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_half)
+    n_half = np.stack([
+        -1j * (kx * p_hat[0] + ky * p_hat[2] + kz * p_hat[3]),
+        -1j * (kx * p_hat[2] + ky * p_hat[1] + kz * p_hat[4]),
+        -1j * (kx * p_hat[3] + ky * p_hat[4]),
+    ])
+    return _finish_half(grid, n_half, mask, inv_ksq, dealias)
+
+
+def conservation_nonlinear_half(grid, u_half, dealias):
+    """The slow path the shifted products replace: the six products
+    u_j u_m, unshifted, with three terms in every row of the divergence."""
     mask = grid.like(grid.dealias_mask, u_half)
     inv_ksq = grid.like(grid.inv_ksq_diff, u_half)
     if dealias:
@@ -126,6 +148,12 @@ def reference_nonlinear_half(grid, u_half, dealias):
         -1j * (kx * p_hat[3] + ky * p_hat[1] + kz * p_hat[5]),
         -1j * (kx * p_hat[4] + ky * p_hat[5] + kz * p_hat[2]),
     ])
+    return _finish_half(grid, n_half, mask, inv_ksq, dealias)
+
+
+def _finish_half(grid, n_half, mask, inv_ksq, dealias):
+    """Mask, zero Nyquist and mean, symmetrize kz = 0, Leray-project."""
+    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, n_half)
     if dealias:
         n_half *= mask
     spectral.zero_nyquist(grid, n_half)
@@ -138,13 +166,14 @@ def reference_nonlinear_half(grid, u_half, dealias):
     return n_half
 
 
-def reference_step(grid, config, force, u_half, t, dt):
+def reference_step(grid, config, force, u_half, t, dt,
+                   nonlinear_half=reference_nonlinear_half):
     """The allocating integrating-factor RK4 step on the half-spectrum."""
     e_half = np.exp(-config.viscosity * grid.half(grid.ksq) * (0.5 * dt))
     e_full = e_half * e_half
 
     def rhs(v, time):
-        out = reference_nonlinear_half(grid, v, config.dealias)
+        out = nonlinear_half(grid, v, config.dealias)
         f_hat = force(time)
         return out if f_hat is None else out + grid.half(f_hat)
 
@@ -172,13 +201,16 @@ class TestInPlaceStep:
                         True, "expr:sin(2*y);cos(3*z)*t;sin(x)"),
     }
 
+    def _stepper_and_state(self, grid, case):
+        make, dealias, force = self.CASES[case]
+        config = solver.SolverConfig(n=grid.n, viscosity=0.1, dt=1e-3, t_end=0.1,
+                                     dealias=dealias, force=force)
+        return solver.Stepper(grid, config), solver.SolverState(make(grid))
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_allocating_reference(self, grid16, case):
-        make, dealias, force = self.CASES[case]
-        config = solver.SolverConfig(n=16, viscosity=0.1, dt=1e-3, t_end=0.1,
-                                     dealias=dealias, force=force)
-        stepper = solver.Stepper(grid16, config)
-        state = solver.SolverState(make(grid16))
+        stepper, state = self._stepper_and_state(grid16, case)
+        config, dealias = stepper.config, stepper.config.dealias
         for dt in (1e-3, 1e-3, 2e-3):
             expected = reference_step(grid16, config, stepper.force, state.half,
                                       state.t, dt)
@@ -188,6 +220,47 @@ class TestInPlaceStep:
             solver.nonlinear_term(grid16, state.u_hat, dealias),
             spectral.expand_half(grid16, reference_nonlinear_half(
                 grid16, state.half, dealias)))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_shifted_products_match_conservation_form(self, grid16, case):
+        # the shift by u_3^2 I adds a gradient the projection removes, so the
+        # stage agrees with the six-product form to rounding, aliased or not
+        stepper, state = self._stepper_and_state(grid16, case)
+        config, dealias = stepper.config, stepper.config.dealias
+        expected = state.half
+        for dt in (1e-3, 1e-3, 2e-3):
+            expected = reference_step(grid16, config, stepper.force, expected, state.t, dt,
+                                      conservation_nonlinear_half)
+            state = stepper.step(state, dt)
+            assert np.max(np.abs(state.half - expected)) <= 1e-13 * np.max(np.abs(expected))
+        slow = conservation_nonlinear_half(grid16, state.half, dealias)
+        fast = solver.nonlinear_term(grid16, state.u_hat, dealias)
+        assert np.max(np.abs(grid16.half(fast) - slow)) <= 1e-13 * np.max(np.abs(slow))
+
+    def test_fft_worker_count_keeps_the_bits(self, grid16, monkeypatch):
+        halves = []
+        for workers in (1, 2):
+            monkeypatch.setattr(spectral, "_FFT_WORKERS", workers)
+            stepper, state = self._stepper_and_state(grid16, "random_div_free")
+            for _ in range(3):
+                state = stepper.step(state)
+            halves.append(state.half)
+        assert np.array_equal(halves[0], halves[1])
+
+    def test_time_dependent_force_evaluated_three_times_a_step(self, grid16, monkeypatch):
+        # the two t + dt/2 stages share one evaluation, and the next step's
+        # first stage reuses the last one's
+        calls = []
+        force_hat = solver._force_hat
+        monkeypatch.setattr(solver, "_force_hat",
+                            lambda grid, field: calls.append(1) or force_hat(grid, field))
+        stepper, state = self._stepper_and_state(grid16, "expr_forced")
+        assert stepper.force.time_dependent
+        for _ in range(4):
+            before = len(calls)
+            state = stepper.step(state)
+            assert len(calls) - before <= 3
+        assert len(calls) == 1 + 2 * 4
 
     def test_returned_states_never_alias(self, grid16):
         stepper = solver.Stepper(grid16, solver.SolverConfig(n=16, dt=1e-3, t_end=0.1))
@@ -419,3 +492,9 @@ class TestConfigValidation:
                     {"n": 7}, {"n": 6}, {"n": 8, "dt": 1e-3, "t_end": 0.0305}):
             with pytest.raises(InvalidInputError):
                 solver.SolverConfig(**bad)
+
+    def test_rejects_bad_cfl_safety(self):
+        # a negative safety made dt negative, and an adaptive run never ended
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="cfl_safety"):
+                solver.SolverConfig(n=8, adaptive_cfl=True, cfl_safety=bad, t_end=0.01)
