@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import config as config_mod
-from . import diagnostics, initial_data, snapshots, solver, sym3, toy_ode, verify
+from . import (diagnostics, initial_data, snapshots, solver, spectral, sym3, toy_ode,
+               verify)
 from .exceptions import ConfigError, NumericalFailureError, StrainflowError
 from .spectral import Grid
 
@@ -111,9 +112,9 @@ def cmd_diagnose(args) -> int:
     collector = diagnostics.RecordCollector(grid, q_list=run_config.q_list,
                                             viscosity=snaps[0].viscosity)
     for index, snap in enumerate(snaps):
-        u_hat = grid.fft(snap.data)
-        u_hat[:, 0, 0, 0] = 0.0
-        collector(solver.SolverState(u_hat, snap.time, index))
+        u_half = spectral.rfft_half(grid, snap.data)  # all a record reads
+        u_half[:, 0, 0, 0] = 0.0
+        collector(solver.SolverState(u_half, snap.time, index, grid))
     records = collector.finalize()
     diagnostics.write_csv(records, run_config.csv)
     print(f"diagnosed {len(records)} snapshots -> {run_config.csv}")

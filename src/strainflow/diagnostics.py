@@ -283,8 +283,8 @@ class RecordCollector:
     writes NaN otherwise.
 
     A record reads only state.half, the kz >= 0 half of the velocity
-    spectrum (and the half of the force), so both must be spectra of
-    real fields, as solver states and FFTs of snapshots are: strain and
+    spectrum (and the force, a half-spectrum too), so both must be
+    spectra of real fields, as solver states and forces are: strain and
     vorticity go to physical space by c2r transforms, and the spectral
     sums count each half-plane for its mirror image.  E and diss_H1 are
     two Plancherel sums over one per-mode strain Frobenius norm.
@@ -315,9 +315,8 @@ class RecordCollector:
         force_term = 0.0
         force_sq = 0.0
         if self.force is not None:
-            f_hat = self.force(state.t)
-            if f_hat is not None:
-                f_half = grid.half(f_hat)
+            f_half = self.force(state.t)
+            if f_half is not None:
                 force_term = sobolev_inner(grid, u_half, f_half, 1.0)
                 force_sq = sobolev_norm_sq(grid, f_half, 0.0)
 

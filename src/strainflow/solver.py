@@ -167,13 +167,14 @@ def _parse_force_component(text: str):
 
 
 def _force_hat(grid: Grid, field):
-    """Spectral force from a physical field: projected divergence-free
-    (which also absorbs the pressure part of any gradient), Nyquist-zeroed
-    and mean-zeroed."""
-    f_hat = project_divergence_free(grid, grid.fft(field))
-    zero_nyquist(grid, f_hat)
-    f_hat[:, 0, 0, 0] = 0.0
-    return f_hat
+    """Spectral force from a physical field, as a kz in [0, n/2]
+    half-spectrum like every state: projected divergence-free (which also
+    absorbs the pressure part of any gradient), Nyquist-zeroed and
+    mean-zeroed."""
+    f_half = project_divergence_free(grid, spectral.rfft_half(grid, field))
+    zero_nyquist(grid, f_half)
+    f_half[:, 0, 0, 0] = 0.0
+    return f_half
 
 
 class ExprForce:
@@ -403,9 +404,9 @@ class Stepper:
 
     def _rhs_half(self, u_half, t, out):
         _nonlinear_half(self.grid, u_half, self.config.dealias, out, self._scratch)
-        f_hat = self.force(t)
-        if f_hat is not None:
-            out += self.grid.half(f_hat)
+        f_half = self.force(t)
+        if f_half is not None:
+            out += f_half
         return out
 
     def cfl_dt(self, state: SolverState) -> float:

@@ -250,7 +250,8 @@ def project_divergence_free(grid: Grid, v_hat):
 
 
 def helmholtz_project(grid: Grid, v_hat):
-    """Mode-wise Helmholtz split v = u + grad(f).
+    """Mode-wise Helmholtz split v = u + grad(f), of a full cube or a
+    half-spectrum.
 
     Returns (divergence-free part, gradient part); the two are orthogonal
     per mode and sum to the input exactly.  Modes with no resolvable
@@ -258,8 +259,9 @@ def helmholtz_project(grid: Grid, v_hat):
     divergence-free part.
     """
     v_hat = np.asarray(v_hat)
-    dot = (grid.kdx * v_hat[0] + grid.kdy * v_hat[1] + grid.kdz * v_hat[2]) * grid.inv_ksq_diff
-    grad = np.stack([grid.kdx * dot, grid.kdy * dot, grid.kdz * dot])
+    kdz, inv_ksq = grid.like(grid.kdz, v_hat), grid.like(grid.inv_ksq_diff, v_hat)
+    dot = (grid.kdx * v_hat[0] + grid.kdy * v_hat[1] + kdz * v_hat[2]) * inv_ksq
+    grad = np.stack([grid.kdx * dot, grid.kdy * dot, kdz * dot])
     return v_hat - grad, grad
 
 

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from strainflow import diagnostics, initial_data, solver, spectral
+from strainflow import spectral
 from strainflow.spectral import Grid
-# matrix helpers shared with `strainflow verify`; the test modules import them
-from strainflow.verify import random_rotation, random_trace_free  # noqa: F401
-from strainflow.verify import rotate as rotate_matrix  # noqa: F401
+from strainflow.verify import ReferenceRun
 
 
 @pytest.fixture(scope="session")
@@ -23,20 +21,6 @@ def grid32():
     return Grid(32)
 
 
-class TaylorGreenRun:
-    """Shared Taylor-Green reference run with full diagnostics."""
-
-    def __init__(self, grid, dt, t_end):
-        config = solver.SolverConfig(n=grid.n, viscosity=1.0, dt=dt,
-                                     t_end=t_end, record_every=10)
-        result, self.records = diagnostics.run_with_diagnostics(
-            config, initial_data.taylor_green(grid), grid=grid, keep_states=True)
-        self.grid = grid
-        self.states = result.states
-        self.times = result.times
-        self.kinetic = [solver.kinetic_energy(grid, s.u_hat) for s in self.states]
-
-
 def nyquist_noise_state(grid):
     """A projected real-noise velocity spectrum with Nyquist content."""
     rng = np.random.default_rng(77)
@@ -48,5 +32,5 @@ def nyquist_noise_state(grid):
 
 @pytest.fixture(scope="session")
 def tg16(grid16):
-    """Small, fast Taylor-Green run for module-level tests."""
-    return TaylorGreenRun(grid16, dt=1e-3, t_end=0.25)
+    """Small, fast Taylor-Green reference run for module-level tests."""
+    return ReferenceRun(grid16, dt=1e-3, t_end=0.25)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from strainflow import cli, config as config_mod, initial_data, snapshots, spectral, verify
+from strainflow import (cli, config as config_mod, diagnostics, initial_data, snapshots,
+                        solver, spectral, verify)
 from strainflow.exceptions import ConfigError
 
 
@@ -254,7 +256,33 @@ class TestCli:
         # per-snapshot columns match the ones written during the run
         sim_first = sim_lines[1].split(",")
         diag_first = lines[1].split(",")
-        assert float(diag_first[1]) == pytest.approx(float(sim_first[1]), rel=1e-12)
+        for column in (1, 2):  # E, diss_H1
+            assert float(diag_first[column]) == pytest.approx(float(sim_first[column]),
+                                                              rel=1e-12)
+
+    def test_diagnose_matches_full_spectrum_path(self, tmp_path, grid8):
+        # diagnose transforms each snapshot to the half-spectrum by an rfft;
+        # the c2c transform of the full cube it replaced gives the same
+        # per-snapshot columns
+        paths = []
+        for i in range(2):
+            paths.append(str(tmp_path / f"s{i}.snap"))
+            u_phys = grid8.ifft(initial_data.random_div_free(grid8, seed=30 + i))
+            snapshots.save_snapshot(paths[-1], "velocity", 0.1 * i, 1.0, u_phys)
+        out = tmp_path / "diag.csv"
+        assert cli.main(["diagnose", "--csv", str(out)] + paths) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        collector = diagnostics.RecordCollector(grid8)
+        for index, (path, row) in enumerate(zip(paths, rows)):
+            snap = snapshots.load_snapshot(path)
+            u_hat = grid8.fft(snap.data)
+            u_hat[:, 0, 0, 0] = 0.0
+            r = collector(solver.SolverState(u_hat, snap.time, index))
+            expected = (r.t, r.enstrophy, r.dissipation, r.det_integral, r.tr3_integral,
+                        r.vortex_stretch, r.lambda2_norms[np.inf], r.lambda2_norms[2.0],
+                        r.lambda2_norms[1.5])
+            for got, want in zip(row, expected):
+                assert float(got) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_diagnose_mixed_viscosity_rejected(self, tmp_path, capsys, grid8):
         u_phys = grid8.ifft(initial_data.taylor_green(grid8))
@@ -360,11 +388,25 @@ class TestVerify:
             ["PASS", name] for name in VERIFY_CHECK_NAMES]
         assert lines[-1] == "21/21 checks passed"
 
-    def test_det_sign_flip_is_caught(self):
-        checks = verify.run_checks(n=8, dt=1e-3, t_end=0.3, det_sign_flip=True)
-        failed = [c for c in checks if not c.passed]
-        assert len(failed) == 1
-        assert "vortex-stretching" in failed[0].name
+    def test_det_sign_flip_is_caught(self, tg16):
+        # of the registry checks that read the records, only the identity
+        # chain weighs det_integral against the other two integrals
+        flipped = [dataclasses.replace(r, det_integral=-r.det_integral)
+                   for r in tg16.records]
+        checks = [verify._check("identity", verify.vortex_stretching, flipped),
+                  verify._check("budget", verify.enstrophy_budget, flipped),
+                  verify._check("growth", verify.growth_inequality, flipped, tg16.times)]
+        assert [c.name for c in checks if not c.passed] == ["identity"]
+        assert verify._check("identity", verify.vortex_stretching, tg16.records).passed
+
+    @pytest.mark.parametrize("t_end", ["0.02", "0.305"])
+    def test_too_few_uniform_records_is_a_usage_error(self, capsys, t_end):
+        # 20 steps give 3 records, 305 steps a short last interval
+        assert cli.main(["verify", "--n", "8", "--t-end", t_end]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: verify needs at least 5 uniformly spaced records")
 
     def test_cli_exit_codes(self, monkeypatch):
         calls = {}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import nyquist_noise_state
-from strainflow import initial_data, solver, spectral
+from strainflow import initial_data, solver, spectral, verify
 from strainflow.exceptions import InstabilityError, InvalidInputError
 
 
@@ -44,15 +44,7 @@ class TestNonlinearTerm:
 
 class TestStep:
     def test_shear_exact_decay_100_steps(self, grid16):
-        config = solver.SolverConfig(n=16, viscosity=1.0, dt=1e-3, t_end=0.1)
-        stepper = solver.Stepper(grid16, config)
-        state = solver.SolverState(initial_data.shear(grid16))
-        for _ in range(100):
-            state = stepper.step(state)
-        u_phys = grid16.ifft(state.u_hat)
-        _, y, _ = grid16.coords()
-        expected = math.exp(-0.1) * np.broadcast_to(np.sin(y), (16,) * 3)
-        assert np.max(np.abs(u_phys[0] - expected)) / math.exp(-0.1) < 1e-9
+        verify.shear_decay(grid16, t_end=0.1)
 
     def test_zero_stays_zero(self, grid8):
         config = solver.SolverConfig(n=8, dt=1e-2, t_end=0.1)
@@ -62,8 +54,7 @@ class TestStep:
         assert np.max(np.abs(state.u_hat)) == 0.0
 
     def test_energy_never_increases_unforced(self, tg16):
-        kinetic = tg16.kinetic
-        assert all(b <= a * (1 + 1e-13) for a, b in zip(kinetic, kinetic[1:]))
+        verify.energy_balance(tg16.grid, tg16.states)
 
     def test_divergence_preserved(self, tg16):
         worst = max(solver.divergence_invariant(tg16.grid, s) for s in tg16.states)
@@ -368,12 +359,7 @@ class TestRun:
 
 class TestEnergyBudget:
     def test_exact_solution_residual(self, grid16):
-        config = solver.SolverConfig(n=16, viscosity=1.0, dt=1e-3, t_end=1.0,
-                                     record_every=10)
-        result = solver.run(config, initial_data.shear(grid16), grid=grid16,
-                            keep_states=True)
-        resid = solver.energy_budget(grid16, result.states)
-        assert np.max(np.abs(resid)) < 1e-8
+        verify.shear_decay(grid16, t_end=1.0)  # budget residual < 1e-8
 
     def test_zero_flow(self, grid8):
         states = [solver.SolverState(np.zeros((3, 8, 8, 8), dtype=complex), t, i)
@@ -405,6 +391,17 @@ class TestForcing:
         f_hat = force(0.0)
         assert spectral.divergence_residual(grid16, f_hat) < 1e-12
         assert np.max(np.abs(f_hat[:, 0, 0, 0])) == 0.0
+
+    def test_half_spectrum_force_matches_full_cube_path(self, grid16):
+        # a force is the rfft half-spectrum projected in place; the c2c
+        # transform and full-cube projection it replaced agree on kz >= 0
+        field = np.random.default_rng(9).standard_normal((3,) + (16,) * 3)
+        full = spectral.project_divergence_free(grid16, grid16.fft(field))
+        spectral.zero_nyquist(grid16, full)
+        full[:, 0, 0, 0] = 0.0
+        half = solver._force_hat(grid16, field)
+        assert half.shape == (3, 16, 16, 9)
+        assert np.max(np.abs(half - grid16.half(full))) <= 1e-13 * np.max(np.abs(full))
 
     def test_time_dependent_expression(self, grid16):
         force = solver.make_force(grid16, "expr:sin(y)*t;0.0;0.0")

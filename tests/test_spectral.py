@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strainflow import initial_data, spectral, sym3
+from strainflow import initial_data, spectral, sym3, verify
 from strainflow.exceptions import ConstraintViolationError, InvalidInputError
 from strainflow.spectral import Grid
 
@@ -32,10 +32,7 @@ class TestGridAndFFT:
         assert np.max(np.abs(masked)) < 1e-9
 
     def test_roundtrip_white_noise(self, grid16):
-        rng = np.random.default_rng(0)
-        field = rng.standard_normal((3,) + (grid16.n,) * 3)
-        back = grid16.ifft(grid16.fft(field))
-        assert np.max(np.abs(back - field)) / np.max(np.abs(field)) < 1e-13
+        verify.fft_roundtrip(grid16, np.random.default_rng(0))
 
     def test_zero_field(self, grid8):
         assert np.all(grid8.fft(np.zeros((grid8.n,) * 3)) == 0.0)
@@ -66,13 +63,7 @@ class TestGridAndFFT:
 
 class TestSymGradient:
     def test_shear_strain(self, grid16):
-        s_phys = spectral.strain_to_physical(
-            grid16, spectral.sym_gradient(grid16, initial_data.shear(grid16)))
-        _, y, _ = grid16.coords()
-        full = np.broadcast_to(0.5 * np.cos(y), (grid16.n,) * 3)
-        assert np.max(np.abs(s_phys[2] - full)) < 1e-13
-        for idx in (0, 1, 3, 4):
-            assert np.max(np.abs(s_phys[idx])) < 1e-13
+        verify.shear_analytics(grid16)
 
     def test_taylor_green_strain(self, grid16):
         u_hat = initial_data.taylor_green(grid16)
@@ -103,9 +94,7 @@ class TestSymGradient:
 
 class TestStrainConstraint:
     def test_gradients_satisfy_it(self, grid16):
-        u_hat = initial_data.random_div_free(grid16, seed=4)
-        s_hat = spectral.sym_gradient(grid16, u_hat)
-        assert spectral.consistency_residual(grid16, s_hat) < 1e-13
+        verify.strain_constraint(grid16, seeds=[4])
 
     def test_single_offdiagonal_mode_satisfies_it(self, grid8):
         # S supported at xi = (0,1,0), only the (1,2) entry: then
@@ -130,11 +119,7 @@ class TestStrainConstraint:
         assert np.max(np.abs(back - u_hat)) < 1e-13 * np.max(np.abs(u_hat))
 
     def test_velocity_reconstruction_random(self, grid16):
-        u_hat = initial_data.random_div_free(grid16, seed=5)
-        back = spectral.velocity_from_strain(
-            grid16, spectral.sym_gradient(grid16, u_hat))
-        err_sq = spectral.sobolev_norm_sq(grid16, back - u_hat)
-        assert np.sqrt(err_sq / spectral.sobolev_norm_sq(grid16, u_hat)) < 1e-12
+        verify.strain_roundtrip(grid16, seeds=[5])
 
     def test_zero_strain_zero_velocity(self, grid8):
         s_hat = np.zeros((5,) + (grid8.n,) * 3, dtype=complex)
@@ -237,11 +222,7 @@ class TestIsometryAudit:
             assert value == pytest.approx(TWO_PI_CUBED / 4.0, rel=1e-13)
 
     def test_random_fields(self, grid16):
-        for seed in range(5):
-            u_hat = initial_data.random_div_free(grid16, seed=20 + seed)
-            for alpha in (0.0, 1.0):
-                report = spectral.isometry_audit(grid16, u_hat, alpha)
-                assert report.max_rel_deviation < 1e-12
+        verify.isometries(grid16, seeds=range(20, 25))
 
     def test_zero_field(self, grid8):
         report = spectral.isometry_audit(

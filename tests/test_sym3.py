@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation, random_trace_free, rotate_matrix
-from strainflow import sym3
+from strainflow import sym3, verify
 from strainflow.exceptions import InvalidInputError
+from strainflow.verify import random_rotation, random_trace_free, rotate as rotate_matrix
 
 
 def bisect_eigenvalues(m, tol=1e-13):
@@ -132,9 +132,7 @@ class TestDeterminantAndCube:
 
     def test_tr_cubed_is_three_det(self):
         rng = np.random.default_rng(8)
-        m = random_trace_free(rng, shape=(500,), scale=3.0)
-        diff = np.abs(sym3.tr_cubed(m) - 3.0 * sym3.det(m))
-        assert np.all(diff <= 1e-12 * np.maximum(m.norm() ** 3, 1e-300))
+        verify.cubic_identity(random_trace_free(rng, shape=(500,), scale=3.0))
 
     def test_tr_cubed_matches_matrix_power(self):
         rng = np.random.default_rng(9)
@@ -161,17 +159,11 @@ class TestDetBoundGap:
 
     def test_nonnegative_on_random(self):
         rng = np.random.default_rng(10)
-        m = random_trace_free(rng, shape=(5000,), scale=2.0)
-        gap = sym3.det_bound_gap(m)
-        assert np.all(gap >= -1e-12 * m.norm() ** 3)
+        verify.det_bound(random_trace_free(rng, shape=(5000,), scale=2.0), rng, family=0)
 
     def test_tight_only_on_scaled_rotated_family(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            c = rng.uniform(0.1, 5.0)
-            m = rotate_matrix(sym3.TraceFreeSym3(-2 * c, c, 0, 0, 0),
-                              random_rotation(rng))
-            assert abs(sym3.det_bound_gap(m)) < 1e-12 * m.norm() ** 3
+        verify.det_bound(sym3.TraceFreeSym3(0, 0, 0, 0, 0), np.random.default_rng(12),
+                         family=50, scales=(0.1, 5.0))
         # away from the family the gap is strictly positive
         m = sym3.TraceFreeSym3(-1.5, 0.5, 0.0, 0.0, 0.0)
         assert sym3.det_bound_gap(m) > 1e-3
@@ -191,8 +183,7 @@ class TestLambda2BoundGap:
 
     def test_nonnegative_on_random(self):
         rng = np.random.default_rng(13)
-        m = random_trace_free(rng, shape=(5000,), scale=2.0)
-        assert np.all(sym3.lambda2_bound_gap(m) >= -1e-12 * m.norm() ** 3)
+        verify.lambda2_bound(random_trace_free(rng, shape=(5000,), scale=2.0))
 
 
 class TestExtremalBounds:
@@ -210,10 +201,7 @@ class TestExtremalBounds:
 
     def test_nonnegative_on_random(self):
         rng = np.random.default_rng(14)
-        m = random_trace_free(rng, shape=(5000,))
-        top, bottom = sym3.extremal_eigen_bounds(m)
-        floor = -1e-12 * m.norm()
-        assert np.all(top >= floor) and np.all(bottom >= floor)
+        verify.extremal_floors(random_trace_free(rng, shape=(5000,)))
 
 
 class TestApplyToVector:
@@ -236,14 +224,7 @@ class TestApplyToVector:
 
     def test_middle_eigenvalue_floor(self):
         rng = np.random.default_rng(15)
-        m = random_trace_free(rng, shape=(300,))
-        eig = sym3.eigenvalues(m)
-        for _ in range(25):
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            out = sym3.apply_to_vector(m, v)
-            mag = np.sqrt(out[0] ** 2 + out[1] ** 2 + out[2] ** 2)
-            assert np.all(mag >= np.abs(eig.lambda2) - 1e-12 * m.norm())
+        verify.minimal_direction(random_trace_free(rng, shape=(300,)), rng, directions=25)
 
 
 finite_entries = st.floats(min_value=-50.0, max_value=50.0,

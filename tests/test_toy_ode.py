@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation, random_trace_free, rotate_matrix
-from strainflow import sym3, toy_ode
+from strainflow import sym3, toy_ode, verify
 from strainflow.exceptions import InvalidInputError
+from strainflow.verify import random_rotation, random_trace_free, rotate as rotate_matrix
 
 GOLDEN_BLOWUP = sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0)
 GOLDEN_DECAY = sym3.TraceFreeSym3(-1.0, -1.0, 0.0, 0.0, 0.0)
@@ -63,20 +63,14 @@ class TestRightHandSides:
 
 
 class TestGoldenSolutions:
+    # the golden families are registry checks; criterion 10 runs all scales
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_blowup_family(self, c):
-        m0 = sym3.TraceFreeSym3(-2.0 * c, c, 0.0, 0.0, 0.0)
-        res = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=10.0 / c)
-        assert res.outcome == "blew_up"
-        assert abs(res.t_est - 1.0 / c) < 1e-6 * (1.0 / c)
+        verify.toy_scaling_families(blowup=(c,), decay=())
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_decay_family(self, c):
-        m0 = sym3.TraceFreeSym3(-c, -c, 0.0, 0.0, 0.0)
-        res = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=10.0)
-        assert res.outcome == "completed"
-        expected = 2.0 * c / (1.0 + 10.0 * c)
-        assert abs(res.trajectory.lambda3[-1] - expected) < 1e-8
+        verify.toy_scaling_families(blowup=(), decay=(c,))
 
     def test_decay_family_long_run_lands_in_decayed_bucket(self):
         res = toy_ode.integrate(toy_ode.ToyState.from_matrix(GOLDEN_DECAY),
@@ -142,30 +136,7 @@ class TestTrajectoryStructure:
         assert drift < 1e-8
 
     def test_matrix_and_reduced_agree(self):
-        rng = np.random.default_rng(8)
-        m0 = rotate_matrix(sym3.TraceFreeSym3(-1.3, 0.4, 0.0, 0.0, 0.0),
-                           random_rotation(rng))
-        eig = sym3.eigenvalues(m0)
-        res_m = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=50.0,
-                                  blowup_threshold=1e6, rtol=1e-12, atol=1e-14)
-        res_r = toy_ode.integrate(
-            toy_ode.ToyState.from_reduced(eig.lambda3, eig.r), t_end=50.0,
-            blowup_threshold=1e7, rtol=1e-12, atol=1e-14,
-            t_eval=list(res_m.trajectory.t[1:]))
-        lookup = {round(t, 15): j for j, t in enumerate(res_r.trajectory.t)}
-        matched = 0
-        for i, t in enumerate(res_m.trajectory.t):
-            j = lookup.get(round(t, 15))
-            if j is None or res_m.trajectory.lambda3[i] > 1e6:
-                continue
-            matched += 1
-            # 1/lambda3 is the well-conditioned variable near blow-up
-            inv_gap = abs(1.0 / res_m.trajectory.lambda3[i]
-                          - 1.0 / res_r.trajectory.lambda3[j]) * eig.lambda3
-            assert inv_gap < 1e-8
-            if res_m.trajectory.r[i] <= 1.9:  # below eigensolver degeneracy noise
-                assert abs(res_m.trajectory.r[i] - res_r.trajectory.r[j]) < 1e-8
-        assert matched > 100
+        verify.toy_reduced_vs_matrix(np.random.default_rng(8))
 
 
 class TestBlowupTimeBound:
@@ -187,22 +158,12 @@ class TestBlowupTimeBound:
 
 class TestPhaseSweep:
     def test_mini_sweep_all_blow_up(self):
-        cells = toy_ode.phase_sweep(np.linspace(0.2, 5.0, 4),
-                                    np.linspace(0.55, 2.0, 4))
-        assert all(c.outcome == "blew_up" for c in cells)
-        assert all(abs(c.r_terminal - 2.0) < 1e-3 for c in cells)
-
-    def test_decay_line(self):
-        cells = toy_ode.phase_sweep([0.5, 2.0], [0.5])
-        assert all(c.outcome == "decayed" for c in cells)
-        assert all(c.t_est is None for c in cells)
+        # the decay line rides along, as in `strainflow verify`
+        verify.toy_sweep(np.linspace(0.2, 5.0, 4), np.linspace(0.55, 2.0, 4),
+                         decay_lambda3s=(0.5, 2.0))
 
     def test_bounds_respected(self):
-        cells = toy_ode.phase_sweep([0.5, 3.0], [1.4, 1.7, 2.0])
-        for cell in cells:
-            bound = toy_ode.blowup_time_bound(cell.lambda3_0, cell.r_0)
-            if bound is not None:
-                assert cell.t_est <= bound * (1 + 1e-6)
+        verify.toy_sweep([0.5, 3.0], [1.4, 1.7, 2.0], decay_lambda3s=())
 
 
 class TestStateAndCsv:
