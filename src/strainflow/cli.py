@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -52,7 +53,7 @@ def _write_snapshots(grid, state, run_config, final=False):
     name = "state_final.snap" if final else f"state_{state.step_count:08d}.snap"
     path = os.path.join(run_config.snapshot_dir, name)
     snapshots.save_snapshot(path, "velocity", state.t, run_config.viscosity,
-                            grid.ifft(state.u_hat))
+                            grid.ifft(state.half))
 
 
 def cmd_simulate(args) -> int:
@@ -60,8 +61,7 @@ def cmd_simulate(args) -> int:
     grid = Grid(run_config.n)
     u0 = initial_data.generate_initial(
         grid, run_config.initial_data, seed=run_config.seed,
-        max_wavenumber=run_config.max_wavenumber, amplitude=run_config.amplitude,
-        initial_file=run_config.initial_file)
+        max_wavenumber=run_config.max_wavenumber, amplitude=run_config.amplitude)
     force = solver.make_force(grid, run_config.force)
     collector = diagnostics.RecordCollector(grid, q_list=run_config.q_list,
                                             force=force,
@@ -72,10 +72,8 @@ def cmd_simulate(args) -> int:
         if run_config.snapshot_every and state.step_count % run_config.snapshot_every == 0:
             _write_snapshots(grid, state, run_config)
 
-    solver_config = run_config.solver_config()
     try:
-        result = solver.run(solver_config, u0, grid=grid, on_record=on_record,
-                            force=force)
+        result = solver.run(run_config, u0, grid=grid, on_record=on_record, force=force)
     except NumericalFailureError as exc:
         records = collector.finalize()
         if records:
@@ -95,24 +93,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     run_config = _build_config(args, _DIAGNOSE_FLAGS)
-    snaps = [snapshots.load_snapshot(path) for path in args.snapshots]
-    if not snaps:
-        raise ConfigError("diagnose needs at least one snapshot")
-    n = snaps[0].n
+    first = snapshots.load_velocity(args.snapshots[0])
+    snaps = [first] + [snapshots.load_velocity(path, first.n)
+                       for path in args.snapshots[1:]]
     for snap, path in zip(snaps, args.snapshots):
-        if snap.kind != "velocity":
-            raise ConfigError(f"{path}: diagnose expects velocity snapshots")
-        if snap.n != n:
-            raise ConfigError(f"{path}: mixed grid sizes {snap.n} vs {n}")
         if snap.viscosity != snaps[0].viscosity:
             raise ConfigError(
                 f"{path}: mixed viscosities {snap.viscosity} vs {snaps[0].viscosity}")
     snaps.sort(key=lambda s: s.time)
-    grid = Grid(n)
+    grid = Grid(first.n)
     collector = diagnostics.RecordCollector(grid, q_list=run_config.q_list,
                                             viscosity=snaps[0].viscosity)
     for index, snap in enumerate(snaps):
         u_half = spectral.rfft_half(grid, snap.data)  # all a record reads
+        spectral.zero_nyquist(grid, u_half)
         u_half[:, 0, 0, 0] = 0.0
         collector(solver.SolverState(u_half, snap.time, index, grid))
     records = collector.finalize()
@@ -121,25 +115,35 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+# argparse types of the toy-ode flags: a bad value is a usage error (exit 1)
+def _finite_floats(text, count: int, what: str, above: float = -math.inf):
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count or not all(math.isfinite(v) and v > above for v in values):
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return values
+
+
+def _positive_float(text) -> float:
+    return _finite_floats(text, 1, "a positive finite number", above=0.0)[0]
+
+
 def _parse_matrix(text) -> sym3.TraceFreeSym3:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 5:
-        raise ConfigError("matrix needs 5 entries: m11,m22,m12,m13,m23")
-    return sym3.TraceFreeSym3(*parts)
+    return sym3.TraceFreeSym3(*_finite_floats(text, 5, "five finite m11,m22,m12,m13,m23"))
 
 
 def _parse_range(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError("range needs min,max,count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    return np.linspace(lo, hi, count)
+    lo, hi, count = _finite_floats(text, 3, "finite min,max,count")
+    if not (count >= 1 and count == int(count)):
+        raise argparse.ArgumentTypeError(f"range count must be a positive integer, got {text!r}")
+    return np.linspace(lo, hi, int(count))
 
 
 def cmd_toy_ode(args) -> int:
     if args.sweep:
-        cells = toy_ode.phase_sweep(_parse_range(args.sweep_lambda3),
-                                    _parse_range(args.sweep_r),
+        cells = toy_ode.phase_sweep(args.sweep_lambda3, args.sweep_r,
                                     t_end=args.sweep_t_end,
                                     blowup_threshold=args.blowup_threshold)
         toy_ode.write_sweep_csv(cells, args.sweep_out)
@@ -147,7 +151,7 @@ def cmd_toy_ode(args) -> int:
         print(f"sweep: {blown}/{len(cells)} cells blew up -> {args.sweep_out}")
         return EXIT_OK
     if args.matrix is not None:
-        state = toy_ode.ToyState.from_matrix(_parse_matrix(args.matrix))
+        state = toy_ode.ToyState.from_matrix(args.matrix)
     elif args.lambda3 is not None and args.r is not None:
         state = toy_ode.ToyState.from_reduced(args.lambda3, args.r)
     else:
@@ -189,17 +193,19 @@ def build_parser() -> _Parser:
     p_toy = sub.add_parser("toy-ode", help="integrate the blow-up toy model")
     p_toy.add_argument("--lambda3", type=float, help="reduced initial lambda3 > 0")
     p_toy.add_argument("--r", type=float, help="reduced initial ratio in [1/2, 2]")
-    p_toy.add_argument("--matrix", metavar="M11,M22,M12,M13,M23",
+    p_toy.add_argument("--matrix", type=_parse_matrix, metavar="M11,M22,M12,M13,M23",
                        help="initial matrix entries (use --matrix=-2,1,0,0,0 "
                             "when the first entry is negative)")
-    p_toy.add_argument("--t-end", type=float, default=10.0)
-    p_toy.add_argument("--blowup-threshold", type=float,
+    p_toy.add_argument("--t-end", type=_positive_float, default=10.0)
+    p_toy.add_argument("--blowup-threshold", type=_positive_float,
                        default=toy_ode.DEFAULT_BLOWUP_THRESHOLD)
     p_toy.add_argument("--trajectory-out", metavar="CSV")
     p_toy.add_argument("--sweep", action="store_true", help="run an outcome sweep")
-    p_toy.add_argument("--sweep-lambda3", default="0.1,10,20", metavar="MIN,MAX,COUNT")
-    p_toy.add_argument("--sweep-r", default="0.51,2,20", metavar="MIN,MAX,COUNT")
-    p_toy.add_argument("--sweep-t-end", type=float, default=1e7)
+    p_toy.add_argument("--sweep-lambda3", type=_parse_range, default="0.1,10,20",
+                       metavar="MIN,MAX,COUNT")
+    p_toy.add_argument("--sweep-r", type=_parse_range, default="0.51,2,20",
+                       metavar="MIN,MAX,COUNT")
+    p_toy.add_argument("--sweep-t-end", type=_positive_float, default=1e7)
     p_toy.add_argument("--sweep-out", default="toy_sweep.csv", metavar="CSV")
     p_toy.set_defaults(fn=cmd_toy_ode)
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from . import diagnostics, initial_data
 from .exceptions import ConfigError, InvalidInputError
 from .solver import SolverConfig
 
@@ -18,30 +19,33 @@ ENV_PREFIX = "STRAINFLOW_"
 
 
 @dataclass
-class RunConfig:
-    n: int = 32
-    viscosity: float = 1.0
-    dt: float = 1e-3
-    adaptive_cfl: bool = False
-    t_end: float = 1.0
-    dealias: bool = True
-    record_every: int = 10
+class RunConfig(SolverConfig):
+    """A simulate run: SolverConfig plus initial data, diagnostics, outputs."""
+
     initial_data: str = "taylor_green"
     seed: int = 1
     max_wavenumber: int | None = None
     amplitude: float = 1.0
-    initial_file: str | None = None
-    force: str = "none"
-    q_list: tuple = (math.inf, 2.0, 1.5)
+    q_list: tuple = diagnostics.DEFAULT_Q_LIST
     csv: str = "diagnostics.csv"
     snapshot_dir: str | None = None
     snapshot_every: int = 0
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(n=self.n, viscosity=self.viscosity, dt=self.dt,
-                            t_end=self.t_end, dealias=self.dealias,
-                            adaptive_cfl=self.adaptive_cfl,
-                            record_every=self.record_every, force=self.force)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.snapshot_every < 0:
+            raise ConfigError("snapshot_every must be >= 0")
+        if self.snapshot_every % self.record_every:
+            # snapshots are written from record steps only
+            raise ConfigError(f"snapshot_every={self.snapshot_every} is not a multiple "
+                              f"of record_every={self.record_every}")
+        if self.snapshot_every and self.snapshot_dir is None:
+            raise ConfigError("snapshot_every needs snapshot_dir")
+        initial_data.check_name(self.initial_data)
+        if not math.isfinite(self.amplitude):
+            raise ConfigError(f"amplitude must be finite, got {self.amplitude}")
+        for q in self.q_list:
+            diagnostics.check_q(q)
 
 
 def _parse_bool(text: str) -> bool:
@@ -78,7 +82,6 @@ _PARSERS = {
     "n": int,
     "viscosity": float,
     "dt": float,
-    "adaptive_cfl": _parse_bool,
     "t_end": float,
     "dealias": _parse_bool,
     "record_every": int,
@@ -86,7 +89,6 @@ _PARSERS = {
     "seed": int,
     "max_wavenumber": _parse_optional_int,
     "amplitude": float,
-    "initial_file": _parse_optional_str,
     "force": str,
     "q_list": _parse_q_list,
     "csv": str,
@@ -118,12 +120,16 @@ def parse_config_file(path) -> dict:
 
 
 def env_overrides(environ=None) -> dict:
-    """Settings taken from STRAINFLOW_<KEY> environment variables."""
+    """Settings taken from STRAINFLOW_<KEY> environment variables; a
+    STRAINFLOW_ variable that names no setting is rejected, as an unknown
+    key in a config file is."""
     environ = os.environ if environ is None else environ
     raw = {}
-    for key in _PARSERS:
-        value = environ.get(ENV_PREFIX + key.upper())
-        if value is not None:
+    for name, value in environ.items():
+        if name.startswith(ENV_PREFIX):
+            key = name[len(ENV_PREFIX):].lower()
+            if key not in _PARSERS or name != ENV_PREFIX + key.upper():
+                raise ConfigError(f"unknown setting {name}")
             raw[key] = value
     return raw
 
@@ -158,34 +164,9 @@ def build_config(config_path=None, cli_overrides=None, environ=None,
             continue
         try:
             settings[key] = _PARSERS[key](str(value))
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
-    known = {f.name for f in fields(RunConfig)}
-    assert set(settings) <= known
-    config = RunConfig(**settings)
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
     try:
-        config.solver_config()
+        return RunConfig(**settings)
     except InvalidInputError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.snapshot_every < 0:
-        raise ConfigError("snapshot_every must be >= 0")
-    if config.snapshot_every % config.record_every:
-        # snapshots are written from record steps only
-        raise ConfigError(f"snapshot_every={config.snapshot_every} is not a multiple "
-                          f"of record_every={config.record_every}")
-    if config.initial_data not in ("taylor_green", "shear", "random_div_free", "from_file"):
-        raise ConfigError(f"unknown initial_data {config.initial_data!r}")
-    if config.initial_data == "from_file" and not config.initial_file:
-        raise ConfigError("initial_data=from_file requires initial_file")
-    if not math.isfinite(config.amplitude):
-        raise ConfigError(f"amplitude must be finite, got {config.amplitude}")
-    for q in config.q_list:
-        if not q >= 1.5:  # NaN fails this too; +inf is the sup norm
-            raise ConfigError(f"q_list entries must be >= 1.5, got {q}")

@@ -74,14 +74,19 @@ def _strain_point_data(grid: Grid, s_half) -> StrainPointData:
                            det, norm_sq)
 
 
+def check_q(q) -> None:
+    """Reject an L^q exponent outside [3/2, infinity] (NaN included)."""
+    if not q >= 1.5:
+        raise InvalidExponentError(f"q must be >= 3/2, got {q}")
+
+
 def lq_norm(grid: Grid, scalar_field, q) -> float:
     """Discrete L^q norm of a non-negative scalar field.
 
     q ranges over [3/2, infinity]; q = 3/2 exists solely for the
     borderline monitor, every criterion integral requires q > 3/2.
     """
-    if q < 1.5:
-        raise InvalidExponentError(f"q must be >= 3/2, got {q}")
+    check_q(q)
     field_arr = np.asarray(scalar_field, dtype=float)
     low = field_arr.min()
     if low < 0.0:
@@ -226,8 +231,7 @@ def directional_criterion(grid: Grid, u_hat, regions, directions, q) -> float:
     """
     if len(regions) != len(directions):
         raise InvalidInputError("regions and directions must pair up")
-    if q < 1.5:
-        raise InvalidExponentError(f"q must be >= 3/2, got {q}")
+    check_q(q)
     cover = np.zeros((grid.n,) * 3, dtype=int)
     for mask in regions:
         mask = np.asarray(mask)
@@ -295,8 +299,7 @@ class RecordCollector:
         self.grid = grid
         self.q_list = tuple(dict.fromkeys(tuple(q_list) + tuple(DEFAULT_Q_LIST)))
         for q in self.q_list:
-            if not q >= 1.5:  # NaN fails this too
-                raise InvalidExponentError(f"q must be >= 3/2, got {q}")
+            check_q(q)
         self.force = force
         self.viscosity = viscosity
         self.records: list[DiagnosticsRecord] = []

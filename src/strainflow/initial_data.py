@@ -74,29 +74,34 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
 
 def from_file(grid: Grid, path):
     """Velocity from a snapshot file; grid sizes must match."""
-    snap = snapshots.load_snapshot(path)
-    if snap.kind != "velocity":
-        raise ConfigError(f"initial data snapshot must hold velocity, got {snap.kind}")
-    if snap.n != grid.n:
-        raise ConfigError(f"snapshot grid {snap.n} != configured grid {grid.n}")
-    u_hat = grid.fft(snap.data)
+    u_hat = grid.fft(snapshots.load_velocity(path, grid.n).data)
     zero_nyquist(grid, u_hat)
     u_hat[:, 0, 0, 0] = 0.0
     return u_hat
 
 
+# The initial_data names and their generators; a snapshot is file:<path>.
+_GENERATORS = {
+    "taylor_green": lambda grid, seed, kmax, amplitude: taylor_green(grid, amplitude),
+    "shear": lambda grid, seed, kmax, amplitude: shear(grid, amplitude),
+    "random_div_free": random_div_free,
+}
+_FILE_PREFIX = "file:"
+
+
+def check_name(name: str) -> None:
+    """Reject an initial_data name that generate_initial does not take."""
+    if name == _FILE_PREFIX:
+        raise ConfigError("initial_data = file:<path> needs a path")
+    if not name.startswith(_FILE_PREFIX) and name not in _GENERATORS:
+        raise ConfigError(f"unknown initial_data {name!r}; expected "
+                          f"{', '.join(_GENERATORS)} or file:<path>")
+
+
 def generate_initial(grid: Grid, name: str, *, seed: int = 1,
-                     max_wavenumber: int | None = None, amplitude: float = 1.0,
-                     initial_file=None):
+                     max_wavenumber: int | None = None, amplitude: float = 1.0):
     """Dispatch on the initial_data name used in run configurations."""
-    if name == "taylor_green":
-        return taylor_green(grid, amplitude)
-    if name == "shear":
-        return shear(grid, amplitude)
-    if name == "random_div_free":
-        return random_div_free(grid, seed, max_wavenumber, amplitude)
-    if name == "from_file":
-        if not initial_file:
-            raise ConfigError("initial_data=from_file requires initial_file=<path>")
-        return from_file(grid, initial_file)
-    raise ConfigError(f"unknown initial_data {name!r}")
+    check_name(name)
+    if name.startswith(_FILE_PREFIX):
+        return from_file(grid, name[len(_FILE_PREFIX):])
+    return _GENERATORS[name](grid, seed, max_wavenumber, amplitude)

@@ -106,3 +106,14 @@ def load_snapshot(path) -> Snapshot:
         for i in range(components)
     ])
     return Snapshot(kind, n, time, viscosity, data)
+
+
+def load_velocity(path, n: int | None = None) -> Snapshot:
+    """Load a velocity snapshot; another kind, or a grid other than n when
+    n is given, is a ConfigError that names the path."""
+    snap = load_snapshot(path)
+    if snap.kind != "velocity":
+        raise ConfigError(f"{path}: expected a velocity snapshot, got {snap.kind}")
+    if n is not None and snap.n != n:
+        raise ConfigError(f"{path}: snapshot grid {snap.n} != expected grid {n}")
+    return snap

@@ -34,6 +34,8 @@ from .numerics import check_uniform_spacing, cumulative_integral_4
 from .spectral import (Grid, divergence_residual, project_divergence_free,
                        sobolev_norm_sq, zero_nyquist)
 
+CFL_SAFETY = 0.5  # an adaptive step is CFL_SAFETY * dx / max|u|
+
 
 @dataclass
 class SolverConfig:
@@ -43,7 +45,6 @@ class SolverConfig:
     t_end: float = 1.0
     dealias: bool = True
     adaptive_cfl: bool = False
-    cfl_safety: float = 0.5
     record_every: int = 10
     force: str = "none"
 
@@ -56,10 +57,6 @@ class SolverConfig:
                 raise InvalidInputError(f"{name} must be positive and finite, got {value}")
         if self.record_every < 1:
             raise InvalidInputError("record_every must be >= 1")
-        if not (math.isfinite(self.cfl_safety) and self.cfl_safety > 0):
-            # a step of cfl_safety * dx / max|u| must move time forward
-            raise InvalidInputError(
-                f"cfl_safety must be positive and finite, got {self.cfl_safety}")
         if not self.adaptive_cfl:
             # a fixed-step run takes whole steps only, so t_end must be
             # reached exactly rather than overshot
@@ -226,11 +223,7 @@ class ExprForce:
 
 
 def _load_force_field(grid: Grid, path):
-    snap = snapshots.load_snapshot(path)
-    if snap.kind != "velocity":
-        raise InvalidInputError(f"force snapshot must hold a velocity field, got {snap.kind}")
-    if snap.n != grid.n:
-        raise InvalidInputError(f"force grid size {snap.n} != solver grid {grid.n}")
+    snap = snapshots.load_velocity(path, grid.n)
     return snap.time, _force_hat(grid, snap.data)
 
 
@@ -415,7 +408,7 @@ class Stepper:
         dx = 2.0 * np.pi / self.grid.n
         if speed <= 0:
             return self.config.dt
-        return self.config.cfl_safety * dx / speed
+        return CFL_SAFETY * dx / speed
 
     def step(self, state: SolverState, dt: float | None = None) -> SolverState:
         if dt is None:
@@ -557,8 +550,8 @@ def energy_budget(grid: Grid, states, viscosity: float = 1.0):
         raise InvalidInputError("energy budget needs at least 5 snapshots")
     times = np.array([s.t for s in states])
     h = check_uniform_spacing(times)
-    kin = np.array([kinetic_energy(grid, s.u_hat) for s in states])
-    diss = np.array([sobolev_norm_sq(grid, s.u_hat, 1.0) for s in states])
+    kin = np.array([kinetic_energy(grid, s.half) for s in states])
+    diss = np.array([sobolev_norm_sq(grid, s.half, 1.0) for s in states])
     integral = cumulative_integral_4(diss, h)
     scale = max(kin[0], 1e-300)
     return (kin + viscosity * integral - kin[0]) / scale

@@ -20,7 +20,9 @@ Conventions (fixed once, used everywhere):
   Langtangen, CPC 203, 2016), holds all of it.  Grid keeps one set of
   wavenumber arrays, on the full cube; Grid.half cuts a spectrum to its
   half and Grid.like cuts a wavenumber array to the layout of a given
-  spectrum, so every operator takes either layout.  Only two things
+  spectrum, so every operator takes either layout, except
+  hermitian_residual, which compares mirror pairs and so needs the full
+  cube.  Only two things
   depend on the layout: Grid.ifft inverts a half by the c2r transform,
   and the Plancherel sums count every plane strictly inside
   0 < kz < n/2 twice, for its mirror image.
@@ -216,7 +218,11 @@ def hermitian_symmetrize(coeffs):
 
 
 def hermitian_residual(coeffs):
-    """Max deviation from Hermitian symmetry, relative to the peak mode."""
+    """Max deviation from Hermitian symmetry, relative to the peak mode, of
+    a full cube (a half-spectrum holds no mirror pairs to compare)."""
+    shape = np.shape(coeffs)[-3:]
+    if len(shape) != 3 or len(set(shape)) != 1:
+        raise InvalidInputError(f"hermitian_residual needs a full cube, got shape {shape}")
     peak = np.max(np.abs(coeffs))
     if peak == 0.0:
         return 0.0
@@ -307,17 +313,18 @@ def consistency_residual(grid: Grid, s_hat) -> float:
     on symmetric gradients of divergence-free fields.
     """
     s3 = tensor_full(np.asarray(s_hat))
-    k = (grid.kdx, grid.kdy, grid.kdz)
+    k = (grid.kdx, grid.kdy, grid.like(grid.kdz, s3))
+    ksq = grid.like(grid.ksq_diff, s3)
     # t = S xi (= xi^T S by symmetry)
     t = [k[0] * s3[0, j] + k[1] * s3[1, j] + k[2] * s3[2, j] for j in range(3)]
-    num_sq = np.zeros_like(grid.ksq_diff)
-    s_frob_sq = np.zeros_like(grid.ksq_diff)
+    num_sq = np.zeros_like(ksq)
+    s_frob_sq = np.zeros_like(ksq)
     for j in range(3):
         for m in range(3):
-            resid = grid.ksq_diff * s3[j, m] - k[j] * t[m] - t[j] * k[m]
+            resid = ksq * s3[j, m] - k[j] * t[m] - t[j] * k[m]
             num_sq += np.abs(resid) ** 2
             s_frob_sq += np.abs(s3[j, m]) ** 2
-    denom = np.max(grid.ksq_diff * np.sqrt(s_frob_sq))
+    denom = np.max(ksq * np.sqrt(s_frob_sq))
     if denom == 0.0:
         return 0.0
     return float(np.max(np.sqrt(num_sq)) / denom)
@@ -334,9 +341,10 @@ def velocity_from_strain(grid: Grid, s_hat, tol: float = CONSISTENCY_TOL):
         raise ConstraintViolationError(
             f"tensor is not in the strain constraint space (residual {resid:.3e})")
     s3 = tensor_full(np.asarray(s_hat))
-    k = (grid.kdx, grid.kdy, grid.kdz)
+    k = (grid.kdx, grid.kdy, grid.like(grid.kdz, s3))
+    inv_ksq = grid.like(grid.inv_ksq_diff, s3)
     u_hat = np.stack([
-        -2j * (k[0] * s3[0, m] + k[1] * s3[1, m] + k[2] * s3[2, m]) * grid.inv_ksq_diff
+        -2j * (k[0] * s3[0, m] + k[1] * s3[1, m] + k[2] * s3[2, m]) * inv_ksq
         for m in range(3)
     ])
     u_hat[:, 0, 0, 0] = 0.0
@@ -473,7 +481,7 @@ def isometry_audit(grid: Grid, u_hat, alpha: float) -> IsometryReport:
 
     s_sq = strain_norm_sq(grid, sym_gradient(grid, u_hat, check=False), alpha)
 
-    k = (grid.kdx, grid.kdy, grid.kdz)
+    k = (grid.kdx, grid.kdy, grid.like(grid.kdz, u_hat))
     antisym = np.stack([
         np.stack([0.5j * (k[j] * u_hat[m] - k[m] * u_hat[j]) for m in range(3)])
         for j in range(3)
@@ -522,7 +530,7 @@ def directional_strain_via_derivatives(grid: Grid, u_hat, v):
         raise InvalidInputError("derivative form needs a single constant 3-vector")
     if abs(np.sqrt(np.sum(v ** 2)) - 1.0) > 1e-12:
         raise InvalidInputError("direction is not unit length")
-    k = (grid.kdx, grid.kdy, grid.kdz)
+    k = (grid.kdx, grid.kdy, grid.like(grid.kdz, u_hat))
     dv_mult = 1j * (v[0] * k[0] + v[1] * k[1] + v[2] * k[2])
     dv_u = dv_mult * np.asarray(u_hat)
     u_dot_v = v[0] * u_hat[0] + v[1] * u_hat[1] + v[2] * u_hat[2]

@@ -209,7 +209,7 @@ def shear_decay(grid, t_end: float = 0.1):
     result = solver.run(cfg, initial_data.shear(grid), grid=grid, keep_states=True)
     assert result.final_state.step_count == round(t_end / 1e-3)
     expected = math.exp(-result.final_state.t)
-    u_phys = grid.ifft(result.final_state.u_hat)
+    u_phys = grid.ifft(result.final_state.half)
     _, y, _ = grid.coords()
     err = np.max(np.abs(u_phys[0] - expected * np.sin(y) * np.ones((n, n, n))))
     assert err < 1e-11 * expected, f"decay error {err:.3e}"
@@ -221,7 +221,7 @@ def shear_decay(grid, t_end: float = 0.1):
 def energy_balance(grid, states):
     """Unforced nu=1 states: the energy never grows, its budget closes,
     and the velocity stays divergence-free."""
-    kinetic = [solver.kinetic_energy(grid, s.u_hat) for s in states]
+    kinetic = [solver.kinetic_energy(grid, s.half) for s in states]
     assert all(b <= a * (1.0 + 1e-13) for a, b in zip(kinetic, kinetic[1:]))
     budget = solver.energy_budget(grid, states, viscosity=1.0)
     assert np.max(np.abs(budget)) < 1e-5, f"budget residual {np.max(np.abs(budget)):.3e}"

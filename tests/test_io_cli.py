@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import nyquist_noise_state
 from strainflow import (cli, config as config_mod, diagnostics, initial_data, snapshots,
                         solver, spectral, verify)
 from strainflow.exceptions import ConfigError
@@ -147,6 +148,13 @@ class TestConfig:
         cfg = config_mod.build_config(None, {"dt": "auto"})
         assert cfg.adaptive_cfl is True
 
+    def test_unknown_env_setting_rejected(self):
+        # a removed setting given in the environment is not ignored
+        for name in ("STRAINFLOW_ADAPTIVE_CFL", "STRAINFLOW_INITIAL_FILE",
+                     "STRAINFLOW_t_end"):
+            with pytest.raises(ConfigError, match=name):
+                config_mod.build_config(None, None, environ={name: "1"})
+
     def test_q_list_parsing(self):
         cfg = config_mod.build_config(None, {"q_list": "inf,2,1.5"})
         assert cfg.q_list == (np.inf, 2.0, 1.5)
@@ -167,7 +175,7 @@ class TestConfig:
 
 
 class TestCli:
-    def test_simulate_writes_outputs(self, tmp_path):
+    def test_simulate_writes_outputs(self, tmp_path, grid8):
         csv = tmp_path / "out.csv"
         snaps = tmp_path / "snaps"
         code = cli.main(["simulate", "--n", "8", "--dt", "1e-3", "--t-end",
@@ -181,6 +189,12 @@ class TestCli:
         assert "state_final.snap" in files
         snap = snapshots.load_snapshot(snaps / "state_final.snap")
         assert snap.time == pytest.approx(0.03)
+        # written from the half-spectrum by c2r; the c2c inverse of the full
+        # cube agrees
+        config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.03, record_every=5)
+        final = solver.run(config, initial_data.taylor_green(grid8), grid=grid8).final_state
+        u_phys = np.fft.ifftn(final.u_hat, axes=(-3, -2, -1)).real
+        assert np.max(np.abs(snap.data - u_phys)) <= 1e-13 * np.max(np.abs(u_phys))
 
     def test_simulate_deterministic(self, tmp_path):
         args_common = ["simulate", "--n", "8", "--dt", "2e-3", "--t-end", "0.02",
@@ -191,13 +205,26 @@ class TestCli:
         assert cli.main(args_common + ["--csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_config_no_partial_csv(self, tmp_path, capsys):
+    def test_bad_config_no_partial_csv(self, tmp_path, capsys, grid8):
         csv = tmp_path / "never.csv"
+        snap = tmp_path / "u.snap"
+        snapshots.save_snapshot(snap, "velocity", 0.0, 1.0,
+                                grid8.ifft(initial_data.shear(grid8)))
+        small = ["--n", "8", "--dt", "1e-3", "--t-end", "0.01"]
         for flags in (["--n", "9"], ["--t-end", "inf"], ["--dt", "nan"],
                       ["--viscosity", "nan"],
                       # snapshots come from record steps: 15 and 45 would never be written
                       ["--n", "8", "--dt", "1e-3", "--t-end", "0.06",
-                       "--record-every", "10", "--snapshot-every", "15"]):
+                       "--record-every", "10", "--snapshot-every", "15"],
+                      # no snapshot_dir to write them to
+                      [*small, "--snapshot-every", "10"],
+                      # dt = auto is the one way to ask for adaptive steps
+                      ["--n", "8", "--t-end", "0.01", "--dt", "auto",
+                       "--adaptive-cfl", "false"],
+                      # initial data from a file is initial_data = file:<path>
+                      [*small, "--initial-file", str(snap)],
+                      [*small, "--initial-data", "from_file"],
+                      [*small, "--initial-data", "file:"]):
             code = cli.main(["simulate", *flags, "--csv", str(csv)])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: ")
@@ -219,6 +246,40 @@ class TestCli:
             assert proc.returncode == 1
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
             assert not csv.exists()
+
+    def test_initial_data_from_file(self, tmp_path, grid8):
+        snap = tmp_path / "u0.snap"
+        snapshots.save_snapshot(snap, "velocity", 0.0, 1.0,
+                                grid8.ifft(initial_data.random_div_free(grid8, seed=5)))
+        csv, expected = tmp_path / "run.csv", tmp_path / "expected.csv"
+        assert cli.main(["simulate", "--n", "8", "--dt", "1e-3", "--t-end", "0.02",
+                         "--record-every", "5", "--initial-data", f"file:{snap}",
+                         "--csv", str(csv)]) == 0
+        config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.02, record_every=5)
+        _, records = diagnostics.run_with_diagnostics(
+            config, initial_data.from_file(grid8, snap), grid=grid8)
+        diagnostics.write_csv(records, expected)
+        assert csv.read_bytes() == expected.read_bytes()
+
+    def test_snapshot_readers_reject_wrong_kind_and_grid(self, tmp_path, capsys, grid8):
+        good = tmp_path / "good.snap"
+        snapshots.save_snapshot(good, "velocity", 0.0, 1.0,
+                                grid8.ifft(initial_data.shear(grid8)))
+        strain = tmp_path / "strain.snap"
+        snapshots.save_snapshot(strain, "strain", 0.0, 1.0, np.zeros((5, 8, 8, 8)))
+        wrong_n = tmp_path / "n16.snap"
+        snapshots.save_snapshot(wrong_n, "velocity", 0.0, 1.0, np.zeros((3, 16, 16, 16)))
+        csv = tmp_path / "never.csv"
+        small = ["simulate", "--n", "8", "--dt", "1e-3", "--t-end", "0.01", "--csv", str(csv)]
+        for bad, message in ((strain, "expected a velocity snapshot, got strain"),
+                             (wrong_n, "snapshot grid 16 != expected grid 8")):
+            for argv in ([*small, "--initial-data", f"file:{bad}"],
+                         [*small, "--force", f"file:{bad}"],
+                         [*small, "--force", f"files:{good},{bad}"],
+                         ["diagnose", "--csv", str(csv), str(good), str(bad)]):
+                assert cli.main(argv) == 1
+                assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+                assert not csv.exists()
 
     def test_long_decaying_run_completes(self, tmp_path):
         # Taylor-Green decays as exp(-3t), rounding noise at |xi| = 1 as exp(-t):
@@ -284,6 +345,20 @@ class TestCli:
             for got, want in zip(row, expected):
                 assert float(got) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    def test_diagnose_zeroes_nyquist_planes(self, tmp_path, grid8):
+        # diagnose reads a snapshot as initial_data = file:<path> does
+        path = tmp_path / "noise.snap"
+        snapshots.save_snapshot(path, "velocity", 0.0, 1.0,
+                                grid8.ifft(nyquist_noise_state(grid8)))
+        out = tmp_path / "diag.csv"
+        assert cli.main(["diagnose", "--csv", str(out), str(path)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        r = diagnostics.RecordCollector(grid8)(
+            solver.SolverState(initial_data.from_file(grid8, path)))
+        for got, want in zip(row[1:6], (r.enstrophy, r.dissipation, r.det_integral,
+                                        r.tr3_integral, r.vortex_stretch)):
+            assert float(got) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_diagnose_mixed_viscosity_rejected(self, tmp_path, capsys, grid8):
         u_phys = grid8.ifft(initial_data.taylor_green(grid8))
         paths = [str(tmp_path / f"s{i}.snap") for i in range(2)]
@@ -344,6 +419,23 @@ class TestCli:
                          "--trajectory-out", str(traj)])
         assert code == 0
         assert traj.read_text().splitlines()[0] == "t,lambda1,lambda2,lambda3,r,inv_lambda3"
+
+    def test_toy_ode_bad_flags_rejected(self, tmp_path, capsys):
+        # bad numbers ended in tracebacks, and --t-end nan ran with no horizon
+        out = tmp_path / "sweep.csv"
+        for flags in (["--matrix", "1,2,x,0,0"], ["--matrix", "1,2,0,0"],
+                      ["--matrix=-2,1,0,0,inf"],
+                      ["--matrix=-2,1,0,0,0", "--t-end", "nan"],
+                      ["--matrix=-2,1,0,0,0", "--t-end", "0"],
+                      ["--lambda3", "1", "--r", "1", "--blowup-threshold", "-1"],
+                      ["--sweep", "--sweep-r", "0.5,2,x"],
+                      ["--sweep", "--sweep-lambda3", "0.5,2,0"],
+                      ["--sweep", "--sweep-lambda3", "0.5,nan,2"],
+                      ["--sweep", "--sweep-t-end", "inf"]):
+            assert cli.main(["toy-ode", *flags, "--sweep-out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: argument --") and err.count("\n") == 1
+            assert not out.exists()
 
     def test_toy_ode_sweep_subcommand(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -340,6 +340,8 @@ class TestHalfSpectrumLayout:
             assert close(spectral.divergence_residual(grid16, half(v_hat)),
                          spectral.divergence_residual(grid16, v_hat))
         s_hat = spectral.sym_gradient(grid16, u_hat)
+        mean_free = u_hat.copy()
+        mean_free[:, 0, 0, 0] = 0.0  # the audit needs it
         for alpha in (0.0, 1.0):
             assert close(spectral.sobolev_norm_sq(grid16, half(u_hat), alpha),
                          spectral.sobolev_norm_sq(grid16, u_hat, alpha))
@@ -347,6 +349,22 @@ class TestHalfSpectrumLayout:
                          spectral.strain_norm_sq(grid16, s_hat, alpha))
             assert close(spectral.sobolev_inner(grid16, half(u_hat), half(other), alpha),
                          spectral.sobolev_inner(grid16, u_hat, other, alpha))
+            for on_half, on_full in zip(
+                    spectral.isometry_audit(grid16, half(mean_free), alpha).values(),
+                    spectral.isometry_audit(grid16, mean_free, alpha).values()):
+                assert close(on_half, on_full)
+        not_strain = s_hat + 0.5 * s_hat[[1, 2, 3, 4, 0]]
+        assert close(spectral.consistency_residual(grid16, half(not_strain)),
+                     spectral.consistency_residual(grid16, not_strain))
+        full = spectral.velocity_from_strain(grid16, s_hat)
+        assert np.max(np.abs(spectral.velocity_from_strain(grid16, half(s_hat))
+                             - half(full))) <= 1e-14 * np.max(np.abs(full))
+        v = np.array([1.0, 2.0, 2.0]) / 3.0
+        full = spectral.directional_strain_via_derivatives(grid16, u_hat, v)
+        assert np.max(np.abs(spectral.directional_strain_via_derivatives(
+            grid16, half(u_hat), v) - full)) <= 1e-14 * np.max(np.abs(full))
+        with pytest.raises(InvalidInputError):
+            spectral.hermitian_residual(half(u_hat))
 
     def test_wrong_last_axis_rejected(self, grid16):
         u_hat = initial_data.random_div_free(grid16, seed=42)
