@@ -160,7 +160,7 @@ def build_config(config_path=None, cli_overrides=None, environ=None,
     settings = {}
     for key, value in raw.items():
         if key == "dt" and str(value).strip().lower() == "auto":
-            settings["adaptive_cfl"] = True
+            settings["dt"] = None  # the library's auto step
             continue
         try:
             settings[key] = _PARSERS[key](str(value))

@@ -132,9 +132,6 @@ def enstrophy_budget_residual(times, enstrophy, dissipation, det_integral,
     dE/dt + 2 nu diss + 4 int det - force is reported relative to the
     largest participating term at each record.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size < 5:
-        raise InvalidInputError("budget residual needs at least 5 records")
     h = check_uniform_spacing(times)
     e = np.asarray(enstrophy, dtype=float)
     diss = np.asarray(dissipation, dtype=float)
@@ -173,9 +170,6 @@ def gcon_margins(times, enstrophy, dissipation, lambda2_weighted,
     bounded below by nu diss for exact solutions and therefore stays
     positive up to finite-difference noise.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size < 5:
-        raise InvalidInputError("growth-inequality margins need at least 5 records")
     h = check_uniform_spacing(times)
     e = np.asarray(enstrophy, dtype=float)
     f_sq = (np.zeros_like(e) if force_norm_sq is None
@@ -208,9 +202,6 @@ def gronwall_envelope(times, enstrophy, linf_norms, q=np.inf, force_norm_sq=None
 def cubic_growth_margins(times, enstrophy):
     """Monitor-only margins E^3/(1458 pi^4) - dE/dt (whole-space constant;
     emitted, never asserted)."""
-    times = np.asarray(times, dtype=float)
-    if times.size < 5:
-        raise InvalidInputError("cubic growth monitor needs at least 5 records")
     h = check_uniform_spacing(times)
     e = np.asarray(enstrophy, dtype=float)
     return CUBIC_GROWTH_COEFF * e ** 3 - fd4_derivative(e, h)
@@ -356,24 +347,22 @@ class RecordCollector:
                 r.criterion_integrals[q] = float(value)
         try:
             check_uniform_spacing(times)
-            uniform = times.size >= 5
         except InvalidInputError:
-            uniform = False
-        if uniform:
-            e = [r.enstrophy for r in records]
-            diss = [r.dissipation for r in records]
-            det_int = [r.det_integral for r in records]
-            force_term = [r.force_term for r in records]
-            force_sq = [r.force_norm_sq for r in records]
-            weighted = [r.lambda2_weighted for r in records]
-            budget = enstrophy_budget_residual(times, e, diss, det_int,
-                                               force_term, self.viscosity)
-            gcon = gcon_margins(times, e, diss, weighted, force_sq, self.viscosity)
-            cubic = cubic_growth_margins(times, e)
-            for r, b, g, c in zip(records, budget, gcon, cubic):
-                r.budget_residual = float(b)
-                r.gcon_margin = float(g)
-                r.cubic_margin = float(c)
+            return records  # the series-level columns stay NaN
+        e = [r.enstrophy for r in records]
+        diss = [r.dissipation for r in records]
+        det_int = [r.det_integral for r in records]
+        force_term = [r.force_term for r in records]
+        force_sq = [r.force_norm_sq for r in records]
+        weighted = [r.lambda2_weighted for r in records]
+        budget = enstrophy_budget_residual(times, e, diss, det_int,
+                                           force_term, self.viscosity)
+        gcon = gcon_margins(times, e, diss, weighted, force_sq, self.viscosity)
+        cubic = cubic_growth_margins(times, e)
+        for r, b, g, c in zip(records, budget, gcon, cubic):
+            r.budget_residual = float(b)
+            r.gcon_margin = float(g)
+            r.cubic_margin = float(c)
         return records
 
 

@@ -7,14 +7,15 @@ import numpy as np
 from .exceptions import InvalidInputError
 
 
-def check_uniform_spacing(times, rel_tol: float = 1e-9) -> float:
-    """Return the common spacing of a uniformly sampled time series."""
+def check_uniform_spacing(times) -> float:
+    """Return the common spacing (to 1e-9 relative) of a time series of at
+    least 5 samples, as the fourth-order stencils below need."""
     times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise InvalidInputError("need at least two samples")
+    if times.size < 5:
+        raise InvalidInputError(f"need at least 5 uniformly spaced samples, got {times.size}")
     steps = np.diff(times)
     h = steps[0]
-    if h <= 0 or np.max(np.abs(steps - h)) > rel_tol * max(abs(h), 1e-300):
+    if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1e-300):
         raise InvalidInputError("series is not uniformly spaced")
     return float(h)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,17 +34,16 @@ from .numerics import check_uniform_spacing, cumulative_integral_4
 from .spectral import (Grid, divergence_residual, project_divergence_free,
                        sobolev_norm_sq, zero_nyquist)
 
-CFL_SAFETY = 0.5  # an adaptive step is CFL_SAFETY * dx / max|u|
+CFL_SAFETY = 0.5  # the step of dt=None is at most CFL_SAFETY * dx / max|u0|
 
 
 @dataclass
 class SolverConfig:
     n: int = 32
     viscosity: float = 1.0
-    dt: float = 1e-3
+    dt: float | None = 1e-3  # None: auto_dt of the initial velocity, set by run
     t_end: float = 1.0
     dealias: bool = True
-    adaptive_cfl: bool = False
     record_every: int = 10
     force: str = "none"
 
@@ -53,18 +52,17 @@ class SolverConfig:
             raise InvalidInputError(f"n must be an even integer >= 8, got {self.n}")
         for name in ("viscosity", "dt", "t_end"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not ((value is None and name == "dt") or (math.isfinite(value) and value > 0)):
                 raise InvalidInputError(f"{name} must be positive and finite, got {value}")
         if self.record_every < 1:
             raise InvalidInputError("record_every must be >= 1")
-        if not self.adaptive_cfl:
-            # a fixed-step run takes whole steps only, so t_end must be
-            # reached exactly rather than overshot
-            ratio = self.t_end / self.dt
+        if self.dt is not None:
+            # records lie on one uniform grid whose last point is t_end
+            ratio = self.t_end / (self.record_every * self.dt)
             if not (math.isfinite(ratio) and round(ratio) >= 1
                     and abs(ratio - round(ratio)) <= 1e-9):
-                raise InvalidInputError(
-                    f"t_end={self.t_end} is not a whole number of steps dt={self.dt}")
+                raise InvalidInputError(f"t_end={self.t_end} is not a whole number of "
+                                        f"record intervals {self.record_every}*dt={self.dt}")
 
 
 class SolverState:
@@ -388,8 +386,7 @@ class Stepper:
         self._scratch = None
 
     def _heat_factors(self, dt: float):
-        # factors live on the kz in [0, n/2] half-cube like the stages; an
-        # adaptive run changes dt every step, so older factors are dropped
+        # on the kz in [0, n/2] half-cube like the stages; one set, not one per dt
         if self._factors is None or self._factors[0] != dt:
             half = np.exp(-self.config.viscosity * self.grid.half(self.grid.ksq) * (0.5 * dt))
             self._factors = (dt, half, half * half, 2.0 * half)
@@ -402,17 +399,9 @@ class Stepper:
             out += f_half
         return out
 
-    def cfl_dt(self, state: SolverState) -> float:
-        """Advective CFL step: safety * dx / max|u|."""
-        speed = np.sqrt(np.sum(self.grid.ifft(state.half) ** 2, axis=0)).max()
-        dx = 2.0 * np.pi / self.grid.n
-        if speed <= 0:
-            return self.config.dt
-        return CFL_SAFETY * dx / speed
-
     def step(self, state: SolverState, dt: float | None = None) -> SolverState:
         if dt is None:
-            dt = self.cfl_dt(state) if self.config.adaptive_cfl else self.config.dt
+            dt = self.config.dt
         e_half, e_full, e_twice = self._heat_factors(dt)
         u = state.half
         if self._buffers is None:
@@ -463,16 +452,29 @@ class RunResult:
     config: SolverConfig = field(repr=False, default=None)
 
 
+def auto_dt(grid: Grid, config: SolverConfig, u_half) -> float:
+    """The step of dt=None: the CFL step CFL_SAFETY * dx / max|u| of the
+    half-spectrum u_half, shortened so that t_end is a whole number of
+    record intervals; a zero field takes one record interval."""
+    with np.errstate(over="ignore"):  # an overflowing speed is rejected below
+        speed = np.sqrt(np.sum(grid.ifft(u_half) ** 2, axis=0)).max()
+    intervals = config.t_end * speed / (config.record_every * CFL_SAFETY * 2.0 * np.pi / grid.n)
+    if not math.isfinite(intervals):
+        raise InvalidInputError(f"no CFL step for max|u| = {speed:.3e}")
+    return config.t_end / (config.record_every * max(math.ceil(intervals), 1))
+
+
 def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
         on_record=None, keep_states: bool = False, force=None) -> RunResult:
-    """Integrate to t_end, recording every record_every steps.
+    """Integrate to t_end in steps of config.dt, recording every
+    record_every steps; dt=None steps at auto_dt of u0, kept in result.config.
 
     on_record(state) is called with each recorded state (including the
-    initial one and the final one); with keep_states the recorded states
-    are also returned.  force is the stepper's force, made from
-    config.force if not given; a caller that records the force passes the
-    one it reads.  Instability raises InstabilityError carrying the last
-    finite state.
+    initial one and the final one, at t_end); with keep_states the
+    recorded states are also returned.  force is the stepper's force,
+    made from config.force if not given; a caller that records the force
+    passes the one it reads.  Instability raises InstabilityError
+    carrying the last finite state.
     """
     if grid is None:
         grid = Grid(config.n)
@@ -482,7 +484,10 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     if not np.all(np.isfinite(u0_hat)):
         raise InvalidInputError("initial velocity has non-finite coefficients")
     # steps run on the kz >= 0 half-spectrum, so the state must satisfy
-    # the Hermitian (real-field) invariant exactly
+    # the Hermitian (real-field) invariant; only rounding is symmetrized
+    resid = spectral.hermitian_residual(u0_hat)
+    if resid > spectral.HERMITIAN_TOL:
+        raise InvalidInputError(f"initial velocity is not Hermitian (residual {resid:.3e})")
     u0_hat = spectral.hermitian_symmetrize(u0_hat)
     zero_nyquist(grid, u0_hat)
     u0_hat[:, 0, 0, 0] = 0.0
@@ -497,8 +502,10 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     # the heap layout and tripled the page faults of every later step
     u0_hat[...] = project_divergence_free(grid, u0_hat)
 
-    stepper = Stepper(grid, config, force)
     state = SolverState(u0_hat, 0.0, 0, grid)
+    if config.dt is None:
+        config = replace(config, dt=auto_dt(grid, config, state.half))
+    stepper = Stepper(grid, config, force)
     times = [0.0]
     states = [state.copy()] if keep_states else None
     if on_record is not None:
@@ -511,19 +518,12 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
         if on_record is not None:
             on_record(st)
 
-    if config.adaptive_cfl:
-        while state.t < config.t_end - 1e-12:
-            dt = min(stepper.cfl_dt(state), config.t_end - state.t)
-            state = stepper.step(state, dt)
-            if state.step_count % config.record_every == 0 or state.t >= config.t_end - 1e-12:
-                record(state)
-    else:
-        n_steps = round(config.t_end / config.dt)
-        for k in range(1, n_steps + 1):
-            state = stepper.step(state, config.dt)
-            state.t = k * config.dt  # exact uniform spacing, no accumulation drift
-            if k % config.record_every == 0 or k == n_steps:
-                record(state)
+    n_steps = round(config.t_end / config.dt)  # a whole number of record intervals
+    for k in range(1, n_steps + 1):
+        state = stepper.step(state, config.dt)
+        state.t = k * config.dt  # exact uniform spacing, no accumulation drift
+        if k % config.record_every == 0:
+            record(state)
 
     return RunResult(np.asarray(times), states, state, config)
 
@@ -546,10 +546,7 @@ def energy_budget(grid: Grid, states, viscosity: float = 1.0):
     the residual tracks the integrator error.  Needs >= 5 uniformly
     spaced snapshots.
     """
-    if len(states) < 5:
-        raise InvalidInputError("energy budget needs at least 5 snapshots")
-    times = np.array([s.t for s in states])
-    h = check_uniform_spacing(times)
+    h = check_uniform_spacing([s.t for s in states])
     kin = np.array([kinetic_energy(grid, s.half) for s in states])
     diss = np.array([sobolev_norm_sq(grid, s.half, 1.0) for s in states])
     integral = cumulative_integral_4(diss, h)

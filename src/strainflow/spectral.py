@@ -39,6 +39,7 @@ from . import sym3
 from .exceptions import ConstraintViolationError, InvalidInputError
 
 DIVERGENCE_TOL = 1e-12
+HERMITIAN_TOL = 1e-12  # of hermitian_residual, relative to the peak mode
 CONSISTENCY_TOL = 1e-10
 # One pocketfft thread.  On a 2-vCPU host a warmed solver step took, with
 # 1 worker against 2 (five alternating pairs at n=32, three at n=64):

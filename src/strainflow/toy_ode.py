@@ -40,7 +40,7 @@ from .exceptions import InvalidInputError, NumericalFailureError
 R_GROWTH_ZERO = (1.0 + math.sqrt(3.0)) / 2.0
 
 DEFAULT_BLOWUP_THRESHOLD = 1e12
-DEFAULT_DECAY_THRESHOLD = 1e-6
+DECAY_THRESHOLD = 1e-6  # matrix norm below which a run that reached its end decayed
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 _MAX_STEPS = 2_000_000
@@ -90,12 +90,16 @@ def _rhs_matrix_components(y):
     ])
 
 
-def rhs_reduced(lambda3: float, r: float):
-    """Reduced right-hand side (dlambda3/dt, dr/dt)."""
-    if not (lambda3 > 0):
-        raise InvalidInputError(f"lambda3 must be positive, got {lambda3}")
+def _check_reduced(lambda3: float, r: float) -> None:
+    if not (math.isfinite(lambda3) and lambda3 > 0):
+        raise InvalidInputError(f"lambda3 must be positive and finite, got {lambda3}")
     if not (0.5 - _RATIO_CLAMP <= r <= 2.0 + _RATIO_CLAMP):
         raise InvalidInputError(f"ratio r={r} outside [1/2, 2]")
+
+
+def rhs_reduced(lambda3: float, r: float):
+    """Reduced right-hand side (dlambda3/dt, dr/dt)."""
+    _check_reduced(lambda3, r)
     return (lambda3 * lambda3 * _growth_poly(r) / 3.0,
             lambda3 * _ratio_poly(r) / 3.0)
 
@@ -116,12 +120,11 @@ def blowup_time_bound(lambda3_0: float, r_0: float):
 
 @dataclass(frozen=True)
 class ToyState:
-    """Either a full matrix state or reduced (lambda3, r) coordinates."""
+    """Either a full matrix state or reduced (lambda3, r) coordinates, at t = 0."""
 
     matrix: sym3.TraceFreeSym3 | None = None
     lambda3: float | None = None
     r: float | None = None
-    t: float = 0.0
 
     def __post_init__(self):
         if (self.matrix is None) == (self.lambda3 is None and self.r is None):
@@ -129,23 +132,16 @@ class ToyState:
         if self.matrix is None:
             if self.lambda3 is None or self.r is None:
                 raise InvalidInputError("reduced state needs both lambda3 and r")
-            if not (self.lambda3 > 0):
-                raise InvalidInputError("lambda3 must be positive")
-            if not (0.5 - _RATIO_CLAMP <= self.r <= 2.0 + _RATIO_CLAMP):
-                raise InvalidInputError(f"ratio r={self.r} outside [1/2, 2]")
+            _check_reduced(self.lambda3, self.r)
             object.__setattr__(self, "r", min(max(self.r, 0.5), 2.0))
 
     @classmethod
-    def from_matrix(cls, m: sym3.TraceFreeSym3, t: float = 0.0) -> "ToyState":
-        return cls(matrix=m, t=t)
+    def from_matrix(cls, m: sym3.TraceFreeSym3) -> "ToyState":
+        return cls(matrix=m)
 
     @classmethod
-    def from_reduced(cls, lambda3: float, r: float, t: float = 0.0) -> "ToyState":
-        return cls(lambda3=lambda3, r=r, t=t)
-
-    @property
-    def is_reduced(self) -> bool:
-        return self.matrix is None
+    def from_reduced(cls, lambda3: float, r: float) -> "ToyState":
+        return cls(lambda3=lambda3, r=r)
 
 
 @dataclass
@@ -200,19 +196,19 @@ def _extrapolate_blowup_time(t1, lam1, t2, lam2):
     return t2 + inv2  # slope -> -1 fallback
 
 
-def _classify_end(status, times, lambda3, r, decay_threshold, norm=None):
+def _classify_end(status, times, lambda3, r, norm=None):
     """Outcome and estimated blow-up time (None unless blown up) of a run.
 
     A run that reached its end has "decayed" when the matrix norm,
     lambda3 sqrt(2 r^2 - 2 r + 2) in reduced coordinates unless given,
-    is below decay_threshold, else it "completed".
+    is below DECAY_THRESHOLD, else it "completed".
     """
     if status == "blew_up":
         return "blew_up", float(_extrapolate_blowup_time(
             times[-2], lambda3[-2], times[-1], lambda3[-1]))
     if norm is None:
         norm = lambda3[-1] * math.sqrt(2.0 * r[-1] ** 2 - 2.0 * r[-1] + 2.0)
-    return ("decayed" if norm < decay_threshold else "completed"), None
+    return ("decayed" if norm < DECAY_THRESHOLD else "completed"), None
 
 
 def _integrate_reduced(lambda3: float, r: float, t_end: float, *,
@@ -373,45 +369,42 @@ def _integrate_matrix(y0, t_end: float, *, blowup_threshold: float,
 def integrate(initial: ToyState, t_end: float,
               blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-              decay_threshold: float = DEFAULT_DECAY_THRESHOLD,
               t_eval=None) -> ToyResult:
-    """Integrate the toy model from a matrix or reduced state.
+    """Integrate the toy model from a matrix or reduced state at t = 0.
 
     Declares blow-up once lambda3 crosses blowup_threshold and
     extrapolates the blow-up time from the last two samples of
     1/lambda3.  A run that reaches t_end is "decayed" when the matrix
-    norm has fallen below decay_threshold, else "completed".
+    norm has fallen below DECAY_THRESHOLD, else "completed".
     """
-    if t_end <= initial.t:
-        raise InvalidInputError("t_end must exceed the initial time")
-    horizon = t_end - initial.t
+    if not t_end > 0:
+        raise InvalidInputError(f"t_end must be positive, got {t_end}")
 
-    if initial.is_reduced:
+    if initial.matrix is None:
         times, l3s, rs, status = _integrate_reduced(
-            initial.lambda3, initial.r, horizon,
+            initial.lambda3, initial.r, t_end,
             blowup_threshold=blowup_threshold, rtol=rtol, atol=atol,
             record=True, t_eval=t_eval)
         lam1 = -rs * l3s
         lam2 = (rs - 1.0) * l3s
-        traj = ToyTrajectory(times + initial.t, lam1, lam2, l3s, rs)
+        traj = ToyTrajectory(times, lam1, lam2, l3s, rs)
         final_matrix = None
         norm = None
     else:
         m0 = initial.matrix
         y0 = np.array([m0.m11, m0.m22, m0.m12, m0.m13, m0.m23], dtype=float)
         times, comps, status = _integrate_matrix(
-            y0, horizon, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol)
+            y0, t_end, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol)
         field = sym3.TraceFreeSym3.from_components(comps.T)
         eig = sym3.eigenvalues(field)
-        traj = ToyTrajectory(times + initial.t, np.asarray(eig.lambda1),
+        traj = ToyTrajectory(times, np.asarray(eig.lambda1),
                              np.asarray(eig.lambda2), np.asarray(eig.lambda3),
                              np.asarray(eig.r))
         last = comps[-1]
         final_matrix = sym3.TraceFreeSym3(last[0], last[1], last[2], last[3], last[4])
         norm = float(final_matrix.norm())
 
-    outcome, t_est = _classify_end(status, traj.t, traj.lambda3, traj.r,
-                                   decay_threshold, norm)
+    outcome, t_est = _classify_end(status, traj.t, traj.lambda3, traj.r, norm)
     return ToyResult(outcome, t_est, traj, final_matrix)
 
 
@@ -425,23 +418,22 @@ class SweepCell:
 
 
 def phase_sweep(lambda3_values, r_values, t_end: float = 1e7,
-                blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                decay_threshold: float = DEFAULT_DECAY_THRESHOLD):
+                blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Outcome map over a grid of reduced initial conditions.
 
-    Cells are fully independent (safe to parallelize); this runs them
-    sequentially with the lightweight scalar integrator and keeps only
-    endpoint data per cell.
+    Each cell is checked as ToyState.from_reduced checks it before it is
+    integrated.  Cells are fully independent (safe to parallelize); this
+    runs them sequentially with the lightweight scalar integrator and
+    keeps only endpoint data per cell.
     """
     cells = []
     for l3_0 in lambda3_values:
         for r_0 in r_values:
+            start = ToyState.from_reduced(float(l3_0), float(r_0))
             times, l3s, rs, status = _integrate_reduced(
-                float(l3_0), float(r_0), t_end,
-                blowup_threshold=blowup_threshold, rtol=rtol, atol=atol,
-                record=False)
-            outcome, t_est = _classify_end(status, times, l3s, rs, decay_threshold)
+                start.lambda3, start.r, t_end, blowup_threshold=blowup_threshold,
+                rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, record=False)
+            outcome, t_est = _classify_end(status, times, l3s, rs)
             cells.append(SweepCell(float(l3_0), float(r_0), outcome, t_est,
                                    float(rs[-1])))
     return cells

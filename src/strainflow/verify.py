@@ -70,6 +70,10 @@ def rotate(m: sym3.TraceFreeSym3, q) -> sym3.TraceFreeSym3:
                               0.5 * (a[1, 2] + a[2, 1]))
 
 
+def _scaled(values, scale):
+    return values / np.maximum(scale, 1e-300)  # scale floored away from zero
+
+
 # --- matrix algebra sweeps ---------------------------------------------------
 
 def cubic_identity(ms):
@@ -86,45 +90,50 @@ def det_bound(ms, rng, family: int = 50, scales=None):
     rotated (-2c, c, c): c = 1, or c uniform in scales = (lo, hi)."""
     gap = sym3.det_bound_gap(ms)
     assert np.all(gap >= -1e-12 * ms.norm() ** 3), f"min gap {gap.min():.3e}"
+    worst = 0.0
     for _ in range(family):
         c = 1.0 if scales is None else rng.uniform(*scales)
         m = rotate(sym3.TraceFreeSym3(-2.0 * c, c, 0.0, 0.0, 0.0), random_rotation(rng))
         g = sym3.det_bound_gap(m)
         assert abs(g) < 1e-12 * m.norm() ** 3, f"family gap {g:.3e}"
-    return ""
-
+        worst = max(worst, abs(g) / m.norm() ** 3)
+    return f"min scaled gap {_scaled(gap, ms.norm() ** 3).min():.1e}, family gap {worst:.1e}"
 
 def lambda2_bound(ms):
     gap = sym3.lambda2_bound_gap(ms)
     assert np.all(gap >= -1e-12 * ms.norm() ** 3), f"min gap {gap.min():.3e}"
-    return ""
+    return f"min scaled gap {_scaled(gap, ms.norm() ** 3).min():.1e}"
 
 
 def extremal_floors(ms):
     top, bottom = sym3.extremal_eigen_bounds(ms)
     floor = -1e-12 * ms.norm()
     assert np.all(top >= floor) and np.all(bottom >= floor)
-    return ""
+    return f"min scaled margin {_scaled(np.minimum(top, bottom), ms.norm()).min():.1e}"
 
 
 def minimal_direction(ms, rng, directions: int = 40):
     eig = sym3.eigenvalues(ms)
+    worst = math.inf
     for _ in range(directions):
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
         mv = sym3.apply_to_vector(ms, v)
         mag = np.sqrt(mv[0] ** 2 + mv[1] ** 2 + mv[2] ** 2)
         assert np.all(mag >= np.abs(eig.lambda2) - 1e-12 * ms.norm())
-    return ""
+        worst = min(worst, _scaled(mag - np.abs(eig.lambda2), ms.norm()).min())
+    return f"min scaled margin {worst:.1e}"
 
 
 def eigenvalue_identities(ms):
     eig = sym3.eigenvalues(ms)
     norm = ms.norm()
-    assert np.all(np.abs(eig.lambda1 + eig.lambda2 + eig.lambda3) <= 1e-12 * norm + 1e-300)
-    frob = eig.lambda1 ** 2 + eig.lambda2 ** 2 + eig.lambda3 ** 2
-    assert np.all(np.abs(frob - norm ** 2) <= 1e-12 * norm ** 2 + 1e-300)
-    return ""
+    total = np.abs(eig.lambda1 + eig.lambda2 + eig.lambda3)
+    assert np.all(total <= 1e-12 * norm + 1e-300)
+    frob = np.abs(eig.lambda1 ** 2 + eig.lambda2 ** 2 + eig.lambda3 ** 2 - norm ** 2)
+    assert np.all(frob <= 1e-12 * norm ** 2 + 1e-300)
+    return (f"sum {_scaled(total, norm).max():.1e}, "
+            f"Frobenius {_scaled(frob, norm ** 2).max():.1e}")
 
 
 # --- spectral operators ------------------------------------------------------
@@ -134,32 +143,36 @@ def fft_roundtrip(grid, rng):
     back = grid.ifft(grid.fft(field))
     err = np.max(np.abs(back - field)) / np.max(np.abs(field))
     assert err < 1e-13, f"roundtrip error {err:.3e}"
-    return ""
+    return f"roundtrip error {err:.1e}"
 
 
 def strain_constraint(grid, seeds):
     """The strain of each seeded random field satisfies the constraint; a
     Hessian-type mode violates it."""
+    worst = 0.0
     for seed in seeds:
         s_hat = spectral.sym_gradient(grid, initial_data.random_div_free(grid, seed=seed))
         resid = spectral.consistency_residual(grid, s_hat)
         assert resid < 1e-13, f"strain residual {resid:.3e}"
+        worst = max(worst, resid)
     bad = np.zeros((5,) + (grid.n,) * 3, dtype=complex)
     bad[0, 0, 1, 0] = -1.0 / 3.0   # trace-corrected Hessian-type mode
     bad[1, 0, 1, 0] = 2.0 / 3.0
     bad_resid = spectral.consistency_residual(grid, bad)
     assert bad_resid > 0.1, f"Hessian-type residual {bad_resid:.3e}"
-    return ""
+    return f"max residual {worst:.1e}, Hessian-type {bad_resid:.2f}"
 
 
 def strain_roundtrip(grid, seeds):
+    worst = 0.0
     for seed in seeds:
         u_hat = initial_data.random_div_free(grid, seed=seed)
         u_back = spectral.velocity_from_strain(grid, spectral.sym_gradient(grid, u_hat))
         err = np.sqrt(spectral.sobolev_norm_sq(grid, u_back - u_hat)
                       / spectral.sobolev_norm_sq(grid, u_hat))
         assert err < 1e-12, f"reconstruction error {err:.3e}"
-    return ""
+        worst = max(worst, err)
+    return f"max error {worst:.1e}"
 
 
 def helmholtz_split(grid, rng):
@@ -170,7 +183,7 @@ def helmholtz_split(grid, rng):
     assert abs(total - parts) < 1e-12 * total
     recon = np.max(np.abs(df + grad - v_hat)) / np.max(np.abs(v_hat))
     assert recon < 1e-14
-    return ""
+    return f"energy {abs(total - parts) / total:.1e}, reconstruction {recon:.1e}"
 
 
 def isometries(grid, seeds):
@@ -189,13 +202,13 @@ def shear_analytics(grid):
     s_phys = spectral.strain_to_physical(grid, spectral.sym_gradient(grid, u_shear))
     _, y, _ = grid.coords()
     expected = 0.5 * np.cos(y) * np.ones((n, n, n))
-    assert np.max(np.abs(s_phys[2] - expected)) < 1e-13
-    for idx in (0, 1, 3, 4):
-        assert np.max(np.abs(s_phys[idx])) < 1e-13
+    errors = [np.max(np.abs(s_phys[2] - expected))]
+    errors += [np.max(np.abs(s_phys[idx])) for idx in (0, 1, 3, 4)]
     w = grid.ifft(spectral.vorticity(grid, u_shear))
-    assert np.max(np.abs(w[2] + np.cos(y) * np.ones((n, n, n)))) < 1e-13
-    assert np.max(np.abs(w[0])) < 1e-13 and np.max(np.abs(w[1])) < 1e-13
-    return ""
+    errors += [np.max(np.abs(w[2] + np.cos(y) * np.ones((n, n, n)))),
+               np.max(np.abs(w[0])), np.max(np.abs(w[1]))]
+    assert max(errors) < 1e-13, f"max error {max(errors):.3e}"
+    return f"max error {max(errors):.1e}"
 
 
 # --- solver ------------------------------------------------------------------
@@ -215,7 +228,7 @@ def shear_decay(grid, t_end: float = 0.1):
     assert err < 1e-11 * expected, f"decay error {err:.3e}"
     resid = np.max(np.abs(solver.energy_budget(grid, result.states)))
     assert resid < 1e-8, f"energy budget residual {resid:.3e}"
-    return ""
+    return f"decay error {err / expected:.1e}, budget residual {resid:.1e}"
 
 
 def energy_balance(grid, states):
@@ -223,11 +236,11 @@ def energy_balance(grid, states):
     and the velocity stays divergence-free."""
     kinetic = [solver.kinetic_energy(grid, s.half) for s in states]
     assert all(b <= a * (1.0 + 1e-13) for a, b in zip(kinetic, kinetic[1:]))
-    budget = solver.energy_budget(grid, states, viscosity=1.0)
-    assert np.max(np.abs(budget)) < 1e-5, f"budget residual {np.max(np.abs(budget)):.3e}"
+    budget = np.max(np.abs(solver.energy_budget(grid, states, viscosity=1.0)))
+    assert budget < 1e-5, f"budget residual {budget:.3e}"
     residual = max(solver.divergence_invariant(grid, s) for s in states)
     assert residual < 1e-12, f"divergence residual {residual:.3e}"
-    return ""
+    return f"budget residual {budget:.1e}, divergence {residual:.1e}"
 
 
 # --- diagnostics ---------------------------------------------------------------
@@ -259,17 +272,19 @@ def enstrophy_budget(records):
 def pointwise_inequalities(grid, states):
     """The middle-eigenvalue, cubic determinant and extremal-eigenvalue
     bounds at every grid point of every state."""
+    worst = math.inf
     for state in states:
         pd = diagnostics.pointwise_strain_analysis(grid, state.half)
         norm = np.sqrt(pd.norm_sq)
         cube = np.maximum(norm ** 3, 1e-300)
         gap = sym3.lambda2_bound_gap(pd.strain)
-        assert np.all(gap >= -1e-12 * cube), f"min scaled gap {(gap / cube).min():.3e}"
+        worst = min(worst, (gap / cube).min())
+        assert np.all(gap >= -1e-12 * cube), f"min scaled gap {worst:.3e}"
         assert np.all(sym3.det_bound_gap(pd.strain) >= -1e-12 * cube)
         top, bottom = sym3.extremal_eigen_bounds(pd.strain)
         floor = -1e-12 * np.maximum(norm, 1e-300)
         assert np.all(top >= floor) and np.all(bottom >= floor)
-    return ""
+    return f"min scaled gap {worst:.1e} over {len(states)} states"
 
 
 def growth_inequality(records, times):
@@ -279,7 +294,7 @@ def growth_inequality(records, times):
     linf = [r.lambda2_norms[np.inf] for r in records]
     env = diagnostics.gronwall_envelope(times, e_series, linf)
     assert np.all(e_series <= env * (1.0 + 1e-6))
-    return ""
+    return f"min scaled margin {margins.min() / e_series.max():.1e}"
 
 
 # --- toy model -----------------------------------------------------------------
@@ -287,18 +302,21 @@ def growth_inequality(records, times):
 def toy_scaling_families(blowup=(0.5, 1.0, 2.0), decay=(0.5, 1.0, 2.0)):
     """(-2c, c, c) blows up at T = 1/c; (-c, -c, 2c) decays as
     2c / (1 + ct) and completes its run to t = 10."""
+    t_error = decay_error = 0.0
     for c in blowup:
         m0 = sym3.TraceFreeSym3(-2.0 * c, c, 0.0, 0.0, 0.0)
         res = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=10.0 / c)
         assert res.outcome == "blew_up"
         assert abs(res.t_est - 1.0 / c) < 1e-6 / c, f"T_est {res.t_est} vs {1.0 / c}"
+        t_error = max(t_error, abs(res.t_est - 1.0 / c) * c)
     for c in decay:
         m0 = sym3.TraceFreeSym3(-c, -c, 0.0, 0.0, 0.0)
         res = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=10.0)
         assert res.outcome == "completed", f"decay run {res.outcome}"
         expected = 2.0 * c / (1.0 + c * 10.0)
         assert abs(res.trajectory.lambda3[-1] - expected) < 1e-8
-    return ""
+        decay_error = max(decay_error, abs(res.trajectory.lambda3[-1] - expected))
+    return f"blow-up time error {t_error:.1e}, decay error {decay_error:.1e}"
 
 
 def toy_reduced_vs_matrix(rng):
@@ -347,7 +365,8 @@ def toy_sweep(lambda3s, rs, decay_lambda3s=(1.0,)):
     assert all(c.t_est <= b * (1.0 + 1e-6) for c, b in bounds)
     decay = toy_ode.phase_sweep(decay_lambda3s, [0.5])
     assert all(c.outcome == "decayed" and c.t_est is None for c in decay)
-    return ""
+    return (f"{len(cells)} cells blew up ({len(bounds)} bounded), {len(decay)} decayed, "
+            f"max |r_end - 2| {worst_r:.1e}")
 
 
 CHECKS = (
@@ -388,7 +407,7 @@ def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0) -> list[Check]
     """Run CHECKS in order at the verify sizes: 2000 matrices drawn first
     from one generator seeded with SEED, which the checks then draw from
     in turn, and the reference run on an n^3 grid to t_end."""
-    solver.SolverConfig(n=n, dt=dt, t_end=t_end)  # rejects a bad n, dt or t_end
+    solver.SolverConfig(n=n, dt=dt, t_end=t_end, record_every=1)  # rejects bad n, dt, t_end
     steps = round(t_end / dt)
     if steps % RECORD_EVERY or steps < 4 * RECORD_EVERY:
         # the budget, growth and energy checks need 5 uniformly spaced records

@@ -146,7 +146,7 @@ class TestConfig:
 
     def test_dt_auto_enables_cfl(self):
         cfg = config_mod.build_config(None, {"dt": "auto"})
-        assert cfg.adaptive_cfl is True
+        assert cfg.dt is None
 
     def test_unknown_env_setting_rejected(self):
         # a removed setting given in the environment is not ignored
@@ -224,7 +224,9 @@ class TestCli:
                       # initial data from a file is initial_data = file:<path>
                       [*small, "--initial-file", str(snap)],
                       [*small, "--initial-data", "from_file"],
-                      [*small, "--initial-data", "file:"]):
+                      [*small, "--initial-data", "file:"],
+                      # the last record would be off the record grid
+                      ["--n", "8", "--dt", "1e-3", "--t-end", "0.065"]):
             code = cli.main(["simulate", *flags, "--csv", str(csv)])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: ")
@@ -435,6 +437,17 @@ class TestCli:
             assert cli.main(["toy-ode", *flags, "--sweep-out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: argument --") and err.count("\n") == 1
+            assert not out.exists()
+
+    def test_toy_ode_bad_cells_rejected(self, tmp_path, capsys):
+        # these ran and failed as numerics (exit 2) instead of being rejected
+        out = tmp_path / "sweep.csv"
+        for flags in (["--sweep", "--sweep-r", "3,4,2"],
+                      ["--sweep", "--sweep-lambda3=-1,0,2"],
+                      ["--lambda3", "inf", "--r", "1"]):
+            assert cli.main(["toy-ode", *flags, "--sweep-out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
             assert not out.exists()
 
     def test_toy_ode_sweep_subcommand(self, tmp_path):

@@ -333,14 +333,34 @@ class TestRun:
         assert result.final_state.step_count == 20
 
     def test_adaptive_cfl(self, grid8):
-        config = solver.SolverConfig(n=8, dt=1e-2, t_end=0.05, adaptive_cfl=True,
-                                     record_every=1)
+        config = solver.SolverConfig(n=8, dt=None, t_end=0.05, record_every=1)
         result = solver.run(config, initial_data.taylor_green(grid8), grid=grid8)
         assert result.final_state.t == pytest.approx(0.05, abs=1e-10)
         dx = 2 * np.pi / 8
         u_max = np.sqrt(np.sum(grid8.ifft(initial_data.taylor_green(grid8)) ** 2,
                                axis=0)).max()
         assert result.final_state.step_count >= 0.05 / (0.5 * dx / u_max) - 1
+
+    def test_auto_dt_records_on_a_uniform_grid(self, grid8):
+        # the step is the CFL step of u0 shortened to whole record
+        # intervals, so every record, the last included, is on one grid
+        u0 = initial_data.taylor_green(grid8)
+        config = solver.SolverConfig(n=8, dt=None, t_end=2.0, record_every=1)
+        result = solver.run(config, u0, grid=grid8, keep_states=True)
+        assert result.config.dt == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert np.allclose(result.times, np.arange(7) / 3.0, rtol=0, atol=1e-15)
+        assert solver.energy_budget(grid8, result.states).shape == (7,)
+        zero = solver.run(solver.SolverConfig(n=8, dt=None, t_end=0.5, record_every=4),
+                          np.zeros_like(u0), grid=grid8)
+        assert zero.config.dt == 0.125 and list(zero.times) == [0.0, 0.5]
+
+    def test_non_hermitian_initial_velocity_rejected(self, grid8):
+        # read as a half-spectrum it would be a different field
+        config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)
+        u0 = initial_data.taylor_green(grid8)
+        u0 = u0 + 1e-3j * np.abs(u0)
+        with pytest.raises(InvalidInputError, match="Hermitian"):
+            solver.run(config, u0, grid=grid8)
 
     def test_bad_initial_shape(self, grid8):
         config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)
@@ -499,6 +519,8 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         for bad in ({"viscosity": 0.0}, {"dt": -1e-3}, {"record_every": 0},
                     {"t_end": math.inf}, {"dt": math.nan}, {"viscosity": math.nan},
-                    {"n": 7}, {"n": 6}, {"n": 8, "dt": 1e-3, "t_end": 0.0305}):
+                    {"n": 7}, {"n": 6}, {"n": 8, "dt": 1e-3, "t_end": 0.0305},
+                    # whole steps but not whole record intervals
+                    {"n": 8, "dt": 1e-3, "t_end": 0.065}, {"t_end": 0.5, "record_every": 1000}):
             with pytest.raises(InvalidInputError):
                 solver.SolverConfig(**bad)

@@ -176,6 +176,10 @@ class TestStateAndCsv:
             toy_ode.ToyState.from_reduced(-1.0, 1.0)
         with pytest.raises(InvalidInputError):
             toy_ode.ToyState.from_reduced(1.0, 2.5)
+        with pytest.raises(InvalidInputError):
+            toy_ode.ToyState.from_reduced(math.inf, 1.0)
+        with pytest.raises(InvalidInputError):
+            toy_ode.phase_sweep([1.0], [1.0, 3.0])
 
     def test_trajectory_csv(self, tmp_path):
         res = toy_ode.integrate(toy_ode.ToyState.from_matrix(GOLDEN_BLOWUP),
