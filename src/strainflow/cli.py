@@ -78,9 +78,7 @@ def cmd_simulate(args) -> int:
         records = collector.finalize()
         if records:
             diagnostics.write_csv(records, run_config.csv)
-        last_t = exc.last_state.t if exc.last_state is not None else float("nan")
-        print(f"numerical failure: {exc} (last stable time t={last_t:.9g})",
-              file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)  # names the last stable time
         return EXIT_NUMERICAL
     records = collector.finalize()
     diagnostics.write_csv(records, run_config.csv)

@@ -483,6 +483,12 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
         raise InvalidInputError(f"initial velocity has shape {u0_hat.shape}")
     if not np.all(np.isfinite(u0_hat)):
         raise InvalidInputError("initial velocity has non-finite coefficients")
+    # a finite field can still be too large to square: it would only
+    # overflow in the checks below and in the first record
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = [sobolev_norm_sq(grid, u0_hat, alpha) for alpha in (0.0, 1.0)]
+    if not all(math.isfinite(size) for size in sizes):
+        raise InvalidInputError("initial velocity is too large: its energy or enstrophy overflows")
     # steps run on the kz >= 0 half-spectrum, so the state must satisfy
     # the Hermitian (real-field) invariant; only rounding is symmetrized
     resid = spectral.hermitian_residual(u0_hat)

@@ -216,63 +216,67 @@ def _integrate_reduced(lambda3: float, r: float, t_end: float, *,
                        record: bool, t_eval=None):
     """Adaptive Dormand-Prince on the (lambda3, r) pair in plain floats.
 
-    The scalar specialization keeps large phase sweeps cheap.  Returns
-    (times, l3s, rs, status) where status is "blew_up" or "reached_end";
-    the arrays hold every accepted sample when record is set, else just
-    the first and the last two.
+    One straight-line loop keeps large phase sweeps cheap: a step calls
+    no Python function, because the right side (as in rhs_reduced), the
+    compensated clock (_KahanClock.advance) and the step factor
+    (_step_factor) are written out with each operation in their order,
+    so the results match those helpers bit for bit.  Returns (times, l3s, rs,
+    status) where status is "blew_up" or "reached_end"; the arrays hold
+    every accepted sample when record is set, else just the first and
+    the last two.
     """
-    clock = _KahanClock()
+    times, l3s, rs = [0.0], [lambda3], [r]  # every sample, or the first only
+    t = comp = 0.0  # Kahan-compensated time
+    t_prev = l3_prev = r_prev = 0.0
+    accepted = 0
     eval_times = list(t_eval) if t_eval is not None else []
+    n_eval = len(eval_times)
     eval_idx = 0
-    times = [0.0]
-    l3s = [lambda3]
-    rs = [r]
+    end_tol = 1e-14 * max(abs(t_end), 1.0)
 
-    def push(t, l3, rr):
-        if not record and len(times) == 3:  # keep first and last two only
-            del times[1], l3s[1], rs[1]
-        times.append(t)
-        l3s.append(l3)
-        rs.append(rr)
-
-    def f(l3, rr):
-        return (l3 * l3 * _growth_poly(rr) / 3.0, l3 * _ratio_poly(rr) / 3.0)
-
-    k1a, k1b = f(lambda3, r)
+    k1a = lambda3 * lambda3 * (2.0 * r * r - 2.0 * r - 1.0) / 3.0
+    k1b = lambda3 * (((-2.0 * r + 3.0) * r + 3.0) * r - 2.0) / 3.0
     h = 1e-4
     status = "reached_end"
+    failure = None
     for _ in range(_MAX_STEPS):
-        remaining = t_end - clock.value
-        if remaining <= 1e-14 * max(abs(t_end), 1.0):
+        remaining = t_end - t
+        if remaining <= end_tol:
             break
         h = min(h, remaining)
-        while eval_idx < len(eval_times) and eval_times[eval_idx] <= clock.value + 1e-14 * max(abs(clock.value), 1.0):
-            eval_idx += 1
-        if eval_idx < len(eval_times):
-            h = min(h, eval_times[eval_idx] - clock.value)
-        if h < 1e-16 * max(abs(clock.value), 1.0) or h <= 0.0:
-            raise NumericalFailureError(
-                f"step size underflow at t={clock.value:.6g}",
-                trajectory=(np.array(times), np.array(l3s), np.array(rs)))
+        if eval_idx < n_eval:
+            while eval_idx < n_eval and eval_times[eval_idx] <= t + 1e-14 * max(abs(t), 1.0):
+                eval_idx += 1
+            if eval_idx < n_eval:
+                h = min(h, eval_times[eval_idx] - t)
+        if h < 1e-16 * max(abs(t), 1.0) or h <= 0.0:
+            failure = f"step size underflow at t={t:.6g}"
+            break
 
         y2a = lambda3 + h * _A21 * k1a
         y2b = r + h * _A21 * k1b
-        k2a, k2b = f(y2a, y2b)
+        k2a = y2a * y2a * (2.0 * y2b * y2b - 2.0 * y2b - 1.0) / 3.0
+        k2b = y2a * (((-2.0 * y2b + 3.0) * y2b + 3.0) * y2b - 2.0) / 3.0
         y3a = lambda3 + h * (_A31 * k1a + _A32 * k2a)
         y3b = r + h * (_A31 * k1b + _A32 * k2b)
-        k3a, k3b = f(y3a, y3b)
+        k3a = y3a * y3a * (2.0 * y3b * y3b - 2.0 * y3b - 1.0) / 3.0
+        k3b = y3a * (((-2.0 * y3b + 3.0) * y3b + 3.0) * y3b - 2.0) / 3.0
         y4a = lambda3 + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
         y4b = r + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b)
-        k4a, k4b = f(y4a, y4b)
+        k4a = y4a * y4a * (2.0 * y4b * y4b - 2.0 * y4b - 1.0) / 3.0
+        k4b = y4a * (((-2.0 * y4b + 3.0) * y4b + 3.0) * y4b - 2.0) / 3.0
         y5a = lambda3 + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
         y5b = r + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-        k5a, k5b = f(y5a, y5b)
+        k5a = y5a * y5a * (2.0 * y5b * y5b - 2.0 * y5b - 1.0) / 3.0
+        k5b = y5a * (((-2.0 * y5b + 3.0) * y5b + 3.0) * y5b - 2.0) / 3.0
         y6a = lambda3 + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a)
         y6b = r + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b)
-        k6a, k6b = f(y6a, y6b)
+        k6a = y6a * y6a * (2.0 * y6b * y6b - 2.0 * y6b - 1.0) / 3.0
+        k6b = y6a * (((-2.0 * y6b + 3.0) * y6b + 3.0) * y6b - 2.0) / 3.0
         newa = lambda3 + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
         newb = r + h * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
-        k7a, k7b = f(newa, newb)
+        k7a = newa * newa * (2.0 * newb * newb - 2.0 * newb - 1.0) / 3.0
+        k7b = newa * (((-2.0 * newb + 3.0) * newb + 3.0) * newb - 2.0) / 3.0
 
         erra = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
         errb = h * (_E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
@@ -284,30 +288,46 @@ def _integrate_reduced(lambda3: float, r: float, t_end: float, *,
             h *= 0.2
             continue
         if err_norm > 1.0:
-            h *= _step_factor(err_norm)
+            h *= min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
             continue
 
         # accepted
         if newb > 2.0 or newb < 0.5:
             if newb > 2.0 + _RATIO_CLAMP or newb < 0.5 - _RATIO_CLAMP:
-                raise NumericalFailureError(
-                    f"ratio left [1/2, 2] by more than {_RATIO_CLAMP} (r={newb!r})",
-                    trajectory=(np.array(times), np.array(l3s), np.array(rs)))
+                failure = f"ratio left [1/2, 2] by more than {_RATIO_CLAMP} (r={newb!r})"
+                break
             newb = min(max(newb, 0.5), 2.0)
+        t_prev, l3_prev, r_prev = t, lambda3, r
         lambda3, r = newa, newb
         k1a, k1b = k7a, k7b
-        t_now = clock.advance(h)
-        push(t_now, lambda3, r)
+        y = h - comp
+        total = t + y
+        comp = (total - t) - y
+        t = total
+        accepted += 1
+        if record:
+            times.append(t)
+            l3s.append(lambda3)
+            rs.append(r)
         if lambda3 >= blowup_threshold:
             status = "blew_up"
             break
-        h *= _step_factor(err_norm)
+        h *= 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
     else:
-        raise NumericalFailureError(
-            "step budget exhausted",
-            trajectory=(np.array(times), np.array(l3s), np.array(rs)))
+        failure = "step budget exhausted"
 
-    return np.array(times), np.array(l3s), np.array(rs), status
+    if not record and accepted:  # append the last two samples to the first
+        if accepted > 1:
+            times.append(t_prev)
+            l3s.append(l3_prev)
+            rs.append(r_prev)
+        times.append(t)
+        l3s.append(lambda3)
+        rs.append(r)
+    trajectory = (np.array(times), np.array(l3s), np.array(rs))
+    if failure is not None:
+        raise NumericalFailureError(failure, trajectory=trajectory)
+    return (*trajectory, status)
 
 
 def _integrate_matrix(y0, t_end: float, *, blowup_threshold: float,

@@ -233,13 +233,15 @@ class TestCli:
             assert not csv.exists()
 
     def test_non_finite_inputs_rejected_quietly(self, tmp_path):
-        # NaN passed the q >= 3/2 check, and an infinite amplitude printed a
-        # numpy warning before its error line; a child process shows the
-        # stderr a user sees
+        # NaN passed the q >= 3/2 check, an infinite amplitude printed a
+        # numpy warning before its error line, and a finite amplitude too
+        # large to square printed overflow warnings and failed as a
+        # numerical failure; a child process shows the stderr a user sees
         csv = tmp_path / "never.csv"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
-        for flags in (["--q-list", "1.6,nan"], ["--amplitude", "inf"]):
+        for flags in (["--q-list", "1.6,nan"], ["--amplitude", "inf"],
+                      ["--amplitude", "1e300"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "strainflow.cli", "simulate", "--n", "8",
                  "--dt", "1e-3", "--t-end", "0.01", "--initial-data", "random_div_free",
@@ -302,6 +304,14 @@ class TestCli:
                          "--initial-data", "random_div_free", "--amplitude", "1e4",
                          "--csv", str(csv)])
         assert code == 2
+
+    def test_numerical_failure_names_last_stable_time_once(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--n", "8", "--dt", "0.05", "--t-end", "5",
+                         "--record-every", "10", "--viscosity", "0.001",
+                         "--initial-data", "random_div_free", "--amplitude", "1e3",
+                         "--csv", str(tmp_path / "unstable.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.count("last stable time") == 1
 
     def test_diagnose_roundtrip(self, tmp_path, grid8):
         snaps = tmp_path / "snaps"

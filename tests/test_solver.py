@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,17 @@ class TestRun:
         u0 = u0 + 1e-3j * np.abs(u0)
         with pytest.raises(InvalidInputError, match="Hermitian"):
             solver.run(config, u0, grid=grid8)
+
+    def test_huge_initial_velocity_rejected(self, grid8):
+        # finite, but its energy overflows: rejected before any check or
+        # record can overflow, without a numpy warning
+        config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)
+        u0 = initial_data.random_div_free(grid8, seed=0, amplitude=1e300)
+        assert np.all(np.isfinite(u0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="too large"):
+                solver.run(config, u0, grid=grid8)
 
     def test_bad_initial_shape(self, grid8):
         config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)
