@@ -199,12 +199,13 @@ def gronwall_envelope(times, enstrophy, linf_norms, q=np.inf, force_norm_sq=None
     return base * np.exp(exponent)
 
 
-def cubic_growth_margins(times, enstrophy):
-    """Monitor-only margins E^3/(1458 pi^4) - dE/dt (whole-space constant;
-    emitted, never asserted)."""
+def cubic_growth_margins(times, enstrophy, viscosity: float):
+    """Monitor-only margins E^3/(1458 pi^4 nu^3) - dE/dt (whole-space
+    constant; emitted, never asserted).  Under u -> nu u(x, nu t), E
+    scales as nu^2 and dE/dt as nu^3, hence the nu^-3."""
     h = check_uniform_spacing(times)
     e = np.asarray(enstrophy, dtype=float)
-    return CUBIC_GROWTH_COEFF * e ** 3 - fd4_derivative(e, h)
+    return CUBIC_GROWTH_COEFF / viscosity ** 3 * e ** 3 - fd4_derivative(e, h)
 
 
 def borderline_monitor(l32_norms):
@@ -358,7 +359,7 @@ class RecordCollector:
         budget = enstrophy_budget_residual(times, e, diss, det_int,
                                            force_term, self.viscosity)
         gcon = gcon_margins(times, e, diss, weighted, force_sq, self.viscosity)
-        cubic = cubic_growth_margins(times, e)
+        cubic = cubic_growth_margins(times, e, self.viscosity)
         for r, b, g, c in zip(records, budget, gcon, cubic):
             r.budget_residual = float(b)
             r.gcon_margin = float(g)

@@ -179,8 +179,9 @@ class ExprForce:
     _parse_force_component, evaluated with numpy on the grid, and turned
     into a spectral force by _force_hat.  The latest value is kept with
     the t it was evaluated at, so the two t + dt/2 stages of an RK4 step
-    share one evaluation, and so do a record at t and the first stage of
-    the step that starts at t when they read the same force; a
+    share one evaluation, and so do the last stage of a step, a record of
+    the state it returns and the first stage of the next step when they
+    read the same force (the state carries the time of that last stage); a
     time-independent force is evaluated once in all.  The returned array
     is shared between calls, so it is read-only.
     """
@@ -288,7 +289,7 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
     back, differentiated mode-wise, and projected; subtracting the
     pressure gradient and projecting are the same operation.  The shift
     adds grad(u_3^2), which lies along xi in every mode and survives the
-    masking, Nyquist zeroing and kz = 0 symmetrization as such, so the
+    truncation, Nyquist zeroing and kz = 0 symmetrization as such, so the
     projection removes it and the result equals that of the unshifted
     products to rounding, with or without dealiasing.  For band-limited
     dealiased states this agrees exactly with the advective form.
@@ -299,30 +300,37 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
     output structurally.  The output is always mean- and Nyquist-free.
     """
     u_half = grid.half(np.asarray(u_hat))
-    out = np.empty(u_half.shape, dtype=complex)
-    _nonlinear_half(grid, u_half, dealias, out, _NonlinearScratch(grid))
-    return spectral.expand_half(grid, out)
+    block = grid.block(dealias)
+    out = np.empty((3,) + block.shape, dtype=complex)
+    _nonlinear_half(block, block.gather(u_half), out, _NonlinearScratch(block))
+    return spectral.expand_half(grid, block.scatter(out, np.zeros(u_half.shape, dtype=complex)))
 
 
 class _NonlinearScratch:
     """Work arrays of _nonlinear_half: the five shifted velocity products
-    in physical space and two scalar half-spectrum fields."""
+    in physical space, two scalar fields on the block and, unless the
+    block is the whole half, the c2r input (zero outside the block, which
+    scatter never writes) and the block of the products' r2c output."""
 
-    def __init__(self, grid: Grid):
-        self.prods = np.empty((5,) + (grid.n,) * 3)
-        self.scalars = np.empty((2, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
+    def __init__(self, block: spectral.Block):
+        n = block.grid.n
+        self.prods = np.empty((5,) + (n,) * 3)
+        self.scalars = np.empty((2,) + block.shape, dtype=complex)
+        self.spectrum = self.p_hat = None
+        if not block.whole:
+            self.spectrum = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
+            self.p_hat = np.empty((5,) + block.shape, dtype=complex)
 
 
-def _nonlinear_half(grid: Grid, u_half, dealias: bool, out, scratch: _NonlinearScratch):
-    """Half-spectrum core of nonlinear_term (kz in [0, n/2]), written into
-    out; u_half is only read, and out may not overlap it.  A call does a
-    c2r of 3 cubes and an r2c of the 5 shifted products."""
-    mask = grid.like(grid.dealias_mask, out)
-    inv_ksq = grid.like(grid.inv_ksq_diff, out)
-    if dealias:
-        # out holds the masked input until the c2r has read it
-        u_half = np.multiply(u_half, mask, out=out)
-    u = grid.ifft(u_half)
+def _nonlinear_half(block: spectral.Block, u_block, out, scratch: _NonlinearScratch):
+    """The core of nonlinear_term on a Block (spectral.Block), written into
+    out: the 2/3 rule zeroes the velocity outside the block before the
+    products and the term outside it after them, so the block of the
+    velocity gives the whole term.  u_block is only read, and out may not
+    overlap it.  A call does a c2r of 3 cubes and an r2c of the 5 shifted
+    products."""
+    grid = block.grid
+    u = grid.ifft(block.scatter(u_block, scratch.spectrum))
     # u u^T - u_3^2 I in the order (11 - 33, 22 - 33, 12, 13, 23); slot 4
     # holds u_3^2 until both diagonal entries have read it
     prods = scratch.prods
@@ -333,8 +341,8 @@ def _nonlinear_half(grid: Grid, u_half, dealias: bool, out, scratch: _NonlinearS
     for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=2):
         np.multiply(u[i], u[j], out=prods[k])
     del u
-    p_hat = spectral.rfft_half(grid, prods)
-    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, out)
+    p_hat = block.gather(spectral.rfft_half(grid, prods), scratch.p_hat)
+    kx, ky, kz = block.kdx, block.kdy, block.kdz
     acc, term = scratch.scalars
 
     def k_dot(a, b, c=None):
@@ -351,14 +359,12 @@ def _nonlinear_half(grid: Grid, u_half, dealias: bool, out, scratch: _NonlinearS
     for m, row in enumerate(((0, 2, 3), (2, 1, 4), (3, 4))):
         np.multiply(-1j, k_dot(*(p_hat[r] for r in row)), out=out[m])
     del p_hat
-    if dealias:
-        out *= mask
-    zero_nyquist(grid, out)
+    block.zero_nyquist(out)
     out[:, 0, 0, 0] = 0.0
-    spectral.symmetrize_kz0_plane(grid, out)
-    # Leray projection on the half-spectrum
+    spectral.symmetrize_kz0_plane(block, out)
+    # Leray projection on the block
     dot = k_dot(out[0], out[1], out[2])
-    dot *= inv_ksq
+    dot *= block.inv_ksq_diff
     for m, k in enumerate((kx, ky, kz)):
         np.multiply(k, dot, out=term)
         out[m] -= term
@@ -368,80 +374,132 @@ def _nonlinear_half(grid: Grid, u_half, dealias: bool, out, scratch: _NonlinearS
 class Stepper:
     """Integrating-factor RK4 stepper on the half-spectrum.
 
-    The heat factors are cached for the latest dt only.  The four stages
-    run in place in work buffers made on the first step: the stage
-    output, Nb + Nc, the stage argument and the scratch of
-    _nonlinear_half.  A step allocates only the half-spectrum of the
-    state it returns, which is also its RK accumulator, so a state the
-    caller keeps never shares memory with the buffers, and the input
-    state is never written.
+    The four stages run on the grid's Block (spectral.Block): with 2/3-rule
+    dealiasing only the modes with |kx|, |ky|, |kz| <= (n - 1)//3 enter
+    or leave the nonlinear term, so the RK4 sequence runs on the block of
+    the state, in block-sized buffers.  Every other mode of the new half
+    takes the exact linear update, since N there is the force alone: E^2 u
+    unforced, and the same RK4 combination of the stages' force values
+    otherwise.  Each mode sees the operations of a step on the whole half,
+    on the same operands, so the result is the same to the bit.  Without
+    dealiasing the block is the whole half and nothing lies outside it.
+
+    The heat factors are cached for the latest dt only.  The stages run
+    in place in work buffers made on the first step: the stage output,
+    Nb + Nc, the stage argument, the blocks of the state, of the
+    accumulator and of the force, and the scratch of _nonlinear_half.  A
+    step allocates only the half-spectrum of the state it returns, so a
+    state the caller keeps never shares memory with the buffers, and the
+    input state is never written.
     """
 
     def __init__(self, grid: Grid, config: SolverConfig, force=None):
         self.grid = grid
         self.config = config
         self.force = force if force is not None else make_force(grid, config.force)
-        self._factors = None  # (dt, E, E^2, 2E) for the latest dt only
-        self._buffers = None  # (stage, pair, arg)
+        self.block = grid.block(config.dealias)
+        self._factors = None  # (dt, (E, E^2, 2E) on the half, the same on the block)
+        self._buffers = None  # (stage, pair, arg, u, acc, f) on the block
         self._scratch = None
+        self._outer = None  # half-spectrum work array of a forced linear update
 
     def _heat_factors(self, dt: float):
-        # on the kz in [0, n/2] half-cube like the stages; one set, not one per dt
+        # on the kz in [0, n/2] half-cube, and gathered from it onto the
+        # block, as complex like the block's wavenumbers; one set, not one per dt
         if self._factors is None or self._factors[0] != dt:
             half = np.exp(-self.config.viscosity * self.grid.half(self.grid.ksq) * (0.5 * dt))
-            self._factors = (dt, half, half * half, 2.0 * half)
+            factors = (half, half * half, 2.0 * half)
+            self._factors = (dt, factors,
+                             tuple(self.block.gather(f).astype(complex) for f in factors))
         return self._factors[1:]
 
-    def _rhs_half(self, u_half, t, out):
-        _nonlinear_half(self.grid, u_half, self.config.dealias, out, self._scratch)
+    def _rhs(self, u_block, t, out):
+        # N(u, t) on the block into out; returns the force half-spectrum
+        _nonlinear_half(self.block, u_block, out, self._scratch)
         f_half = self.force(t)
         if f_half is not None:
-            out += f_half
-        return out
+            out += self.block.gather(f_half, self._buffers[5])
+        return f_half
 
-    def step(self, state: SolverState, dt: float | None = None) -> SolverState:
+    def _linear_update(self, u, dt, factors, forces, out):
+        # the step where N is the force alone, in the order of step's sums
+        _, e_full, e_twice = factors
+        fa, fb, fc, fd = forces
+        if fa is None:
+            np.multiply(e_full, u, out=out)
+            return
+        if self._outer is None:
+            self._outer = np.empty(u.shape, dtype=complex)
+        tmp = self._outer
+        np.add(fb, fc, out=tmp)
+        np.multiply(e_twice, tmp, out=tmp)
+        np.multiply(e_full, fa, out=out)
+        out += tmp
+        out += fd
+        np.multiply(dt / 6.0, out, out=out)
+        np.multiply(e_full, u, out=tmp)
+        np.add(tmp, out, out=out)
+
+    def step(self, state: SolverState, dt: float | None = None, *,
+             t_next: float | None = None) -> SolverState:
+        """The state one step of dt later.  Its time is t_next, state.t + dt
+        if not given; the last stage evaluates the force at that time too
+        (run passes k dt, so a step's force and its state share one float)."""
         if dt is None:
             dt = self.config.dt
-        e_half, e_full, e_twice = self._heat_factors(dt)
-        u = state.half
-        if self._buffers is None:
-            self._buffers = tuple(np.empty(u.shape, dtype=complex) for _ in range(3))
-            self._scratch = _NonlinearScratch(self.grid)
-        stage, pair, arg = self._buffers
-        u_new = np.empty(u.shape, dtype=complex)  # also the RK accumulator
         t = state.t
+        if t_next is None:
+            t_next = t + dt
+        half_factors, (e_half, e_full, e_twice) = self._heat_factors(dt)
+        block = self.block
+        u_full = state.half
+        if self._buffers is None:
+            # a whole block holds the state, the accumulator and the force
+            # in the halves themselves
+            count = 3 if block.whole else 6
+            buffers = [np.empty((3,) + block.shape, dtype=complex) for _ in range(count)]
+            self._buffers = tuple(buffers + [None] * (6 - count))
+            self._scratch = _NonlinearScratch(block)
+        stage, pair, arg, u_buffer, acc, _ = self._buffers
+        u = block.gather(u_full, u_buffer)
+        u_new = np.empty(u_full.shape, dtype=complex)
+        if block.whole:
+            acc = u_new  # the RK accumulator
         # u' = E^2 u + dt/6 (E^2 Na + 2 E (Nb + Nc) + Nd), every product and
         # sum taken in the order of the textbook expressions
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
-            self._rhs_half(u, t, stage)                  # Na
+            fa = self._rhs(u, t, stage)                  # Na
             np.multiply(0.5 * dt, stage, out=arg)        # E (u + dt/2 Na)
             np.add(u, arg, out=arg)
             np.multiply(e_half, arg, out=arg)
-            np.multiply(e_full, stage, out=u_new)        # E^2 Na
-            self._rhs_half(arg, t + 0.5 * dt, pair)      # Nb
+            np.multiply(e_full, stage, out=acc)          # E^2 Na
+            fb = self._rhs(arg, t + 0.5 * dt, pair)      # Nb
             np.multiply(e_half, u, out=arg)              # E u + dt/2 Nb
             np.multiply(0.5 * dt, pair, out=stage)
             np.add(arg, stage, out=arg)
-            self._rhs_half(arg, t + 0.5 * dt, stage)     # Nc
+            fc = self._rhs(arg, t + 0.5 * dt, stage)     # Nc
             pair += stage                                # Nb + Nc
             np.multiply(e_half, stage, out=stage)        # E^2 u + dt E Nc
             np.multiply(dt, stage, out=stage)
             np.multiply(e_full, u, out=arg)
             np.add(arg, stage, out=arg)
-            self._rhs_half(arg, t + dt, stage)           # Nd
+            fd = self._rhs(arg, t_next, stage)           # Nd
             np.multiply(e_twice, pair, out=pair)
-            u_new += pair
-            u_new += stage
-            np.multiply(dt / 6.0, u_new, out=u_new)
+            acc += pair
+            acc += stage
+            np.multiply(dt / 6.0, acc, out=acc)
             np.multiply(e_full, u, out=arg)
-            np.add(arg, u_new, out=u_new)
+            np.add(arg, acc, out=acc)
+            if not block.whole:
+                self._linear_update(u_full, dt, half_factors, (fa, fb, fc, fd), u_new)
+                block.scatter(acc, u_new)
         u_new[:, 0, 0, 0] = 0.0
         if not np.all(np.isfinite(u_new)):
             raise InstabilityError(
                 f"non-finite velocity after step {state.step_count + 1} "
                 f"(last stable time t={state.t:.6g})",
                 last_state=state)
-        return SolverState(u_new, state.t + dt, state.step_count + 1, self.grid)
+        return SolverState(u_new, t_next, state.step_count + 1, self.grid)
 
 
 @dataclass
@@ -526,8 +584,8 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
 
     n_steps = round(config.t_end / config.dt)  # a whole number of record intervals
     for k in range(1, n_steps + 1):
-        state = stepper.step(state, config.dt)
-        state.t = k * config.dt  # exact uniform spacing, no accumulation drift
+        # k dt: exact uniform spacing, no accumulation drift
+        state = stepper.step(state, config.dt, t_next=k * config.dt)
         if k % config.record_every == 0:
             record(state)
 

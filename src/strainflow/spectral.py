@@ -26,6 +26,9 @@ Conventions (fixed once, used everywhere):
   depend on the layout: Grid.ifft inverts a half by the c2r transform,
   and the Plancherel sums count every plane strictly inside
   0 < kz < n/2 twice, for its mirror image.
+* The time stepper's stages run on a third layout, Grid.block: the
+  2/3-rule block of the half in a compact array of its own (Block), the
+  only modes a dealiased nonlinear term reads or writes.
 """
 
 from __future__ import annotations
@@ -105,6 +108,13 @@ class Grid:
         # kz = 0 and kz = n/2 planes, 2 elsewhere
         self.half_multiplicity = np.full((1, 1, half + 1), 2.0)
         self.half_multiplicity[..., [0, half]] = 1.0
+        self._blocks = {}
+
+    def block(self, dealias: bool) -> "Block":
+        """The Block a time-stepper stage runs on (built once per setting)."""
+        if dealias not in self._blocks:
+            self._blocks[dealias] = Block(self, dealias)
+        return self._blocks[dealias]
 
     def coords(self):
         """Sparse physical coordinate arrays (X, Y, Z) for broadcasting."""
@@ -160,6 +170,76 @@ class Grid:
                 f"field shape {np.shape(arr)} does not end in ({self.n},)*3")
 
 
+class Block:
+    """The modes of a half-spectrum that a nonlinear stage reads and
+    writes, in a compact array of their own.
+
+    With 2/3-rule dealiasing (Orszag, J. Atmos. Sci. 28, 1074, 1971) these
+    are the modes with |kx|, |ky|, |kz| <= b = (n - 1)//3: in the half,
+    the rows kx, ky in [0..b] and [n-b..n-1] and the planes kz in [0..b].
+    The block holds them shaped (..., m, m, b + 1), m = 2b + 1, in FFT
+    order itself (index i holds wavenumber i for i <= b and i - m above),
+    so the mirror of index i is (m - i) % m.  gather and scatter move
+    values between a half-spectrum and the block by four slab copies.
+    Without dealiasing the block is the whole half (whole is True, and
+    only then does it hold Nyquist planes): gather and scatter return
+    their input.
+    """
+
+    def __init__(self, grid: Grid, dealias: bool):
+        n = grid.n
+        self.grid = grid
+        self.whole = not dealias
+        if self.whole:
+            rows, planes = np.arange(n), n // 2 + 1
+            self._slabs = ()
+        else:
+            b = grid.dealias_kmax
+            rows, planes = np.r_[0:b + 1, n - b:n], b + 1
+            # (block rows, half rows) of the non-negative and the negative wavenumbers
+            parts = ((slice(0, b + 1), slice(0, b + 1)),
+                     (slice(b + 1, 2 * b + 1), slice(n - b, n)))
+            self._slabs = tuple(((bx, by), (hx, hy, slice(0, planes)))
+                                for bx, hx in parts for by, hy in parts)
+        m = len(rows)
+        self.shape = (m, m, planes)
+        self._rev = (m - np.arange(m)) % m  # index of -xi per axis
+        # the wavenumbers come whole and complex: numpy casts a real factor
+        # of a complex product to complex anyway, so the bits are the same,
+        # and a broadcast factor would split the product into short loops
+        self.kdx, self.kdy, self.kdz = (
+            np.broadcast_to(k, self.shape).astype(complex)
+            for k in (grid.kdx[rows], grid.kdy[:, rows], grid.kdz[..., :planes]))
+        self.inv_ksq_diff = self.gather(grid.half(grid.inv_ksq_diff)).astype(complex)
+
+    def gather(self, half, out=None):
+        """The block of a half-spectrum (..., n, n, n/2 + 1), copied into
+        out (allocated if None); the half itself when the block is whole."""
+        if self.whole:
+            return half
+        if out is None:
+            out = np.empty(np.shape(half)[:-3] + self.shape, dtype=half.dtype)
+        for block_rows, half_rows in self._slabs:
+            out[(..., *block_rows, slice(None))] = half[(..., *half_rows)]
+        return out
+
+    def scatter(self, block, half):
+        """Write a block into its modes of half, leaving the other modes as
+        they are, and return half; the block itself when it is whole."""
+        if self.whole:
+            return block
+        for block_rows, half_rows in self._slabs:
+            half[(..., *half_rows)] = block[(..., *block_rows, slice(None))]
+        return half
+
+    def zero_nyquist(self, coeffs):
+        """Zero the Nyquist planes of a block in place; only the whole half
+        holds any."""
+        if self.whole:
+            zero_nyquist(self.grid, coeffs)
+        return coeffs
+
+
 def ifft_hermitian(grid: Grid, coeffs):
     """Inverse FFT of Hermitian-symmetric coefficients.
 
@@ -177,8 +257,9 @@ def rfft_half(grid: Grid, field):
     return _rfftn(np.asarray(field))
 
 
-def symmetrize_kz0_plane(grid: Grid, half):
-    """Make the kz = 0 plane of a half-spectrum exactly self-conjugate.
+def symmetrize_kz0_plane(grid: Grid | Block, half):
+    """Make the kz = 0 plane of a half-spectrum (of a Grid) or of a
+    block (of a Block) exactly self-conjugate.
 
     rfftn leaves that plane Hermitian only to rounding; one cheap 2-d
     mirror makes the expanded cube exactly symmetric.

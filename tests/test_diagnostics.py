@@ -190,6 +190,22 @@ class TestMonitors:
         assert np.all(np.isfinite(margins))
         assert np.all(margins > 0.0)  # decaying flow: dE/dt < 0
 
+    def test_cubic_margin_scales_with_viscosity(self, grid16):
+        # u -> nu u(x, nu t) at nu = 1/2 maps a nu = 1 run onto a nu = 1/2
+        # run; powers of two keep the image exact, so E is exactly E/4 at
+        # exactly 2t, and the margin, like dE/dt, is 1/8 of the original
+        u0 = initial_data.taylor_green(grid16)
+        records = {}
+        for nu, scale, dt, t_end in ((1.0, 1.0, 1e-3, 0.1), (0.5, 0.5, 2e-3, 0.2)):
+            config = solver.SolverConfig(n=16, viscosity=nu, dt=dt, t_end=t_end)
+            records[nu] = diagnostics.run_with_diagnostics(config, scale * u0, grid=grid16)[1]
+        one, half = records[1.0], records[0.5]
+        assert [r.t for r in half] == [2.0 * r.t for r in one]
+        assert [r.enstrophy for r in half] == [r.enstrophy / 4.0 for r in one]
+        expected = np.array([r.cubic_margin for r in one]) / 8.0
+        margins = np.array([r.cubic_margin for r in half])
+        assert np.all(np.abs(margins - expected) <= 1e-12 * np.abs(expected))
+
     def test_borderline_reference_value(self):
         series, reference = diagnostics.borderline_monitor([0.0, 1.0])
         assert reference == pytest.approx(5.4778, abs=1e-3)

@@ -204,6 +204,9 @@ class TestInPlaceStep:
                        False, "none"),
         "expr_forced": (lambda g: initial_data.random_div_free(g, seed=7),
                         True, "expr:sin(2*y);cos(3*z)*t;sin(x)"),
+        # wavenumbers 6 and 7 lie outside the n=16 dealiasing block (|k| <= 5)
+        "expr_forced_outside_block": (lambda g: initial_data.random_div_free(g, seed=7),
+                                      True, "expr:sin(7*y);cos(6*z)*t;sin(7*x)"),
     }
 
     def _stepper_and_state(self, grid, case):
@@ -225,6 +228,20 @@ class TestInPlaceStep:
             solver.nonlinear_term(grid16, state.u_hat, dealias),
             spectral.expand_half(grid16, reference_nonlinear_half(
                 grid16, state.half, dealias)))
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("case", ["taylor_green", "random_div_free"])
+    def test_block_step_matches_allocating_reference_at_n32(self, grid32, case, dealias):
+        # the stages run on the 21 x 21 x 11 block, or on the whole half
+        make = self.CASES[case][0]
+        config = solver.SolverConfig(n=32, dt=1e-3, t_end=0.1, dealias=dealias)
+        stepper = solver.Stepper(grid32, config)
+        state = solver.SolverState(make(grid32))
+        for _ in range(3):
+            expected = reference_step(grid32, config, stepper.force, state.half,
+                                      state.t, 1e-3)
+            state = stepper.step(state)
+            assert np.array_equal(state.half, expected)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_shifted_products_match_conservation_form(self, grid16, case):
@@ -266,6 +283,19 @@ class TestInPlaceStep:
             state = stepper.step(state)
             assert len(calls) - before <= 3
         assert len(calls) == 1 + 2 * 4
+
+    def test_run_evaluates_time_dependent_force_twice_a_step(self, grid8, monkeypatch):
+        # the last stage evaluates the force at the time the state then
+        # carries, k dt, so the next step's first stage always reuses it
+        calls = []
+        force_hat = solver._force_hat
+        monkeypatch.setattr(solver, "_force_hat",
+                            lambda grid, field: calls.append(1) or force_hat(grid, field))
+        config = solver.SolverConfig(n=8, dt=1e-3, t_end=1.0, record_every=100,
+                                     force="expr:sin(y)*t;0;cos(x)*t")
+        result = solver.run(config, initial_data.taylor_green(grid8), grid=grid8)
+        assert result.final_state.step_count == 1000
+        assert len(calls) == 2 * 1000 + 1
 
     def test_returned_states_never_alias(self, grid16):
         stepper = solver.Stepper(grid16, solver.SolverConfig(n=16, dt=1e-3, t_end=0.1))
