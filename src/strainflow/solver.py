@@ -308,18 +308,16 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
 
 class _NonlinearScratch:
     """Work arrays of _nonlinear_half: the five shifted velocity products
-    in physical space, two scalar fields on the block and, unless the
-    block is the whole half, the c2r input (zero outside the block, which
-    scatter never writes) and the block of the products' r2c output."""
+    in physical space, two scalar fields on the block, the c2r input (zero
+    outside the block, which scatter never writes) and the block of the
+    products' r2c output."""
 
     def __init__(self, block: spectral.Block):
         n = block.grid.n
         self.prods = np.empty((5,) + (n,) * 3)
         self.scalars = np.empty((2,) + block.shape, dtype=complex)
-        self.spectrum = self.p_hat = None
-        if not block.whole:
-            self.spectrum = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
-            self.p_hat = np.empty((5,) + block.shape, dtype=complex)
+        self.spectrum = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
+        self.p_hat = np.empty((5,) + block.shape, dtype=complex)
 
 
 def _nonlinear_half(block: spectral.Block, u_block, out, scratch: _NonlinearScratch):
@@ -380,9 +378,11 @@ class Stepper:
     the state, in block-sized buffers.  Every other mode of the new half
     takes the exact linear update, since N there is the force alone: E^2 u
     unforced, and the same RK4 combination of the stages' force values
-    otherwise.  Each mode sees the operations of a step on the whole half,
-    on the same operands, so the result is the same to the bit.  Without
-    dealiasing the block is the whole half and nothing lies outside it.
+    otherwise.  Each mode sees the operations of a step that runs every
+    stage on the half, on the same operands, so the result is the same to
+    the bit.  Without dealiasing the block has the shape of the half,
+    nothing lies outside it, and the linear update is overwritten
+    everywhere.
 
     The heat factors are cached for the latest dt only.  The stages run
     in place in work buffers made on the first step: the stage output,
@@ -454,17 +454,12 @@ class Stepper:
         block = self.block
         u_full = state.half
         if self._buffers is None:
-            # a whole block holds the state, the accumulator and the force
-            # in the halves themselves
-            count = 3 if block.whole else 6
-            buffers = [np.empty((3,) + block.shape, dtype=complex) for _ in range(count)]
-            self._buffers = tuple(buffers + [None] * (6 - count))
+            self._buffers = tuple(np.empty((3,) + block.shape, dtype=complex)
+                                  for _ in range(6))
             self._scratch = _NonlinearScratch(block)
         stage, pair, arg, u_buffer, acc, _ = self._buffers
         u = block.gather(u_full, u_buffer)
         u_new = np.empty(u_full.shape, dtype=complex)
-        if block.whole:
-            acc = u_new  # the RK accumulator
         # u' = E^2 u + dt/6 (E^2 Na + 2 E (Nb + Nc) + Nd), every product and
         # sum taken in the order of the textbook expressions
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
@@ -490,9 +485,8 @@ class Stepper:
             np.multiply(dt / 6.0, acc, out=acc)
             np.multiply(e_full, u, out=arg)
             np.add(arg, acc, out=acc)
-            if not block.whole:
-                self._linear_update(u_full, dt, half_factors, (fa, fb, fc, fd), u_new)
-                block.scatter(acc, u_new)
+            self._linear_update(u_full, dt, half_factors, (fa, fb, fc, fd), u_new)
+            block.scatter(acc, u_new)
         u_new[:, 0, 0, 0] = 0.0
         if not np.all(np.isfinite(u_new)):
             raise InstabilityError(
@@ -541,12 +535,16 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
         raise InvalidInputError(f"initial velocity has shape {u0_hat.shape}")
     if not np.all(np.isfinite(u0_hat)):
         raise InvalidInputError("initial velocity has non-finite coefficients")
-    # a finite field can still be too large to square: it would only
-    # overflow in the checks below and in the first record
+    # a finite field can still overflow in the checks below or the first
+    # record.  By discrete Parseval sup|u|^2 <= E n^3/(2 pi)^3 and
+    # sup|grad u|^2 <= Z n^3/(2 pi)^3 (E, Z: squared L2 norms of u and
+    # grad u), so (n^3 E)^2 and (n^3 Z)^2 finite bound every cubic and
+    # quartic term of a record
     with np.errstate(over="ignore", invalid="ignore"):
-        sizes = [sobolev_norm_sq(grid, u0_hat, alpha) for alpha in (0.0, 1.0)]
-    if not all(math.isfinite(size) for size in sizes):
-        raise InvalidInputError("initial velocity is too large: its energy or enstrophy overflows")
+        sizes = [grid.n ** 3 * sobolev_norm_sq(grid, u0_hat, alpha) for alpha in (0.0, 1.0)]
+    if not all(math.isfinite(size * size) for size in sizes):
+        raise InvalidInputError("initial velocity is too large: n^3 times its energy "
+                                "or enstrophy overflows when squared")
     # steps run on the kz >= 0 half-spectrum, so the state must satisfy
     # the Hermitian (real-field) invariant; only rounding is symmetrized
     resid = spectral.hermitian_residual(u0_hat)

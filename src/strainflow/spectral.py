@@ -26,9 +26,10 @@ Conventions (fixed once, used everywhere):
   depend on the layout: Grid.ifft inverts a half by the c2r transform,
   and the Plancherel sums count every plane strictly inside
   0 < kz < n/2 twice, for its mirror image.
-* The time stepper's stages run on a third layout, Grid.block: the
-  2/3-rule block of the half in a compact array of its own (Block), the
-  only modes a dealiased nonlinear term reads or writes.
+* The time stepper's stages run on a third layout, Grid.block: a block
+  of the half in a compact array of its own (Block), the only modes the
+  nonlinear term reads or writes; with 2/3-rule dealiasing that is the
+  2/3-rule block, without it the block is the size of the half.
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ class Grid:
         self._blocks = {}
 
     def block(self, dealias: bool) -> "Block":
-        """The Block a time-stepper stage runs on (built once per setting)."""
+        """The Block a time-stepper stage runs on (built once per setting):
+        half-width (n - 1)//3 with 2/3-rule dealiasing, n/2 without."""
         if dealias not in self._blocks:
-            self._blocks[dealias] = Block(self, dealias)
+            self._blocks[dealias] = Block(self, self.dealias_kmax if dealias else self.n // 2)
         return self._blocks[dealias]
 
     def coords(self):
@@ -174,33 +176,32 @@ class Block:
     """The modes of a half-spectrum that a nonlinear stage reads and
     writes, in a compact array of their own.
 
-    With 2/3-rule dealiasing (Orszag, J. Atmos. Sci. 28, 1074, 1971) these
-    are the modes with |kx|, |ky|, |kz| <= b = (n - 1)//3: in the half,
-    the rows kx, ky in [0..b] and [n-b..n-1] and the planes kz in [0..b].
-    The block holds them shaped (..., m, m, b + 1), m = 2b + 1, in FFT
-    order itself (index i holds wavenumber i for i <= b and i - m above),
-    so the mirror of index i is (m - i) % m.  gather and scatter move
-    values between a half-spectrum and the block by four slab copies.
-    Without dealiasing the block is the whole half (whole is True, and
-    only then does it hold Nyquist planes): gather and scatter return
-    their input.
+    These are the modes with |kx|, |ky|, |kz| <= b, the half-width: in the
+    half, the rows kx, ky in [0..b] and [n-neg..n-1], neg = min(b, n-1-b),
+    and the planes kz in [0..b].  With 2/3-rule dealiasing (Orszag,
+    J. Atmos. Sci. 28, 1074, 1971) b = (n - 1)//3 and neg = b; without it
+    b = n/2, the +n/2 row is held once, and the block has the shape and
+    the order of the half itself.  The block holds them shaped
+    (..., m, m, b + 1), m = b + 1 + neg, in FFT order itself (index i
+    holds wavenumber i for i <= b and i - m above), so the mirror of index
+    i is (m - i) % m.  gather and scatter move values between a
+    half-spectrum and the block by four slab copies.
     """
 
-    def __init__(self, grid: Grid, dealias: bool):
+    def __init__(self, grid: Grid, b: int):
         n = grid.n
         self.grid = grid
-        self.whole = not dealias
-        if self.whole:
-            rows, planes = np.arange(n), n // 2 + 1
-            self._slabs = ()
-        else:
-            b = grid.dealias_kmax
-            rows, planes = np.r_[0:b + 1, n - b:n], b + 1
-            # (block rows, half rows) of the non-negative and the negative wavenumbers
-            parts = ((slice(0, b + 1), slice(0, b + 1)),
-                     (slice(b + 1, 2 * b + 1), slice(n - b, n)))
-            self._slabs = tuple(((bx, by), (hx, hy, slice(0, planes)))
-                                for bx, hx in parts for by, hy in parts)
+        neg = min(b, n - 1 - b)
+        rows, planes = np.r_[0:b + 1, n - neg:n], b + 1
+        # (block rows, half rows) of the non-negative and the negative wavenumbers
+        parts = ((slice(0, b + 1), slice(0, b + 1)),
+                 (slice(b + 1, b + 1 + neg), slice(n - neg, n)))
+        self._slabs = tuple(((bx, by), (hx, hy, slice(0, planes)))
+                            for bx, hx in parts for by, hy in parts)
+        # the Nyquist row and plane share their index, b, and only b = n/2 holds them
+        self._nyquist = tuple(index for h in np.flatnonzero(rows == n // 2)
+                              for index in ((..., h, slice(None), slice(None)),
+                                            (..., h, slice(None)), (..., h)))
         m = len(rows)
         self.shape = (m, m, planes)
         self._rev = (m - np.arange(m)) % m  # index of -xi per axis
@@ -214,9 +215,7 @@ class Block:
 
     def gather(self, half, out=None):
         """The block of a half-spectrum (..., n, n, n/2 + 1), copied into
-        out (allocated if None); the half itself when the block is whole."""
-        if self.whole:
-            return half
+        out (allocated if None)."""
         if out is None:
             out = np.empty(np.shape(half)[:-3] + self.shape, dtype=half.dtype)
         for block_rows, half_rows in self._slabs:
@@ -225,18 +224,16 @@ class Block:
 
     def scatter(self, block, half):
         """Write a block into its modes of half, leaving the other modes as
-        they are, and return half; the block itself when it is whole."""
-        if self.whole:
-            return block
+        they are, and return half."""
         for block_rows, half_rows in self._slabs:
             half[(..., *half_rows)] = block[(..., *block_rows, slice(None))]
         return half
 
     def zero_nyquist(self, coeffs):
-        """Zero the Nyquist planes of a block in place; only the whole half
-        holds any."""
-        if self.whole:
-            zero_nyquist(self.grid, coeffs)
+        """Zero the Nyquist row and plane of a block in place (there are
+        none unless b = n/2)."""
+        for index in self._nyquist:
+            coeffs[index] = 0.0
         return coeffs
 
 

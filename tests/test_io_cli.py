@@ -235,13 +235,15 @@ class TestCli:
     def test_non_finite_inputs_rejected_quietly(self, tmp_path):
         # NaN passed the q >= 3/2 check, an infinite amplitude printed a
         # numpy warning before its error line, and a finite amplitude too
-        # large to square printed overflow warnings and failed as a
-        # numerical failure; a child process shows the stderr a user sees
+        # large to square, or to cube in the first record, printed overflow
+        # warnings and failed as a numerical failure (with dt = auto, 1e150
+        # asked for ~1e147 steps); a child process shows the stderr a user sees
         csv = tmp_path / "never.csv"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
         for flags in (["--q-list", "1.6,nan"], ["--amplitude", "inf"],
-                      ["--amplitude", "1e300"]):
+                      ["--amplitude", "1e300"], ["--amplitude", "1e150"],
+                      ["--amplitude", "1e100"], ["--amplitude", "1e150", "--dt", "auto"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "strainflow.cli", "simulate", "--n", "8",
                  "--dt", "1e-3", "--t-end", "0.01", "--initial-data", "random_div_free",

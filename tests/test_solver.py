@@ -202,6 +202,8 @@ class TestInPlaceStep:
         "nyquist_noise": (nyquist_noise_state, True, "none"),
         "no_dealias": (lambda g: initial_data.random_div_free(g, seed=6, amplitude=5.0),
                        False, "none"),
+        # O(1) Nyquist content: the no-dealias block holds the Nyquist row and plane
+        "nyquist_noise_no_dealias": (nyquist_noise_state, False, "none"),
         "expr_forced": (lambda g: initial_data.random_div_free(g, seed=7),
                         True, "expr:sin(2*y);cos(3*z)*t;sin(x)"),
         # wavenumbers 6 and 7 lie outside the n=16 dealiasing block (|k| <= 5)
@@ -324,16 +326,18 @@ class TestInPlaceStep:
         # a warmed-up step allocates its output, the r2c output of the
         # products and the c2r velocity; the allocating form peaked near 12
         grid = spectral.Grid(n)
-        stepper = solver.Stepper(grid, solver.SolverConfig(n=n, dt=1e-3, t_end=0.1))
-        state = stepper.step(solver.SolverState(initial_data.taylor_green(grid)))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            state = stepper.step(state)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * state.half.nbytes
+        for dealias in (True, False):
+            stepper = solver.Stepper(grid, solver.SolverConfig(n=n, dt=1e-3, t_end=0.1,
+                                                               dealias=dealias))
+            state = stepper.step(solver.SolverState(initial_data.taylor_green(grid)))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                state = stepper.step(state)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * state.half.nbytes
 
 
 class TestSolverState:
@@ -394,15 +398,17 @@ class TestRun:
             solver.run(config, u0, grid=grid8)
 
     def test_huge_initial_velocity_rejected(self, grid8):
-        # finite, but its energy overflows: rejected before any check or
-        # record can overflow, without a numpy warning
+        # finite, but its energy overflows (1e300), or a cubic or quartic
+        # term of the first record would (1e150, 1e100): rejected before
+        # any check or record can overflow, without a numpy warning
         config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)
-        u0 = initial_data.random_div_free(grid8, seed=0, amplitude=1e300)
-        assert np.all(np.isfinite(u0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="too large"):
-                solver.run(config, u0, grid=grid8)
+        for amplitude in (1e300, 1e150, 1e100):
+            u0 = initial_data.random_div_free(grid8, seed=0, amplitude=amplitude)
+            assert np.all(np.isfinite(u0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError, match="too large"):
+                    solver.run(config, u0, grid=grid8)
 
     def test_bad_initial_shape(self, grid8):
         config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)

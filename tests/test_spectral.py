@@ -375,3 +375,65 @@ class TestHalfSpectrumLayout:
                        spectral.divergence_residual, spectral.sobolev_norm_sq):
                 with pytest.raises(InvalidInputError):
                     op(grid16, bad)
+
+
+class TestBlock:
+    """Grid.block: the modes with |kx|, |ky|, |kz| <= b of a half-spectrum,
+    b = (n - 1)//3 with dealiasing and n/2 without."""
+
+    @pytest.fixture(params=[(n, dealias) for n in (8, 16, 32) for dealias in (True, False)],
+                    ids=lambda p: f"n{p[0]}-{'dealias' if p[1] else 'no_dealias'}")
+    def grid_block(self, request):
+        n, dealias = request.param
+        grid = Grid(n)
+        b = (n - 1) // 3 if dealias else n // 2
+        return grid, grid.block(dealias), b
+
+    @staticmethod
+    def _on_half(grid, k):
+        return np.broadcast_to(k, (grid.n, grid.n, grid.n // 2 + 1))
+
+    def test_shape(self, grid_block):
+        grid, block, b = grid_block
+        n = grid.n
+        assert block.shape == ((2 * b + 1,) * 2 + (b + 1,) if b < n // 2
+                               else (n, n, n // 2 + 1))
+        assert block.gather(np.zeros((3, n, n, n // 2 + 1), dtype=complex)).shape \
+            == (3,) + block.shape
+
+    def test_scatter_of_gather_keeps_exactly_the_block(self, grid_block):
+        grid, block, b = grid_block
+        n = grid.n
+        rng = np.random.default_rng(n)
+        half = (rng.standard_normal((3, n, n, n // 2 + 1))
+                + 1j * rng.standard_normal((3, n, n, n // 2 + 1)))
+        kept = block.scatter(block.gather(half), np.zeros_like(half))
+        inside = ((np.abs(grid.kx) <= b) & (np.abs(grid.ky) <= b)
+                  & (grid.half(grid.kz) <= b))
+        assert np.array_equal(kept, np.where(inside, half, 0.0))
+        assert np.count_nonzero(inside) == np.prod(block.shape)
+
+    def test_wavenumbers_are_the_grids(self, grid_block):
+        grid, block, _ = grid_block
+        for on_block, on_grid in ((block.kdx, grid.kdx), (block.kdy, grid.kdy),
+                                  (block.kdz, grid.half(grid.kdz)),
+                                  (block.inv_ksq_diff, grid.half(grid.inv_ksq_diff))):
+            assert np.array_equal(on_block, block.gather(self._on_half(grid, on_grid)))
+
+    def test_rev_maps_each_index_to_its_negative(self, grid_block):
+        grid, block, _ = grid_block
+        xi = block.gather(self._on_half(grid, grid.kx))[:, 0, 0]
+        # -(n/2) and +n/2 are one mode, so the Nyquist index is its own mirror
+        assert np.all((xi[block._rev] + xi) % grid.n == 0)
+        assert sorted(block._rev) == list(range(len(xi)))
+
+    def test_zero_nyquist_zeroes_only_the_nyquist_row_and_plane(self, grid_block):
+        grid, block, b = grid_block
+        n = grid.n
+        ones = np.ones((3,) + block.shape, dtype=complex)
+        zeroed = block.zero_nyquist(ones.copy())
+        kx, ky, kz = (block.gather(self._on_half(grid, k))
+                      for k in (grid.kx, grid.ky, grid.half(grid.kz)))
+        nyquist = (kx == n // 2) | (ky == n // 2) | (kz == n // 2)
+        assert np.array_equal(zeroed, np.where(nyquist, 0.0, ones))
+        assert nyquist.any() == (b == n // 2)
