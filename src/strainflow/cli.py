@@ -53,7 +53,7 @@ def _write_snapshots(grid, state, run_config, final=False):
     name = "state_final.snap" if final else f"state_{state.step_count:08d}.snap"
     path = os.path.join(run_config.snapshot_dir, name)
     snapshots.save_snapshot(path, "velocity", state.t, run_config.viscosity,
-                            grid.ifft(state.half))
+                            grid.ifft(state.u_hat))
 
 
 def cmd_simulate(args) -> int:
@@ -103,10 +103,10 @@ def cmd_diagnose(args) -> int:
     collector = diagnostics.RecordCollector(grid, q_list=run_config.q_list,
                                             viscosity=snaps[0].viscosity)
     for index, snap in enumerate(snaps):
-        u_half = spectral.rfft_half(grid, snap.data)  # all a record reads
-        spectral.zero_nyquist(grid, u_half)
-        u_half[:, 0, 0, 0] = 0.0
-        collector(solver.SolverState(u_half, snap.time, index, grid))
+        u_hat = grid.fft(snap.data)
+        spectral.zero_nyquist(grid, u_hat)
+        u_hat[:, 0, 0, 0] = 0.0
+        collector(solver.SolverState(u_hat, snap.time, index))
     records = collector.finalize()
     diagnostics.write_csv(records, run_config.csv)
     print(f"diagnosed {len(records)} snapshots -> {run_config.csv}")

@@ -58,12 +58,9 @@ class StrainPointData:
 
 
 def pointwise_strain_analysis(grid: Grid, u_hat) -> StrainPointData:
-    """Strain, eigenvalues, det and |S|^2 at every grid point.
-
-    Reads only the kz >= 0 half of u_hat, so u_hat must be the spectrum
-    of a real field (a full cube or its half).
-    """
-    return _strain_point_data(grid, sym_gradient(grid, grid.half(u_hat)))
+    """Strain, eigenvalues, det and |S|^2 at every grid point of the
+    velocity whose kz in [0, n/2] half-spectrum is u_hat."""
+    return _strain_point_data(grid, sym_gradient(grid, u_hat))
 
 
 def _strain_point_data(grid: Grid, s_half) -> StrainPointData:
@@ -232,7 +229,7 @@ def directional_criterion(grid: Grid, u_hat, regions, directions, q) -> float:
         cover += mask
     if cover.min() < 1 or cover.max() > 1:
         raise InvalidInputError("regions must partition the grid (no gaps, no overlap)")
-    strain = strain_field(grid, sym_gradient(grid, grid.half(u_hat)))
+    strain = strain_field(grid, sym_gradient(grid, u_hat))
     total = 0.0
     peak = 0.0
     for mask, v in zip(regions, directions):
@@ -278,11 +275,10 @@ class RecordCollector:
     by finalize(), which needs at least 5 uniformly spaced records and
     writes NaN otherwise.
 
-    A record reads only state.half, the kz >= 0 half of the velocity
-    spectrum (and the force, a half-spectrum too), so both must be
-    spectra of real fields, as solver states and forces are: strain and
-    vorticity go to physical space by c2r transforms, and the spectral
-    sums count each half-plane for its mirror image.  E and diss_H1 are
+    A record reads state.u_hat, the kz >= 0 half of the velocity
+    spectrum, and the force, a half-spectrum too: strain and vorticity
+    go to physical space by c2r transforms, and the spectral sums count
+    each half-plane for its mirror image.  E and diss_H1 are
     two Plancherel sums over one per-mode strain Frobenius norm.
     """
 
@@ -298,7 +294,7 @@ class RecordCollector:
 
     def __call__(self, state) -> DiagnosticsRecord:
         grid = self.grid
-        u_half = state.half
+        u_half = state.u_hat
         s_half = sym_gradient(grid, u_half)
         data = _strain_point_data(grid, s_half)
         m = data.strain

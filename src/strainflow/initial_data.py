@@ -1,4 +1,5 @@
-"""Initial velocity fields: all divergence-free, mean-zero, Nyquist-free."""
+"""Initial velocity fields: all divergence-free, mean-zero, Nyquist-free,
+each a kz in [0, n/2] half-spectrum (3,) + Grid.shape."""
 
 from __future__ import annotations
 
@@ -6,8 +7,7 @@ import numpy as np
 
 from . import snapshots
 from .exceptions import ConfigError, InvalidInputError
-from .spectral import (Grid, hermitian_symmetrize, project_divergence_free,
-                       sobolev_norm_sq, zero_nyquist)
+from .spectral import Grid, project_divergence_free, sobolev_norm_sq, zero_nyquist
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0):
@@ -44,8 +44,9 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
                     amplitude: float = 1.0):
     """Random band-limited divergence-free field with L2 norm = amplitude.
 
-    Complex Gaussian coefficients are drawn for every mode with
-    |xi_i| <= max_wavenumber, Hermitian-symmetrized, and Leray-projected.
+    Complex Gaussian coefficients are drawn for every mode of the full
+    cube, those with |xi_i| <= max_wavenumber kept, and the half of their
+    Hermitian part (c(xi) + conj c(-xi))/2 Leray-projected.
     The default band (n-1)//3 keeps triple products alias-free under the
     grid quadrature, so cubic integral identities hold to rounding.
     Identical (seed, n) inputs give bit-identical fields.
@@ -58,11 +59,13 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
     rng = np.random.default_rng(seed)
     shape = (3, grid.n, grid.n, grid.n)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # c(-xi) in the slot of each xi of the half (the band is even in xi)
+    planes = grid.shape[-1]
+    mirror = coeffs[np.ix_(range(3), grid._rev, grid._rev, grid._rev[:planes])]
     band = (np.abs(grid.kx) <= max_wavenumber) \
         & (np.abs(grid.ky) <= max_wavenumber) \
-        & (np.abs(grid.kz) <= max_wavenumber)
-    coeffs *= band
-    coeffs = hermitian_symmetrize(coeffs)
+        & (grid.kz <= max_wavenumber)
+    coeffs = 0.5 * (coeffs[..., :planes] * band + np.conj(mirror * band))
     coeffs[:, 0, 0, 0] = 0.0
     zero_nyquist(grid, coeffs)
     u_hat = project_divergence_free(grid, coeffs)

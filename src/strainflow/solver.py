@@ -68,42 +68,24 @@ class SolverConfig:
 class SolverState:
     """A velocity field at time t, after step_count steps.
 
-    The field is stored as `half`, its kz in [0, n/2] half-spectrum
-    shaped (3, n, n, n/2 + 1), which holds the whole spectrum of a real
-    field (Mortensen & Langtangen, CPC 203, 2016).  `u_hat`, the full
-    Hermitian cube (3, n, n, n), is expanded from it on first read and
-    cached.  The constructor takes either layout; a full cube given to it
-    becomes that cache and `half` is a view of it.  A half is expanded
-    with `grid` (built from the shape if none is given).  States are never
-    modified once made.
+    The field is `u_hat`, its kz in [0, n/2] half-spectrum shaped
+    (3, n, n, n/2 + 1) (Grid.shape of an n grid), which holds the whole
+    spectrum of a real field; any other shape, a full cube included, is
+    rejected.  States are never modified once made.
     """
 
-    def __init__(self, u_hat, t: float = 0.0, step_count: int = 0,
-                 grid: Grid | None = None):
+    def __init__(self, u_hat, t: float = 0.0, step_count: int = 0):
         u_hat = np.asarray(u_hat)
-        n = u_hat.shape[-2]
-        self._full = None
-        if u_hat.shape[-1] == n:
-            self._full = u_hat
-            u_hat = u_hat[..., :n // 2 + 1]
-        elif u_hat.shape[-1] != n // 2 + 1:
-            raise InvalidInputError(f"velocity spectrum has shape {u_hat.shape}")
-        self.half = u_hat
+        n = u_hat.shape[1] if u_hat.ndim == 4 else 0
+        if u_hat.shape != (3, n, n, n // 2 + 1):
+            raise InvalidInputError(
+                f"velocity spectrum has shape {u_hat.shape}, not (3, n, n, n/2 + 1)")
+        self.u_hat = u_hat
         self.t = t
         self.step_count = step_count
-        self._grid = grid
-
-    @property
-    def u_hat(self) -> np.ndarray:
-        """The full Hermitian spectral cube (3, n, n, n)."""
-        if self._full is None:
-            if self._grid is None:
-                self._grid = Grid(self.half.shape[-2])
-            self._full = spectral.expand_half(self._grid, self.half)
-        return self._full
 
     def copy(self) -> "SolverState":
-        return SolverState(self.half.copy(), self.t, self.step_count, self._grid)
+        return SolverState(self.u_hat.copy(), self.t, self.step_count)
 
 
 class NoForce:
@@ -166,7 +148,7 @@ def _force_hat(grid: Grid, field):
     half-spectrum like every state: projected divergence-free (which also
     absorbs the pressure part of any gradient), Nyquist-zeroed and
     mean-zeroed."""
-    f_half = project_divergence_free(grid, spectral.rfft_half(grid, field))
+    f_half = project_divergence_free(grid, grid.fft(field))
     zero_nyquist(grid, f_half)
     f_half[:, 0, 0, 0] = 0.0
     return f_half
@@ -294,16 +276,15 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
     products to rounding, with or without dealiasing.  For band-limited
     dealiased states this agrees exactly with the advective form.
 
-    The input must be Hermitian-symmetric (a real velocity field, as
-    every solver state is); the evaluation then runs on the rfft
-    half-spectrum and mirrors back, which enforces the symmetry of the
-    output structurally.  The output is always mean- and Nyquist-free.
+    Takes and returns a half-spectrum (3,) + Grid.shape; the kz = 0
+    plane of the output is made exactly self-conjugate.  The output is
+    always mean- and Nyquist-free.
     """
-    u_half = grid.half(np.asarray(u_hat))
+    u_hat = grid.spectrum(u_hat)
     block = grid.block(dealias)
     out = np.empty((3,) + block.shape, dtype=complex)
-    _nonlinear_half(block, block.gather(u_half), out, _NonlinearScratch(block))
-    return spectral.expand_half(grid, block.scatter(out, np.zeros(u_half.shape, dtype=complex)))
+    _nonlinear_half(block, block.gather(u_hat), out, _NonlinearScratch(block))
+    return block.scatter(out, np.zeros(u_hat.shape, dtype=complex))
 
 
 class _NonlinearScratch:
@@ -316,7 +297,7 @@ class _NonlinearScratch:
         n = block.grid.n
         self.prods = np.empty((5,) + (n,) * 3)
         self.scalars = np.empty((2,) + block.shape, dtype=complex)
-        self.spectrum = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
+        self.spectrum = np.zeros((3,) + block.grid.shape, dtype=complex)
         self.p_hat = np.empty((5,) + block.shape, dtype=complex)
 
 
@@ -339,7 +320,7 @@ def _nonlinear_half(block: spectral.Block, u_block, out, scratch: _NonlinearScra
     for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=2):
         np.multiply(u[i], u[j], out=prods[k])
     del u
-    p_hat = block.gather(spectral.rfft_half(grid, prods), scratch.p_hat)
+    p_hat = block.gather(grid.fft(prods), scratch.p_hat)
     kx, ky, kz = block.kdx, block.kdy, block.kdz
     acc, term = scratch.scalars
 
@@ -407,7 +388,7 @@ class Stepper:
         # on the kz in [0, n/2] half-cube, and gathered from it onto the
         # block, as complex like the block's wavenumbers; one set, not one per dt
         if self._factors is None or self._factors[0] != dt:
-            half = np.exp(-self.config.viscosity * self.grid.half(self.grid.ksq) * (0.5 * dt))
+            half = np.exp(-self.config.viscosity * self.grid.ksq * (0.5 * dt))
             factors = (half, half * half, 2.0 * half)
             self._factors = (dt, factors,
                              tuple(self.block.gather(f).astype(complex) for f in factors))
@@ -452,7 +433,7 @@ class Stepper:
             t_next = t + dt
         half_factors, (e_half, e_full, e_twice) = self._heat_factors(dt)
         block = self.block
-        u_full = state.half
+        u_full = state.u_hat
         if self._buffers is None:
             self._buffers = tuple(np.empty((3,) + block.shape, dtype=complex)
                                   for _ in range(6))
@@ -493,7 +474,7 @@ class Stepper:
                 f"non-finite velocity after step {state.step_count + 1} "
                 f"(last stable time t={state.t:.6g})",
                 last_state=state)
-        return SolverState(u_new, t_next, state.step_count + 1, self.grid)
+        return SolverState(u_new, t_next, state.step_count + 1)
 
 
 @dataclass
@@ -518,8 +499,10 @@ def auto_dt(grid: Grid, config: SolverConfig, u_half) -> float:
 
 def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
         on_record=None, keep_states: bool = False, force=None) -> RunResult:
-    """Integrate to t_end in steps of config.dt, recording every
-    record_every steps; dt=None steps at auto_dt of u0, kept in result.config.
+    """Integrate the half-spectrum u0_hat, (3,) + Grid.shape, to t_end in
+    steps of config.dt, recording every record_every steps; dt=None steps
+    at auto_dt of u0, kept in result.config.  u0_hat is copied, never
+    written.
 
     on_record(state) is called with each recorded state (including the
     initial one and the final one, at t_end); with keep_states the
@@ -530,9 +513,10 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     """
     if grid is None:
         grid = Grid(config.n)
-    u0_hat = np.asarray(u0_hat, dtype=complex)
-    if u0_hat.shape != (3, grid.n, grid.n, grid.n):
-        raise InvalidInputError(f"initial velocity has shape {u0_hat.shape}")
+    u0_hat = np.array(u0_hat, dtype=complex)
+    if u0_hat.shape != (3,) + grid.shape:
+        raise InvalidInputError(
+            f"initial velocity has shape {u0_hat.shape}, not {(3,) + grid.shape}")
     if not np.all(np.isfinite(u0_hat)):
         raise InvalidInputError("initial velocity has non-finite coefficients")
     # a finite field can still overflow in the checks below or the first
@@ -545,12 +529,12 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     if not all(math.isfinite(size * size) for size in sizes):
         raise InvalidInputError("initial velocity is too large: n^3 times its energy "
                                 "or enstrophy overflows when squared")
-    # steps run on the kz >= 0 half-spectrum, so the state must satisfy
-    # the Hermitian (real-field) invariant; only rounding is symmetrized
-    resid = spectral.hermitian_residual(u0_hat)
+    # the self-mirrored kz = 0 and kz = n/2 planes must satisfy the
+    # Hermitian (real-field) invariant; only rounding is symmetrized
+    resid = spectral.hermitian_residual(grid, u0_hat)
     if resid > spectral.HERMITIAN_TOL:
         raise InvalidInputError(f"initial velocity is not Hermitian (residual {resid:.3e})")
-    u0_hat = spectral.hermitian_symmetrize(u0_hat)
+    spectral.symmetrize_kz0_plane(grid, u0_hat)
     zero_nyquist(grid, u0_hat)
     u0_hat[:, 0, 0, 0] = 0.0
     # every step is Leray-projected, so divergence left in u0 would only
@@ -564,9 +548,9 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     # the heap layout and tripled the page faults of every later step
     u0_hat[...] = project_divergence_free(grid, u0_hat)
 
-    state = SolverState(u0_hat, 0.0, 0, grid)
+    state = SolverState(u0_hat, 0.0, 0)
     if config.dt is None:
-        config = replace(config, dt=auto_dt(grid, config, state.half))
+        config = replace(config, dt=auto_dt(grid, config, state.u_hat))
     stepper = Stepper(grid, config, force)
     times = [0.0]
     states = [state.copy()] if keep_states else None
@@ -592,7 +576,7 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
 
 def divergence_invariant(grid: Grid, state: SolverState) -> float:
     """Divergence residual of a solver state (should stay below 1e-12)."""
-    return divergence_residual(grid, state.half)
+    return divergence_residual(grid, state.u_hat)
 
 
 def kinetic_energy(grid: Grid, u_hat) -> float:
@@ -609,8 +593,8 @@ def energy_budget(grid: Grid, states, viscosity: float = 1.0):
     spaced snapshots.
     """
     h = check_uniform_spacing([s.t for s in states])
-    kin = np.array([kinetic_energy(grid, s.half) for s in states])
-    diss = np.array([sobolev_norm_sq(grid, s.half, 1.0) for s in states])
+    kin = np.array([kinetic_energy(grid, s.u_hat) for s in states])
+    diss = np.array([sobolev_norm_sq(grid, s.u_hat, 1.0) for s in states])
     integral = cumulative_integral_4(diss, h)
     scale = max(kin[0], 1e-300)
     return (kin + viscosity * integral - kin[0]) / scale

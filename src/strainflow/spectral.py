@@ -4,29 +4,25 @@ Conventions (fixed once, used everywhere):
 
 * Physical arrays are real, shaped (..., n, n, n), indexed [ix, iy, iz]
   with x_i = 2*pi*i/n.
-* Spectral arrays are complex, shaped (..., n, n, n), produced by an
-  unscaled forward FFT (scipy.fft.fftn); the inverse divides by n^3.  The
-  trigonometric interpolant is  f(x) = sum_xi (fhat(xi)/n^3) exp(i xi.x).
-* Wavenumber layout per axis of length n: index k holds the integer
+* Spectral arrays are complex, shaped (..., n, n, n/2 + 1) (Grid.shape):
+  the spectrum of a real field is Hermitian, so its kz in [0, n/2] half,
+  as the unscaled forward real FFT (scipy.fft.rfftn) returns it, holds
+  all of it (Mortensen & Langtangen, CPC 203, 2016).  This half is the
+  only spectral layout; the inverse (irfftn, c2r) divides by n^3.  The
+  trigonometric interpolant is  f(x) = sum_xi (fhat(xi)/n^3) exp(i xi.x),
+  over the half and the mirror images -xi of its planes 0 < kz < n/2.
+* Wavenumber layout along x and y (length n): index k holds the integer
   wavenumber xi = k for k <= n/2 and xi = k - n for k > n/2, i.e.
-  [0, 1, ..., n/2 - 1, n/2, -n/2 + 1, ..., -1].  The Nyquist slot
-  (index n/2, labelled +n/2) is zeroed in the wavenumbers used by every
-  differentiation operator (odd derivatives are ambiguous there); the
-  heat factor uses the true |xi|^2.
+  [0, 1, ..., n/2 - 1, n/2, -n/2 + 1, ..., -1]; along z (length n/2 + 1)
+  index k holds xi = k.  The Nyquist slot (index n/2, labelled +n/2) is
+  zeroed in the wavenumbers used by every differentiation operator (odd
+  derivatives are ambiguous there); the heat factor uses the true |xi|^2.
 * Integrals are discrete sums with quadrature weight (2*pi/n)^3, so the
-  spectral Plancherel factor is (2*pi)^3 / n^6.
-* The spectrum of a real field is Hermitian, so its kz in [0, n/2] half,
-  shaped (..., n, n, n/2 + 1) as rfftn returns it (Mortensen &
-  Langtangen, CPC 203, 2016), holds all of it.  Grid keeps one set of
-  wavenumber arrays, on the full cube; Grid.half cuts a spectrum to its
-  half and Grid.like cuts a wavenumber array to the layout of a given
-  spectrum, so every operator takes either layout, except
-  hermitian_residual, which compares mirror pairs and so needs the full
-  cube.  Only two things
-  depend on the layout: Grid.ifft inverts a half by the c2r transform,
-  and the Plancherel sums count every plane strictly inside
-  0 < kz < n/2 twice, for its mirror image.
-* The time stepper's stages run on a third layout, Grid.block: a block
+  spectral Plancherel factor is (2*pi)^3 / n^6, and the Plancherel sums
+  count every plane strictly inside 0 < kz < n/2 twice, for its mirror
+  image.  The only mirror pairs a half holds lie in its self-mirrored
+  kz = 0 and kz = n/2 planes.
+* The time stepper's stages run on a second layout, Grid.block: a block
   of the half in a compact array of its own (Block), the only modes the
   nonlinear term reads or writes; with 2/3-rule dealiasing that is the
   2/3-rule block, without it the block is the size of the half.
@@ -57,14 +53,6 @@ CONSISTENCY_TOL = 1e-10
 _FFT_WORKERS = 1
 
 
-def _fftn(arr):
-    return _fft_module.fftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-
-
-def _ifftn(arr):
-    return _fft_module.ifftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-
-
 def _rfftn(arr):
     return _fft_module.rfftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
 
@@ -74,22 +62,25 @@ def _irfftn(arr, n):
 
 
 class Grid:
-    """Uniform n^3 grid over the 2pi-periodic box with its FFT metadata."""
+    """Uniform n^3 grid over the 2pi-periodic box with its FFT metadata:
+    wavenumber arrays that broadcast to the half-spectrum, Grid.shape."""
 
     def __init__(self, n: int):
         if n % 2 != 0 or n < 8:
             raise InvalidInputError(f"grid size must be an even integer >= 8, got {n}")
         self.n = n
+        half = n // 2
+        self.shape = (n, n, half + 1)
         k1 = np.arange(n)
-        k1 = np.where(k1 <= n // 2, k1, k1 - n).astype(float)
+        k1 = np.where(k1 <= half, k1, k1 - n).astype(float)
         k1_diff = k1.copy()
-        k1_diff[n // 2] = 0.0  # Nyquist zeroed for differentiation
+        k1_diff[half] = 0.0  # Nyquist zeroed for differentiation
         self.kx = k1.reshape(n, 1, 1)
         self.ky = k1.reshape(1, n, 1)
-        self.kz = k1.reshape(1, 1, n)
+        self.kz = k1[:half + 1].reshape(1, 1, half + 1)
         self.kdx = k1_diff.reshape(n, 1, 1)
         self.kdy = k1_diff.reshape(1, n, 1)
-        self.kdz = k1_diff.reshape(1, 1, n)
+        self.kdz = k1_diff[:half + 1].reshape(1, 1, half + 1)
         self.ksq = self.kx ** 2 + self.ky ** 2 + self.kz ** 2
         self.ksq_diff = self.kdx ** 2 + self.kdy ** 2 + self.kdz ** 2
         self.inv_ksq_diff = np.divide(1.0, self.ksq_diff,
@@ -99,11 +90,10 @@ class Grid:
         keep = np.abs(k1) <= self.dealias_kmax
         self.dealias_mask = (keep.reshape(n, 1, 1)
                              & keep.reshape(1, n, 1)
-                             & keep.reshape(1, 1, n))
+                             & keep[:half + 1].reshape(1, 1, half + 1))
         self.volume = (2.0 * np.pi) ** 3
         self.quad_weight = self.volume / n ** 3
         self.spectral_weight = self.volume / float(n) ** 6
-        half = n // 2
         self._rev = (n - np.arange(n)) % n  # index of -xi per axis
         # modes each half-spectrum plane stands for: 1 on the self-mirrored
         # kz = 0 and kz = n/2 planes, 2 elsewhere
@@ -124,52 +114,31 @@ class Grid:
         return np.meshgrid(xs, xs, xs, indexing="ij", sparse=True)
 
     def fft(self, field):
-        """Forward FFT over the last three axes (unscaled)."""
+        """Forward real FFT (r2c, unscaled) of a physical field over the
+        last three axes: its kz in [0, n/2] half-spectrum."""
         field = np.asarray(field)
-        self._check_grid_shape(field)
-        return _fftn(field)
+        if field.shape[-3:] != (self.n,) * 3:
+            raise InvalidInputError(
+                f"field shape {field.shape} does not end in ({self.n},)*3")
+        return _rfftn(field)
 
     def ifft(self, coeffs):
-        """Inverse FFT over the last three axes; returns the real field.
+        """Inverse real FFT (c2r) of a half-spectrum over the last three
+        axes; returns the real field."""
+        return _irfftn(self.spectrum(coeffs), self.n)
 
-        A kz in [0, n/2] half-spectrum goes through the real-output (c2r)
-        transform, which reads it as the half of a Hermitian cube.
-        """
+    def spectrum(self, coeffs):
+        """coeffs as an array, after checking that it is a spectrum of
+        this grid: its shape ends in Grid.shape, (n, n, n/2 + 1)."""
         coeffs = np.asarray(coeffs)
-        if self.is_half(coeffs):
-            return _irfftn(coeffs, self.n)
-        return _ifftn(coeffs).real
-
-    def half(self, coeffs):
-        """The kz in [0, n/2] half of a spectral array (a view; a
-        half-spectrum comes back whole)."""
-        return coeffs[..., :self.n // 2 + 1]
-
-    def like(self, wavenumbers, coeffs):
-        """A wavenumber array of this grid (kdz, ksq, ksq_diff,
-        inv_ksq_diff, dealias_mask, ...) restricted to the layout of
-        coeffs, full cube or half-spectrum: a view of its first
-        coeffs.shape[-1] kz planes.  Any other coeffs shape is rejected."""
-        self.is_half(coeffs)
-        return wavenumbers[..., :np.shape(coeffs)[-1]]
-
-    def is_half(self, coeffs) -> bool:
-        """True for a kz in [0, n/2] half-spectrum, False for a full cube;
-        any other shape is rejected."""
-        shape = np.shape(coeffs)[-3:]
-        if shape == (self.n, self.n, self.n // 2 + 1):
-            return True
-        self._check_grid_shape(coeffs)
-        return False
+        if coeffs.shape[-3:] != self.shape:
+            raise InvalidInputError(
+                f"spectrum shape {coeffs.shape} does not end in {self.shape}")
+        return coeffs
 
     def integrate(self, field):
         """Quadrature of a physical field over the box."""
         return float(np.sum(field)) * self.quad_weight
-
-    def _check_grid_shape(self, arr):
-        if np.shape(arr)[-3:] != (self.n, self.n, self.n):
-            raise InvalidInputError(
-                f"field shape {np.shape(arr)} does not end in ({self.n},)*3")
 
 
 class Block:
@@ -211,7 +180,7 @@ class Block:
         self.kdx, self.kdy, self.kdz = (
             np.broadcast_to(k, self.shape).astype(complex)
             for k in (grid.kdx[rows], grid.kdy[:, rows], grid.kdz[..., :planes]))
-        self.inv_ksq_diff = self.gather(grid.half(grid.inv_ksq_diff)).astype(complex)
+        self.inv_ksq_diff = self.gather(grid.inv_ksq_diff).astype(complex)
 
     def gather(self, half, out=None):
         """The block of a half-spectrum (..., n, n, n/2 + 1), copied into
@@ -237,23 +206,6 @@ class Block:
         return coeffs
 
 
-def ifft_hermitian(grid: Grid, coeffs):
-    """Inverse FFT of Hermitian-symmetric coefficients.
-
-    Uses only the kz in [0, n/2] half of the cube (real-output
-    transform), which halves the work; valid exactly when the input
-    satisfies the Hermitian invariant, as every real field does.
-    """
-    coeffs = np.asarray(coeffs)
-    grid._check_grid_shape(coeffs)
-    return grid.ifft(grid.half(coeffs))
-
-
-def rfft_half(grid: Grid, field):
-    """Forward real FFT, kz restricted to [0, n/2]."""
-    return _rfftn(np.asarray(field))
-
-
 def symmetrize_kz0_plane(grid: Grid | Block, half):
     """Make the kz = 0 plane of a half-spectrum (of a Grid) or of a
     block (of a Block) exactly self-conjugate.
@@ -269,7 +221,8 @@ def symmetrize_kz0_plane(grid: Grid | Block, half):
 
 
 def expand_half(grid: Grid, half):
-    """Expand a kz in [0, n/2] half-spectrum to the full Hermitian cube."""
+    """Expand a kz in [0, n/2] half-spectrum to the full Hermitian cube
+    (..., n, n, n): no code path needs it, tests compare against it."""
     n = grid.n
     hn = n // 2
     rev = grid._rev
@@ -280,32 +233,18 @@ def expand_half(grid: Grid, half):
     return out
 
 
-def _mirror(coeffs):
-    """Coefficients at -xi in the slot of xi (the conjugate of the input
-    for a real field)."""
-    axes = (-3, -2, -1)
-    return np.roll(np.flip(coeffs, axis=axes), shift=(1, 1, 1), axis=axes)
-
-
-def hermitian_symmetrize(coeffs):
-    """Project spectral coefficients onto the Hermitian-symmetric set.
-
-    Guards against floating-point drift breaking realness after nonlinear
-    physical-space products.
-    """
-    return 0.5 * (coeffs + np.conj(_mirror(coeffs)))
-
-
-def hermitian_residual(coeffs):
+def hermitian_residual(grid: Grid, half):
     """Max deviation from Hermitian symmetry, relative to the peak mode, of
-    a full cube (a half-spectrum holds no mirror pairs to compare)."""
-    shape = np.shape(coeffs)[-3:]
-    if len(shape) != 3 or len(set(shape)) != 1:
-        raise InvalidInputError(f"hermitian_residual needs a full cube, got shape {shape}")
-    peak = np.max(np.abs(coeffs))
+    a half-spectrum: the kz = 0 and kz = n/2 planes are their own mirror
+    images, and hold the only mirror pairs a half has."""
+    half = grid.spectrum(half)
+    peak = np.max(np.abs(half))
     if peak == 0.0:
         return 0.0
-    return float(np.max(np.abs(coeffs - np.conj(_mirror(coeffs)))) / peak)
+    rev = grid._rev
+    planes = half[..., [0, grid.n // 2]]
+    mirror = np.conj(planes[..., rev, :, :][..., :, rev, :])
+    return float(np.max(np.abs(planes - mirror)) / peak)
 
 
 def zero_nyquist(grid: Grid, coeffs):
@@ -320,9 +259,10 @@ def zero_nyquist(grid: Grid, coeffs):
 def divergence_residual(grid: Grid, u_hat) -> float:
     """max_xi |xi . uhat| normalized by max_xi |xi| |uhat| (the same on
     a half-spectrum as on its Hermitian cube)."""
-    div = grid.kdx * u_hat[0] + grid.kdy * u_hat[1] + grid.like(grid.kdz, u_hat) * u_hat[2]
+    u_hat = grid.spectrum(u_hat)
+    div = grid.kdx * u_hat[0] + grid.kdy * u_hat[1] + grid.kdz * u_hat[2]
     speed = np.sqrt(np.abs(u_hat[0]) ** 2 + np.abs(u_hat[1]) ** 2 + np.abs(u_hat[2]) ** 2)
-    denom = np.max(np.sqrt(grid.like(grid.ksq_diff, u_hat)) * speed)
+    denom = np.max(np.sqrt(grid.ksq_diff) * speed)
     if denom == 0.0:
         return 0.0
     return float(np.max(np.abs(div)) / denom)
@@ -335,35 +275,33 @@ def project_divergence_free(grid: Grid, v_hat):
 
 
 def helmholtz_project(grid: Grid, v_hat):
-    """Mode-wise Helmholtz split v = u + grad(f), of a full cube or a
-    half-spectrum.
+    """Mode-wise Helmholtz split v = u + grad(f) of a half-spectrum.
 
     Returns (divergence-free part, gradient part); the two are orthogonal
     per mode and sum to the input exactly.  Modes with no resolvable
     gradient content (the mean and pure-Nyquist modes) go wholly to the
     divergence-free part.
     """
-    v_hat = np.asarray(v_hat)
-    kdz, inv_ksq = grid.like(grid.kdz, v_hat), grid.like(grid.inv_ksq_diff, v_hat)
-    dot = (grid.kdx * v_hat[0] + grid.kdy * v_hat[1] + kdz * v_hat[2]) * inv_ksq
-    grad = np.stack([grid.kdx * dot, grid.kdy * dot, kdz * dot])
+    v_hat = grid.spectrum(v_hat)
+    dot = (grid.kdx * v_hat[0] + grid.kdy * v_hat[1] + grid.kdz * v_hat[2]) * grid.inv_ksq_diff
+    grad = np.stack([grid.kdx * dot, grid.kdy * dot, grid.kdz * dot])
     return v_hat - grad, grad
 
 
 def sym_gradient(grid: Grid, u_hat, check: bool = True):
     """Spectral strain tensor of a divergence-free velocity field.
 
-    Returns the five independent components, shaped (5,) + the input's
-    grid shape (full cube or half-spectrum), in the order (11, 22, 12,
-    13, 23); the 33 component is -(11 + 22) and is never stored, so the
-    output is trace-free structurally.
+    Returns the five independent components, shaped (5,) + Grid.shape,
+    in the order (11, 22, 12, 13, 23); the 33 component is -(11 + 22) and
+    is never stored, so the output is trace-free structurally.
     """
+    u_hat = grid.spectrum(u_hat)
     if check:
         resid = divergence_residual(grid, u_hat)
         if resid > DIVERGENCE_TOL:
             raise InvalidInputError(
                 f"velocity is not divergence-free (residual {resid:.3e})")
-    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_hat)
+    kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
     u1, u2, u3 = u_hat[0], u_hat[1], u_hat[2]
     return np.stack([
         1j * kx * u1,
@@ -391,9 +329,9 @@ def consistency_residual(grid: Grid, s_hat) -> float:
     Frobenius norm is normalized by the max of |xi|^2 |S|.  Zero exactly
     on symmetric gradients of divergence-free fields.
     """
-    s3 = tensor_full(np.asarray(s_hat))
-    k = (grid.kdx, grid.kdy, grid.like(grid.kdz, s3))
-    ksq = grid.like(grid.ksq_diff, s3)
+    s3 = tensor_full(grid.spectrum(s_hat))
+    k = (grid.kdx, grid.kdy, grid.kdz)
+    ksq = grid.ksq_diff
     # t = S xi (= xi^T S by symmetry)
     t = [k[0] * s3[0, j] + k[1] * s3[1, j] + k[2] * s3[2, j] for j in range(3)]
     num_sq = np.zeros_like(ksq)
@@ -420,8 +358,8 @@ def velocity_from_strain(grid: Grid, s_hat, tol: float = CONSISTENCY_TOL):
         raise ConstraintViolationError(
             f"tensor is not in the strain constraint space (residual {resid:.3e})")
     s3 = tensor_full(np.asarray(s_hat))
-    k = (grid.kdx, grid.kdy, grid.like(grid.kdz, s3))
-    inv_ksq = grid.like(grid.inv_ksq_diff, s3)
+    k = (grid.kdx, grid.kdy, grid.kdz)
+    inv_ksq = grid.inv_ksq_diff
     u_hat = np.stack([
         -2j * (k[0] * s3[0, m] + k[1] * s3[1, m] + k[2] * s3[2, m]) * inv_ksq
         for m in range(3)
@@ -431,8 +369,9 @@ def velocity_from_strain(grid: Grid, s_hat, tol: float = CONSISTENCY_TOL):
 
 
 def vorticity(grid: Grid, u_hat):
-    """Spectral curl of a velocity field (full cube or half-spectrum)."""
-    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_hat)
+    """Spectral curl of a velocity field."""
+    u_hat = grid.spectrum(u_hat)
+    kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
     u1, u2, u3 = u_hat[0], u_hat[1], u_hat[2]
     return np.stack([
         1j * (ky * u3 - kz * u2),
@@ -459,13 +398,14 @@ def antisym_matrix(omega):
 
 def plancherel_sum(grid: Grid, mode_values, alpha: float) -> float:
     """Plancherel sum of |xi|^(2 alpha) times per-mode values (summed over
-    any leading component axes first), over a full cube or over a
-    half-spectrum with each plane counted for its mirror."""
+    any leading component axes first) over a half-spectrum, each plane
+    counted for its mirror."""
     if not (-1.5 < alpha <= 1.5):
         raise InvalidInputError(f"Sobolev exponent must lie in (-3/2, 3/2], got {alpha}")
+    mode_values = grid.spectrum(mode_values)
     if mode_values.ndim > 3:
         mode_values = mode_values.sum(axis=tuple(range(mode_values.ndim - 3)))
-    ksq = grid.like(grid.ksq, mode_values)
+    ksq = grid.ksq
     if alpha == 0.0:
         weighted = mode_values
     elif alpha == 1.0:
@@ -475,8 +415,7 @@ def plancherel_sum(grid: Grid, mode_values, alpha: float) -> float:
         nonzero = ksq > 0
         weight[nonzero] = ksq[nonzero] ** alpha
         weighted = weight * mode_values
-    if grid.is_half(mode_values):
-        weighted = weighted * grid.half_multiplicity
+    weighted = weighted * grid.half_multiplicity
     return float(np.sum(weighted)) * grid.spectral_weight
 
 
@@ -497,8 +436,8 @@ def sobolev_norm_sq(grid: Grid, coeffs, alpha: float = 0.0) -> float:
 
 
 def sobolev_inner(grid: Grid, a_hat, b_hat, alpha: float = 0.0) -> float:
-    """Real homogeneous Sobolev inner product of two spectral fields of
-    the same layout, summed over leading component axes."""
+    """Real homogeneous Sobolev inner product of two spectral fields,
+    summed over leading component axes."""
     return plancherel_sum(grid, np.real(np.conj(a_hat) * b_hat), alpha)
 
 
@@ -560,7 +499,7 @@ def isometry_audit(grid: Grid, u_hat, alpha: float) -> IsometryReport:
 
     s_sq = strain_norm_sq(grid, sym_gradient(grid, u_hat, check=False), alpha)
 
-    k = (grid.kdx, grid.kdy, grid.like(grid.kdz, u_hat))
+    k = (grid.kdx, grid.kdy, grid.kdz)
     antisym = np.stack([
         np.stack([0.5j * (k[j] * u_hat[m] - k[m] * u_hat[j]) for m in range(3)])
         for j in range(3)
@@ -577,9 +516,8 @@ def isometry_audit(grid: Grid, u_hat, alpha: float) -> IsometryReport:
 
 
 def strain_to_physical(grid: Grid, s_hat):
-    """Physical-space strain components, shaped (5, n, n, n), from a full
-    cube or (by the c2r transform) from a half-spectrum."""
-    return grid.ifft(np.asarray(s_hat))
+    """Physical-space strain components, shaped (5, n, n, n)."""
+    return grid.ifft(s_hat)
 
 
 def strain_field(grid: Grid, s_hat) -> sym3.TraceFreeSym3:
@@ -609,7 +547,7 @@ def directional_strain_via_derivatives(grid: Grid, u_hat, v):
         raise InvalidInputError("derivative form needs a single constant 3-vector")
     if abs(np.sqrt(np.sum(v ** 2)) - 1.0) > 1e-12:
         raise InvalidInputError("direction is not unit length")
-    k = (grid.kdx, grid.kdy, grid.like(grid.kdz, u_hat))
+    k = (grid.kdx, grid.kdy, grid.kdz)
     dv_mult = 1j * (v[0] * k[0] + v[1] * k[1] + v[2] * k[2])
     dv_u = dv_mult * np.asarray(u_hat)
     u_dot_v = v[0] * u_hat[0] + v[1] * u_hat[1] + v[2] * u_hat[2]

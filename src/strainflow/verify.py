@@ -155,7 +155,7 @@ def strain_constraint(grid, seeds):
         resid = spectral.consistency_residual(grid, s_hat)
         assert resid < 1e-13, f"strain residual {resid:.3e}"
         worst = max(worst, resid)
-    bad = np.zeros((5,) + (grid.n,) * 3, dtype=complex)
+    bad = np.zeros((5,) + grid.shape, dtype=complex)
     bad[0, 0, 1, 0] = -1.0 / 3.0   # trace-corrected Hessian-type mode
     bad[1, 0, 1, 0] = 2.0 / 3.0
     bad_resid = spectral.consistency_residual(grid, bad)
@@ -222,7 +222,7 @@ def shear_decay(grid, t_end: float = 0.1):
     result = solver.run(cfg, initial_data.shear(grid), grid=grid, keep_states=True)
     assert result.final_state.step_count == round(t_end / 1e-3)
     expected = math.exp(-result.final_state.t)
-    u_phys = grid.ifft(result.final_state.half)
+    u_phys = grid.ifft(result.final_state.u_hat)
     _, y, _ = grid.coords()
     err = np.max(np.abs(u_phys[0] - expected * np.sin(y) * np.ones((n, n, n))))
     assert err < 1e-11 * expected, f"decay error {err:.3e}"
@@ -234,7 +234,7 @@ def shear_decay(grid, t_end: float = 0.1):
 def energy_balance(grid, states):
     """Unforced nu=1 states: the energy never grows, its budget closes,
     and the velocity stays divergence-free."""
-    kinetic = [solver.kinetic_energy(grid, s.half) for s in states]
+    kinetic = [solver.kinetic_energy(grid, s.u_hat) for s in states]
     assert all(b <= a * (1.0 + 1e-13) for a, b in zip(kinetic, kinetic[1:]))
     budget = np.max(np.abs(solver.energy_budget(grid, states, viscosity=1.0)))
     assert budget < 1e-5, f"budget residual {budget:.3e}"
@@ -274,7 +274,7 @@ def pointwise_inequalities(grid, states):
     bounds at every grid point of every state."""
     worst = math.inf
     for state in states:
-        pd = diagnostics.pointwise_strain_analysis(grid, state.half)
+        pd = diagnostics.pointwise_strain_analysis(grid, state.u_hat)
         norm = np.sqrt(pd.norm_sq)
         cube = np.maximum(norm ** 3, 1e-300)
         gap = sym3.lambda2_bound_gap(pd.strain)

@@ -21,6 +21,23 @@ def grid32():
     return Grid(32)
 
 
+def full_cube_wavenumbers(grid):
+    """Full-cube (n, n, n) wavenumbers of a grid, built apart from it, for
+    full-cube reference sums: the differentiation wavenumbers (Nyquist
+    slot zeroed) per axis, and the true |xi|^2."""
+    n = grid.n
+    k1 = np.fft.fftfreq(n, 1.0 / n)
+    kd = np.where(np.arange(n) == n // 2, 0.0, k1)
+    shapes = ((n, 1, 1), (1, n, 1), (1, 1, n))
+    return (tuple(kd.reshape(s) for s in shapes),
+            sum(k1.reshape(s) ** 2 for s in shapes))
+
+
+def c2c_ifft(coeffs):
+    """The c2c inverse transform of a full cube, the real part kept."""
+    return np.fft.ifftn(coeffs, axes=(-3, -2, -1)).real
+
+
 def nyquist_noise_state(grid):
     """A projected real-noise velocity spectrum with Nyquist content."""
     rng = np.random.default_rng(77)

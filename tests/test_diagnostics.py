@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import nyquist_noise_state
+from conftest import c2c_ifft, full_cube_wavenumbers, nyquist_noise_state
 from strainflow import diagnostics, initial_data, solver, spectral, sym3, verify
 from strainflow.exceptions import InvalidExponentError, InvalidInputError
 
@@ -94,7 +94,7 @@ class TestPointwiseAnalysis:
 
     def test_zero_flow(self, grid8):
         data = diagnostics.pointwise_strain_analysis(
-            grid8, np.zeros((3,) + (grid8.n,) * 3, dtype=complex))
+            grid8, np.zeros((3,) + grid8.shape, dtype=complex))
         assert np.max(np.abs(data.det)) == 0.0
         assert np.max(data.norm_sq) == 0.0
 
@@ -282,17 +282,21 @@ class TestDirectionalCriterion:
 
 
 def full_cube_reference(grid, u_hat, f_hat=None):
-    """Record fields rebuilt on the full cube: c2c inverse transforms, the
-    stretching term from the full 3x3 matrix, and spectral sums over every
-    mode; the slow path the record's half-spectrum path replaced."""
-    s_hat = spectral.sym_gradient(grid, u_hat)
-    strain = sym3.TraceFreeSym3.from_components(grid.ifft(s_hat))
-    w = grid.ifft(spectral.vorticity(grid, u_hat))
+    """Record fields rebuilt on the full cube (the half-spectra u_hat and
+    f_hat expanded): c2c inverse transforms, the stretching term from the
+    full 3x3 matrix, and spectral sums over every mode; the slow path the
+    record's half-spectrum path replaced."""
+    _, ksq = full_cube_wavenumbers(grid)
+    s_hat = spectral.expand_half(grid, spectral.sym_gradient(grid, u_hat))
+    strain = sym3.TraceFreeSym3.from_components(c2c_ifft(s_hat))
+    w = c2c_ifft(spectral.expand_half(grid, spectral.vorticity(grid, u_hat)))
     norm_sq = strain.norm_sq()
     lam2p = sym3.eigenvalues(strain).lambda2_plus
+    frob_sq = spectral.strain_frobenius_sq(s_hat)
+    u_hat = spectral.expand_half(grid, u_hat)
     ref = {
-        "enstrophy": spectral.strain_norm_sq(grid, s_hat, 0.0),
-        "dissipation": spectral.strain_norm_sq(grid, s_hat, 1.0),
+        "enstrophy": float(np.sum(frob_sq)) * grid.spectral_weight,
+        "dissipation": float(np.sum(ksq * frob_sq)) * grid.spectral_weight,
         "det_integral": grid.integrate(sym3.det(strain)),
         "tr3_integral": grid.integrate(sym3.tr_cubed(strain)),
         "vortex_stretch": grid.integrate(
@@ -303,7 +307,8 @@ def full_cube_reference(grid, u_hat, f_hat=None):
         "force_norm_sq": 0.0,
     }
     if f_hat is not None:
-        ref["force_term"] = float(np.sum(grid.ksq * np.real(
+        f_hat = spectral.expand_half(grid, f_hat)
+        ref["force_term"] = float(np.sum(ksq * np.real(
             np.conj(u_hat) * f_hat))) * grid.spectral_weight
         ref["force_norm_sq"] = float(np.sum(np.abs(f_hat) ** 2)) * grid.spectral_weight
     return ref, lam2p
@@ -335,7 +340,7 @@ class TestHalfSpectrumRecord:
         else:
             state = expr_forced_state(grid16)
             force = solver.make_force(grid16, "expr:sin(2*y);cos(3*z)*t;sin(x)")
-        f_hat = None if force is None else spectral.expand_half(grid16, force(state.t))
+        f_hat = None if force is None else force(state.t)
         record = diagnostics.RecordCollector(grid16, force=force)(state)
         ref, lam2p = full_cube_reference(grid16, state.u_hat, f_hat)
 

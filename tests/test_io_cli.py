@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import nyquist_noise_state
+from conftest import c2c_ifft, nyquist_noise_state
 from strainflow import (cli, config as config_mod, diagnostics, initial_data, snapshots,
                         solver, spectral, verify)
 from strainflow.exceptions import ConfigError
@@ -94,9 +94,29 @@ class TestInitialData:
     def test_random_div_free_contract(self, grid16):
         u_hat = initial_data.random_div_free(grid16, seed=3, amplitude=2.5)
         assert spectral.divergence_residual(grid16, u_hat) < 1e-13
-        assert spectral.hermitian_residual(u_hat) < 1e-13
+        assert spectral.hermitian_residual(grid16, u_hat) < 1e-13
         norm = np.sqrt(spectral.sobolev_norm_sq(grid16, u_hat))
         assert norm == pytest.approx(2.5, rel=1e-12)
+
+    def test_random_div_free_is_the_half_of_the_full_cube_draw(self, grid16):
+        # the Hermitian part of the full-cube draw, built by flip and roll
+        # on the cube and then cut to its half: a seed names one field
+        n, kmax = grid16.n, grid16.dealias_kmax
+        rng = np.random.default_rng(3)
+        shape = (3, n, n, n)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        xi = np.abs(np.fft.fftfreq(n, 1.0 / n))
+        coeffs *= ((xi[:, None, None] <= kmax) & (xi[None, :, None] <= kmax)
+                   & (xi[None, None, :] <= kmax))
+        axes = (-3, -2, -1)
+        mirror = np.roll(np.flip(coeffs, axis=axes), shift=(1, 1, 1), axis=axes)
+        half = (0.5 * (coeffs + np.conj(mirror)))[..., :n // 2 + 1]
+        half[:, 0, 0, 0] = 0.0
+        spectral.zero_nyquist(grid16, half)
+        expected = spectral.project_divergence_free(grid16, half)
+        expected = expected * (2.5 / np.sqrt(spectral.sobolev_norm_sq(grid16, expected)))
+        assert np.array_equal(initial_data.random_div_free(grid16, seed=3, amplitude=2.5),
+                              expected)
 
     def test_band_limit(self, grid16):
         u_hat = initial_data.random_div_free(grid16, seed=4, max_wavenumber=2)
@@ -193,7 +213,7 @@ class TestCli:
         # cube agrees
         config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.03, record_every=5)
         final = solver.run(config, initial_data.taylor_green(grid8), grid=grid8).final_state
-        u_phys = np.fft.ifftn(final.u_hat, axes=(-3, -2, -1)).real
+        u_phys = c2c_ifft(spectral.expand_half(grid8, final.u_hat))
         assert np.max(np.abs(snap.data - u_phys)) <= 1e-13 * np.max(np.abs(u_phys))
 
     def test_simulate_deterministic(self, tmp_path):

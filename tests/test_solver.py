@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import nyquist_noise_state
-from strainflow import initial_data, solver, spectral, verify
+from strainflow import diagnostics, initial_data, solver, spectral, verify
 from strainflow.exceptions import InstabilityError, InvalidInputError
 
 
 class TestNonlinearTerm:
     def test_zero_velocity(self, grid8):
-        u_hat = np.zeros((3,) + (grid8.n,) * 3, dtype=complex)
+        u_hat = np.zeros((3,) + grid8.shape, dtype=complex)
         assert np.max(np.abs(solver.nonlinear_term(grid8, u_hat))) == 0.0
 
     def test_shear_mode_self_advection_vanishes(self, grid16):
@@ -50,7 +50,7 @@ class TestStep:
     def test_zero_stays_zero(self, grid8):
         config = solver.SolverConfig(n=8, dt=1e-2, t_end=0.1)
         stepper = solver.Stepper(grid8, config)
-        state = solver.SolverState(np.zeros((3, 8, 8, 8), dtype=complex))
+        state = solver.SolverState(np.zeros((3,) + grid8.shape, dtype=complex))
         state = stepper.step(state)
         assert np.max(np.abs(state.u_hat)) == 0.0
 
@@ -60,7 +60,7 @@ class TestStep:
     def test_energy_checks_read_the_half_spectrum(self, tg16):
         # states made from a half expand no full cube when checked
         grid = tg16.grid
-        fresh = [solver.SolverState(s.half.copy(), s.t, s.step_count, grid)
+        fresh = [solver.SolverState(s.u_hat.copy(), s.t, s.step_count)
                  for s in tg16.states]
         tracemalloc.start()
         try:
@@ -103,7 +103,7 @@ class TestStep:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert grown < grid16.half(grid16.ksq).nbytes
+        assert grown < grid16.ksq.nbytes
 
     def test_instability_reported_with_last_state(self, grid8):
         config = solver.SolverConfig(n=8, viscosity=1e-6, dt=5.0, t_end=50.0)
@@ -118,16 +118,16 @@ def reference_nonlinear_half(grid, u_half, dealias):
     """The allocating form of solver._nonlinear_half: every product and
     sum a fresh array, in the same order, on the shifted products
     u u^T - u_3^2 I."""
-    mask = grid.like(grid.dealias_mask, u_half)
-    inv_ksq = grid.like(grid.inv_ksq_diff, u_half)
+    mask = grid.dealias_mask
+    inv_ksq = grid.inv_ksq_diff
     if dealias:
         u_half = u_half * mask
     u = grid.ifft(u_half)
     u33 = u[2] * u[2]
     prods = np.stack([u[0] * u[0] - u33, u[1] * u[1] - u33,
                       u[0] * u[1], u[0] * u[2], u[1] * u[2]])
-    p_hat = spectral.rfft_half(grid, prods)
-    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_half)
+    p_hat = grid.fft(prods)
+    kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
     n_half = np.stack([
         -1j * (kx * p_hat[0] + ky * p_hat[2] + kz * p_hat[3]),
         -1j * (kx * p_hat[2] + ky * p_hat[1] + kz * p_hat[4]),
@@ -139,15 +139,15 @@ def reference_nonlinear_half(grid, u_half, dealias):
 def conservation_nonlinear_half(grid, u_half, dealias):
     """The slow path the shifted products replace: the six products
     u_j u_m, unshifted, with three terms in every row of the divergence."""
-    mask = grid.like(grid.dealias_mask, u_half)
-    inv_ksq = grid.like(grid.inv_ksq_diff, u_half)
+    mask = grid.dealias_mask
+    inv_ksq = grid.inv_ksq_diff
     if dealias:
         u_half = u_half * mask
     u = grid.ifft(u_half)
     prods = np.stack([u[0] * u[0], u[1] * u[1], u[2] * u[2],
                       u[0] * u[1], u[0] * u[2], u[1] * u[2]])
-    p_hat = spectral.rfft_half(grid, prods)
-    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, u_half)
+    p_hat = grid.fft(prods)
+    kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
     n_half = np.stack([
         -1j * (kx * p_hat[0] + ky * p_hat[3] + kz * p_hat[4]),
         -1j * (kx * p_hat[3] + ky * p_hat[1] + kz * p_hat[5]),
@@ -158,7 +158,7 @@ def conservation_nonlinear_half(grid, u_half, dealias):
 
 def _finish_half(grid, n_half, mask, inv_ksq, dealias):
     """Mask, zero Nyquist and mean, symmetrize kz = 0, Leray-project."""
-    kx, ky, kz = grid.kdx, grid.kdy, grid.like(grid.kdz, n_half)
+    kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
     if dealias:
         n_half *= mask
     spectral.zero_nyquist(grid, n_half)
@@ -174,13 +174,13 @@ def _finish_half(grid, n_half, mask, inv_ksq, dealias):
 def reference_step(grid, config, force, u_half, t, dt,
                    nonlinear_half=reference_nonlinear_half):
     """The allocating integrating-factor RK4 step on the half-spectrum."""
-    e_half = np.exp(-config.viscosity * grid.half(grid.ksq) * (0.5 * dt))
+    e_half = np.exp(-config.viscosity * grid.ksq * (0.5 * dt))
     e_full = e_half * e_half
 
     def rhs(v, time):
         out = nonlinear_half(grid, v, config.dealias)
         f_hat = force(time)
-        return out if f_hat is None else out + grid.half(f_hat)
+        return out if f_hat is None else out + f_hat
 
     na = rhs(u_half, t)
     nb = rhs(e_half * (u_half + (0.5 * dt) * na), t + 0.5 * dt)
@@ -222,14 +222,13 @@ class TestInPlaceStep:
         stepper, state = self._stepper_and_state(grid16, case)
         config, dealias = stepper.config, stepper.config.dealias
         for dt in (1e-3, 1e-3, 2e-3):
-            expected = reference_step(grid16, config, stepper.force, state.half,
+            expected = reference_step(grid16, config, stepper.force, state.u_hat,
                                       state.t, dt)
             state = stepper.step(state, dt)
-            assert np.array_equal(state.half, expected)
+            assert np.array_equal(state.u_hat, expected)
         assert np.array_equal(
             solver.nonlinear_term(grid16, state.u_hat, dealias),
-            spectral.expand_half(grid16, reference_nonlinear_half(
-                grid16, state.half, dealias)))
+            reference_nonlinear_half(grid16, state.u_hat, dealias))
 
     @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("case", ["taylor_green", "random_div_free"])
@@ -240,10 +239,10 @@ class TestInPlaceStep:
         stepper = solver.Stepper(grid32, config)
         state = solver.SolverState(make(grid32))
         for _ in range(3):
-            expected = reference_step(grid32, config, stepper.force, state.half,
+            expected = reference_step(grid32, config, stepper.force, state.u_hat,
                                       state.t, 1e-3)
             state = stepper.step(state)
-            assert np.array_equal(state.half, expected)
+            assert np.array_equal(state.u_hat, expected)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_shifted_products_match_conservation_form(self, grid16, case):
@@ -251,15 +250,15 @@ class TestInPlaceStep:
         # stage agrees with the six-product form to rounding, aliased or not
         stepper, state = self._stepper_and_state(grid16, case)
         config, dealias = stepper.config, stepper.config.dealias
-        expected = state.half
+        expected = state.u_hat
         for dt in (1e-3, 1e-3, 2e-3):
             expected = reference_step(grid16, config, stepper.force, expected, state.t, dt,
                                       conservation_nonlinear_half)
             state = stepper.step(state, dt)
-            assert np.max(np.abs(state.half - expected)) <= 1e-13 * np.max(np.abs(expected))
-        slow = conservation_nonlinear_half(grid16, state.half, dealias)
+            assert np.max(np.abs(state.u_hat - expected)) <= 1e-13 * np.max(np.abs(expected))
+        slow = conservation_nonlinear_half(grid16, state.u_hat, dealias)
         fast = solver.nonlinear_term(grid16, state.u_hat, dealias)
-        assert np.max(np.abs(grid16.half(fast) - slow)) <= 1e-13 * np.max(np.abs(slow))
+        assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
 
     def test_fft_worker_count_keeps_the_bits(self, grid16, monkeypatch):
         halves = []
@@ -268,7 +267,7 @@ class TestInPlaceStep:
             stepper, state = self._stepper_and_state(grid16, "random_div_free")
             for _ in range(3):
                 state = stepper.step(state)
-            halves.append(state.half)
+            halves.append(state.u_hat)
         assert np.array_equal(halves[0], halves[1])
 
     def test_time_dependent_force_evaluated_three_times_a_step(self, grid16, monkeypatch):
@@ -302,12 +301,13 @@ class TestInPlaceStep:
     def test_returned_states_never_alias(self, grid16):
         stepper = solver.Stepper(grid16, solver.SolverConfig(n=16, dt=1e-3, t_end=0.1))
         first = solver.SolverState(initial_data.random_div_free(grid16, seed=8, amplitude=5.0))
+        first_half = first.u_hat.copy()
         kept = stepper.step(first)
-        kept_half = kept.half.copy()
+        kept_half = kept.u_hat.copy()
         later = stepper.step(stepper.step(kept))
-        assert np.array_equal(kept.half, kept_half)
-        assert not np.shares_memory(later.half, kept.half)
-        assert np.array_equal(first.u_hat[..., :9], first.half)
+        assert np.array_equal(kept.u_hat, kept_half)
+        assert not np.shares_memory(later.u_hat, kept.u_hat)
+        assert np.array_equal(first.u_hat, first_half)
 
     def test_instability_keeps_last_state_intact(self, grid8):
         config = solver.SolverConfig(n=8, viscosity=1e-6, dt=5.0, t_end=50.0)
@@ -315,10 +315,10 @@ class TestInPlaceStep:
         state = solver.SolverState(initial_data.random_div_free(grid8, seed=3, amplitude=1e4))
         with pytest.raises(InstabilityError) as excinfo:
             for _ in range(10):
-                before = state.half.copy()
+                before = state.u_hat.copy()
                 state = stepper.step(state)
         last = excinfo.value.last_state
-        assert last is state and np.array_equal(last.half, before)
+        assert last is state and np.array_equal(last.u_hat, before)
         assert np.all(np.isfinite(last.u_hat))
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -337,25 +337,25 @@ class TestInPlaceStep:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * state.half.nbytes
+            assert peak < 4 * state.u_hat.nbytes
 
 
 class TestSolverState:
     def test_layouts(self, grid8):
+        # one layout: a state holds the kz in [0, n/2] half it was given
         u_hat = initial_data.taylor_green(grid8)
-        full = solver.SolverState(u_hat, 0.5, 3)
-        assert full.u_hat is u_hat and np.shares_memory(full.half, u_hat)
-        assert full.half.shape == (3, 8, 8, 5)
-        half = solver.SolverState(full.half.copy(), 0.5, 3, grid8)
-        assert np.array_equal(half.u_hat, u_hat)
-        assert half.u_hat is half.u_hat  # expanded once, then cached
-        assert np.array_equal(solver.SolverState(full.half.copy()).u_hat, u_hat)
-        copy = full.copy()
+        state = solver.SolverState(u_hat, 0.5, 3)
+        assert state.u_hat is u_hat
+        assert state.u_hat.shape == (3,) + grid8.shape == (3, 8, 8, 5)
+        copy = state.copy()
         assert (copy.t, copy.step_count) == (0.5, 3)
-        assert not np.shares_memory(copy.half, u_hat)
+        assert not np.shares_memory(copy.u_hat, u_hat)
         assert np.array_equal(copy.u_hat, u_hat)
-        with pytest.raises(InvalidInputError):
-            solver.SolverState(np.zeros((3, 8, 8, 6), dtype=complex))
+        # the full Hermitian cube of the same field is rejected, as is any other shape
+        for bad in (spectral.expand_half(grid8, u_hat), np.zeros((3, 8, 8, 6), dtype=complex),
+                    u_hat[0], u_hat[:2]):
+            with pytest.raises(InvalidInputError):
+                solver.SolverState(bad)
 
 
 class TestRun:
@@ -390,12 +390,16 @@ class TestRun:
         assert zero.config.dt == 0.125 and list(zero.times) == [0.0, 0.5]
 
     def test_non_hermitian_initial_velocity_rejected(self, grid8):
-        # read as a half-spectrum it would be a different field
+        # the self-mirrored kz = 0 and kz = n/2 planes of a half must be
+        # Hermitian; Taylor-Green's kz = 0 plane is empty, this field's is not
         config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)
-        u0 = initial_data.taylor_green(grid8)
-        u0 = u0 + 1e-3j * np.abs(u0)
-        with pytest.raises(InvalidInputError, match="Hermitian"):
-            solver.run(config, u0, grid=grid8)
+        u0 = initial_data.random_div_free(grid8, seed=11)
+        assert np.max(np.abs(u0[..., 0])) > 0
+        nyquist = u0.copy()
+        nyquist[0, 1, 2, grid8.n // 2] = 1e-3 * np.max(np.abs(u0))  # its mirror stays 0
+        for bad in (u0 + 1e-3j * np.abs(u0), nyquist):
+            with pytest.raises(InvalidInputError, match="Hermitian"):
+                solver.run(config, bad, grid=grid8)
 
     def test_huge_initial_velocity_rejected(self, grid8):
         # finite, but its energy overflows (1e300), or a cubic or quartic
@@ -412,8 +416,25 @@ class TestRun:
 
     def test_bad_initial_shape(self, grid8):
         config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)
-        with pytest.raises(InvalidInputError):
-            solver.run(config, np.zeros((3, 4, 4, 4), dtype=complex), grid=grid8)
+        full_cube = spectral.expand_half(grid8, initial_data.taylor_green(grid8))
+        for bad in (np.zeros((3, 4, 4, 4), dtype=complex), full_cube):
+            with pytest.raises(InvalidInputError):
+                solver.run(config, bad, grid=grid8)
+
+    def test_caller_u0_never_written(self, tmp_path, grid8):
+        # run symmetrizes, zeroes and projects its own copy, so one u0
+        # array can start any number of runs
+        config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.02, record_every=4)
+        u0 = nyquist_noise_state(grid8)
+        before = u0.copy()
+        csvs = []
+        for name in ("first.csv", "second.csv"):
+            collector = diagnostics.RecordCollector(grid8)
+            solver.run(config, u0, grid=grid8, on_record=collector)
+            assert np.array_equal(u0, before)
+            diagnostics.write_csv(collector.finalize(), tmp_path / name)
+            csvs.append((tmp_path / name).read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_divergent_initial_velocity_rejected(self, grid8):
         config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.01)
@@ -443,12 +464,12 @@ class TestEnergyBudget:
         verify.shear_decay(grid16, t_end=1.0)  # budget residual < 1e-8
 
     def test_zero_flow(self, grid8):
-        states = [solver.SolverState(np.zeros((3, 8, 8, 8), dtype=complex), t, i)
+        states = [solver.SolverState(np.zeros((3,) + grid8.shape, dtype=complex), t, i)
                   for i, t in enumerate(np.linspace(0, 1, 6))]
         assert np.max(np.abs(solver.energy_budget(grid8, states))) == 0.0
 
     def test_needs_five_snapshots(self, grid8):
-        states = [solver.SolverState(np.zeros((3, 8, 8, 8), dtype=complex), t, i)
+        states = [solver.SolverState(np.zeros((3,) + grid8.shape, dtype=complex), t, i)
                   for i, t in enumerate(np.linspace(0, 1, 4))]
         with pytest.raises(InvalidInputError):
             solver.energy_budget(grid8, states)
@@ -475,14 +496,15 @@ class TestForcing:
 
     def test_half_spectrum_force_matches_full_cube_path(self, grid16):
         # a force is the rfft half-spectrum projected in place; the c2c
-        # transform and full-cube projection it replaced agree on kz >= 0
+        # transform it replaced agrees on kz >= 0 (the projection is per mode)
         field = np.random.default_rng(9).standard_normal((3,) + (16,) * 3)
-        full = spectral.project_divergence_free(grid16, grid16.fft(field))
+        full = spectral.project_divergence_free(
+            grid16, np.fft.fftn(field, axes=(-3, -2, -1))[..., :9])
         spectral.zero_nyquist(grid16, full)
         full[:, 0, 0, 0] = 0.0
         half = solver._force_hat(grid16, field)
         assert half.shape == (3, 16, 16, 9)
-        assert np.max(np.abs(half - grid16.half(full))) <= 1e-13 * np.max(np.abs(full))
+        assert np.max(np.abs(half - full)) <= 1e-13 * np.max(np.abs(full))
 
     def test_time_dependent_expression(self, grid16):
         force = solver.make_force(grid16, "expr:sin(y)*t;0.0;0.0")
@@ -494,7 +516,7 @@ class TestForcing:
         # from rest, |u(t)| <= max|f| / nu (smallest active wavenumber is 1)
         config = solver.SolverConfig(n=16, viscosity=1.0, dt=1e-3, t_end=0.5,
                                      record_every=25, force="expr:0.1*sin(y);0;0")
-        u0 = np.zeros((3, 16, 16, 16), dtype=complex)
+        u0 = np.zeros((3,) + grid16.shape, dtype=complex)
         kinetic = []
         result = solver.run(config, u0, grid=grid16,
                             on_record=lambda s: kinetic.append(

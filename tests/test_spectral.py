@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from strainflow import initial_data, spectral, sym3, verify
+from conftest import c2c_ifft, full_cube_wavenumbers
+from strainflow import initial_data, solver, spectral, sym3, verify
 from strainflow.exceptions import ConstraintViolationError, InvalidInputError
 from strainflow.spectral import Grid
 
@@ -47,18 +48,18 @@ class TestGridAndFFT:
         rng = np.random.default_rng(1)
         field = rng.standard_normal((3,) + (grid16.n,) * 3)
         coeffs = grid16.fft(field)
-        assert spectral.hermitian_residual(coeffs) < 1e-13
-        sym = spectral.hermitian_symmetrize(coeffs)
+        assert spectral.hermitian_residual(grid16, coeffs) < 1e-13
+        sym = spectral.symmetrize_kz0_plane(grid16, coeffs.copy())
         assert np.max(np.abs(sym - coeffs)) < 1e-13 * np.max(np.abs(coeffs))
-        # ifft via the half-spectrum agrees with the full inverse
-        assert np.max(np.abs(spectral.ifft_hermitian(grid16, coeffs) - field)) < 1e-13
+        # the c2r inverse of the half-spectrum recovers the field
+        assert np.max(np.abs(grid16.ifft(coeffs) - field)) < 1e-13
 
     def test_expand_half_roundtrip(self, grid16):
         rng = np.random.default_rng(2)
         field = rng.standard_normal((grid16.n,) * 3)
-        half = spectral.rfft_half(grid16, field)
+        half = grid16.fft(field)
         full = spectral.expand_half(grid16, half)
-        assert np.max(np.abs(full - grid16.fft(field))) < 1e-9
+        assert np.max(np.abs(full - np.fft.fftn(field))) < 1e-9
 
 
 class TestSymGradient:
@@ -81,7 +82,7 @@ class TestSymGradient:
             assert np.max(np.abs(s_phys[idx] - np.broadcast_to(ref, shape))) < 1e-13
 
     def test_constant_field_zero_strain(self, grid8):
-        u_hat = np.zeros((3,) + (grid8.n,) * 3, dtype=complex)
+        u_hat = np.zeros((3,) + grid8.shape, dtype=complex)
         u_hat[0, 0, 0, 0] = grid8.n ** 3  # constant velocity (1, 0, 0)
         s_hat = spectral.sym_gradient(grid8, u_hat)
         assert np.max(np.abs(s_hat)) == 0.0
@@ -100,14 +101,14 @@ class TestStrainConstraint:
         # S supported at xi = (0,1,0), only the (1,2) entry: then
         # (xi x xi) S + S (xi x xi) reproduces S itself and the residual
         # vanishes identically.
-        s_hat = np.zeros((5,) + (grid8.n,) * 3, dtype=complex)
+        s_hat = np.zeros((5,) + grid8.shape, dtype=complex)
         s_hat[2, 0, 1, 0] = 1.0
         s_hat[2, 0, grid8.n - 1, 0] = 1.0
         assert spectral.consistency_residual(grid8, s_hat) < 1e-15
 
     def test_hessian_type_mode_fails_it(self, grid8):
         # trace-corrected xi (x) xi at xi = (0,1,0): diag(-1/3, 2/3, -1/3)
-        s_hat = np.zeros((5,) + (grid8.n,) * 3, dtype=complex)
+        s_hat = np.zeros((5,) + grid8.shape, dtype=complex)
         s_hat[0, 0, 1, 0] = -1.0 / 3.0
         s_hat[1, 0, 1, 0] = 2.0 / 3.0
         assert spectral.consistency_residual(grid8, s_hat) > 0.1
@@ -122,11 +123,11 @@ class TestStrainConstraint:
         verify.strain_roundtrip(grid16, seeds=[5])
 
     def test_zero_strain_zero_velocity(self, grid8):
-        s_hat = np.zeros((5,) + (grid8.n,) * 3, dtype=complex)
+        s_hat = np.zeros((5,) + grid8.shape, dtype=complex)
         assert np.all(spectral.velocity_from_strain(grid8, s_hat) == 0.0)
 
     def test_reconstruction_rejects_non_strain(self, grid8):
-        s_hat = np.zeros((5,) + (grid8.n,) * 3, dtype=complex)
+        s_hat = np.zeros((5,) + grid8.shape, dtype=complex)
         s_hat[0, 0, 1, 0] = -1.0 / 3.0
         s_hat[1, 0, 1, 0] = 2.0 / 3.0
         with pytest.raises(ConstraintViolationError):
@@ -193,7 +194,7 @@ class TestSobolevNorms:
             TWO_PI_CUBED / 2.0, rel=1e-13)
 
     def test_zero_field(self, grid8):
-        z = np.zeros((grid8.n,) * 3, dtype=complex)
+        z = np.zeros(grid8.shape, dtype=complex)
         assert spectral.sobolev_norm_sq(grid8, z, 1.0) == 0.0
 
     def test_gradient_cross_check(self, grid16):
@@ -208,7 +209,7 @@ class TestSobolevNorms:
         assert h1 == pytest.approx(l2, rel=1e-12)
 
     def test_alpha_validation(self, grid8):
-        f_hat = np.ones((grid8.n,) * 3, dtype=complex)
+        f_hat = np.ones(grid8.shape, dtype=complex)
         with pytest.raises(InvalidInputError):
             spectral.sobolev_norm_sq(grid8, f_hat, 2.0)
         with pytest.raises(InvalidInputError):
@@ -226,7 +227,7 @@ class TestIsometryAudit:
 
     def test_zero_field(self, grid8):
         report = spectral.isometry_audit(
-            grid8, np.zeros((3,) + (grid8.n,) * 3, dtype=complex), 0.0)
+            grid8, np.zeros((3,) + grid8.shape, dtype=complex), 0.0)
         assert report.values() == (0.0, 0.0, 0.0, 0.0)
         assert report.max_rel_deviation == 0.0
 
@@ -312,11 +313,21 @@ class TestOrthogonalityRelations:
 def _nyquist_noise(grid):
     """Projected real white noise: a divergence-free field with Nyquist content."""
     rng = np.random.default_rng(40)
-    noise = spectral.hermitian_symmetrize(grid.fft(rng.standard_normal((3,) + (grid.n,) * 3)))
+    noise = spectral.symmetrize_kz0_plane(grid, grid.fft(rng.standard_normal((3,) + (grid.n,) * 3)))
     return spectral.project_divergence_free(grid, noise)
 
 
+def _full_cube_mirror(coeffs):
+    """A full cube's coefficients at -xi in the slot of xi."""
+    axes = (-3, -2, -1)
+    return np.roll(np.flip(coeffs, axis=axes), shift=(1, 1, 1), axis=axes)
+
+
 class TestHalfSpectrumLayout:
+    """Every operator on the half against its full-cube oracle: the
+    Hermitian cube from expand_half, and plain numpy sums over full-cube
+    wavenumbers built in the test."""
+
     @pytest.mark.parametrize("make", [
         lambda grid: initial_data.random_div_free(grid, seed=41), _nyquist_noise,
     ], ids=["random_div_free", "nyquist_noise"])
@@ -327,52 +338,97 @@ class TestHalfSpectrumLayout:
         other = u_hat + 0.5 * u_hat[[1, 2, 0]]  # correlated with u, so no cancellation
         grad = np.stack([1j * grid16.kdx * u_hat[0], 1j * grid16.kdy * u_hat[0],
                          1j * grid16.kdz * u_hat[0]])
-        half = grid16.half
+        (kx, ky, kz), ksq = full_cube_wavenumbers(grid16)
+        kd_sq = kx ** 2 + ky ** 2 + kz ** 2
+
+        def full(coeffs):
+            return spectral.expand_half(grid16, coeffs)
+
+        def plancherel(mode_values, alpha):
+            return float(np.sum(mode_values * ksq ** alpha)) * grid16.spectral_weight
 
         def close(on_half, on_full):
             return abs(on_half - on_full) <= 1e-14 * abs(on_full)
 
-        for op in (spectral.sym_gradient, spectral.vorticity):
-            full = op(grid16, u_hat)
-            assert np.max(np.abs(op(grid16, half(u_hat)) - half(full))) \
-                <= 1e-14 * np.max(np.abs(full))
+        def strain(u):
+            return np.stack([1j * kx * u[0], 1j * ky * u[1], 0.5j * (kx * u[1] + ky * u[0]),
+                             0.5j * (kx * u[2] + kz * u[0]), 0.5j * (ky * u[2] + kz * u[1])])
+
+        def curl(u):
+            return np.stack([1j * (ky * u[2] - kz * u[1]), 1j * (kz * u[0] - kx * u[2]),
+                             1j * (kx * u[1] - ky * u[0])])
+
+        k = (kx, ky, kz)
+        u_full = full(u_hat)
+        for op, op_full in ((spectral.sym_gradient, strain), (spectral.vorticity, curl)):
+            expected = op_full(u_full)
+            assert np.max(np.abs(full(op(grid16, u_hat)) - expected)) \
+                <= 1e-14 * np.max(np.abs(expected))
         for v_hat in (u_hat, u_hat + grad):
-            assert close(spectral.divergence_residual(grid16, half(v_hat)),
-                         spectral.divergence_residual(grid16, v_hat))
+            v = full(v_hat)
+            speed = np.sqrt(np.sum(np.abs(v) ** 2, axis=0))
+            expected = (np.max(np.abs(kx * v[0] + ky * v[1] + kz * v[2]))
+                        / np.max(np.sqrt(kd_sq) * speed))
+            assert close(spectral.divergence_residual(grid16, v_hat), expected)
         s_hat = spectral.sym_gradient(grid16, u_hat)
+        s_full = full(s_hat)
         mean_free = u_hat.copy()
         mean_free[:, 0, 0, 0] = 0.0  # the audit needs it
+        m = full(mean_free)
         for alpha in (0.0, 1.0):
-            assert close(spectral.sobolev_norm_sq(grid16, half(u_hat), alpha),
-                         spectral.sobolev_norm_sq(grid16, u_hat, alpha))
-            assert close(spectral.strain_norm_sq(grid16, half(s_hat), alpha),
-                         spectral.strain_norm_sq(grid16, s_hat, alpha))
-            assert close(spectral.sobolev_inner(grid16, half(u_hat), half(other), alpha),
-                         spectral.sobolev_inner(grid16, u_hat, other, alpha))
+            assert close(spectral.sobolev_norm_sq(grid16, u_hat, alpha),
+                         plancherel(np.sum(np.abs(u_full) ** 2, axis=0), alpha))
+            assert close(spectral.strain_norm_sq(grid16, s_hat, alpha),
+                         plancherel(spectral.strain_frobenius_sq(s_full), alpha))
+            assert close(spectral.sobolev_inner(grid16, u_hat, other, alpha),
+                         plancherel(np.sum(np.real(np.conj(u_full) * full(other)), axis=0),
+                                    alpha))
+            audit_full = (
+                plancherel(spectral.strain_frobenius_sq(strain(m)), alpha),
+                plancherel(sum(np.abs(0.5j * (k[j] * m[i] - k[i] * m[j])) ** 2
+                               for j in range(3) for i in range(3)), alpha),
+                0.5 * plancherel(np.sum(np.abs(curl(m)) ** 2, axis=0), alpha),
+                0.5 * plancherel(sum(np.abs(1j * k[j] * m[i]) ** 2
+                                     for j in range(3) for i in range(3)), alpha))
             for on_half, on_full in zip(
-                    spectral.isometry_audit(grid16, half(mean_free), alpha).values(),
-                    spectral.isometry_audit(grid16, mean_free, alpha).values()):
+                    spectral.isometry_audit(grid16, mean_free, alpha).values(), audit_full):
                 assert close(on_half, on_full)
         not_strain = s_hat + 0.5 * s_hat[[1, 2, 3, 4, 0]]
-        assert close(spectral.consistency_residual(grid16, half(not_strain)),
-                     spectral.consistency_residual(grid16, not_strain))
-        full = spectral.velocity_from_strain(grid16, s_hat)
-        assert np.max(np.abs(spectral.velocity_from_strain(grid16, half(s_hat))
-                             - half(full))) <= 1e-14 * np.max(np.abs(full))
+        s3 = spectral.tensor_full(full(not_strain))
+        t = [sum(k[i] * s3[i, j] for i in range(3)) for j in range(3)]
+        num_sq = sum(np.abs(kd_sq * s3[j, i] - k[j] * t[i] - t[j] * k[i]) ** 2
+                     for j in range(3) for i in range(3))
+        frob = np.sqrt(sum(np.abs(s3[j, i]) ** 2 for j in range(3) for i in range(3)))
+        assert close(spectral.consistency_residual(grid16, not_strain),
+                     np.max(np.sqrt(num_sq)) / np.max(kd_sq * frob))
+        s3 = spectral.tensor_full(s_full)
+        inv_ksq = np.divide(1.0, kd_sq, out=np.zeros_like(kd_sq), where=kd_sq > 0)
+        expected = np.stack([-2j * sum(k[i] * s3[i, j] for i in range(3)) * inv_ksq
+                             for j in range(3)])
+        expected[:, 0, 0, 0] = 0.0
+        assert np.max(np.abs(full(spectral.velocity_from_strain(grid16, s_hat)) - expected)) \
+            <= 1e-14 * np.max(np.abs(expected))
         v = np.array([1.0, 2.0, 2.0]) / 3.0
-        full = spectral.directional_strain_via_derivatives(grid16, u_hat, v)
+        u_dot_v = v[0] * u_full[0] + v[1] * u_full[1] + v[2] * u_full[2]
+        expected = c2c_ifft(0.5 * (1j * (v[0] * kx + v[1] * ky + v[2] * kz) * u_full
+                                   + np.stack([1j * k[j] * u_dot_v for j in range(3)])))
         assert np.max(np.abs(spectral.directional_strain_via_derivatives(
-            grid16, half(u_hat), v) - full)) <= 1e-14 * np.max(np.abs(full))
-        with pytest.raises(InvalidInputError):
-            spectral.hermitian_residual(half(u_hat))
+            grid16, u_hat, v) - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # the kz = 0 and kz = n/2 planes hold the only mirror pairs of a half
+        bent = u_hat + 1e-3j * np.abs(u_hat)
+        bent_full = full(bent)
+        expected = (np.max(np.abs(bent_full - np.conj(_full_cube_mirror(bent_full))))
+                    / np.max(np.abs(bent_full)))
+        assert expected > 0 and close(spectral.hermitian_residual(grid16, bent), expected)
 
     def test_wrong_last_axis_rejected(self, grid16):
         u_hat = initial_data.random_div_free(grid16, seed=42)
-        for bad in (u_hat[..., :grid16.n // 2], u_hat[..., :grid16.n // 2 + 2]):
+        for bad in (u_hat[..., :grid16.n // 2], spectral.expand_half(grid16, u_hat)):
             with pytest.raises(InvalidInputError):
-                grid16.like(grid16.kdz, bad)
+                grid16.spectrum(bad)
             for op in (spectral.sym_gradient, spectral.vorticity,
-                       spectral.divergence_residual, spectral.sobolev_norm_sq):
+                       spectral.divergence_residual, spectral.sobolev_norm_sq,
+                       lambda grid, coeffs: grid.ifft(coeffs), solver.nonlinear_term):
                 with pytest.raises(InvalidInputError):
                     op(grid16, bad)
 
@@ -409,15 +465,15 @@ class TestBlock:
                 + 1j * rng.standard_normal((3, n, n, n // 2 + 1)))
         kept = block.scatter(block.gather(half), np.zeros_like(half))
         inside = ((np.abs(grid.kx) <= b) & (np.abs(grid.ky) <= b)
-                  & (grid.half(grid.kz) <= b))
+                  & (grid.kz <= b))
         assert np.array_equal(kept, np.where(inside, half, 0.0))
         assert np.count_nonzero(inside) == np.prod(block.shape)
 
     def test_wavenumbers_are_the_grids(self, grid_block):
         grid, block, _ = grid_block
         for on_block, on_grid in ((block.kdx, grid.kdx), (block.kdy, grid.kdy),
-                                  (block.kdz, grid.half(grid.kdz)),
-                                  (block.inv_ksq_diff, grid.half(grid.inv_ksq_diff))):
+                                  (block.kdz, grid.kdz),
+                                  (block.inv_ksq_diff, grid.inv_ksq_diff)):
             assert np.array_equal(on_block, block.gather(self._on_half(grid, on_grid)))
 
     def test_rev_maps_each_index_to_its_negative(self, grid_block):
@@ -433,7 +489,7 @@ class TestBlock:
         ones = np.ones((3,) + block.shape, dtype=complex)
         zeroed = block.zero_nyquist(ones.copy())
         kx, ky, kz = (block.gather(self._on_half(grid, k))
-                      for k in (grid.kx, grid.ky, grid.half(grid.kz)))
+                      for k in (grid.kx, grid.ky, grid.kz))
         nyquist = (kx == n // 2) | (ky == n // 2) | (kz == n // 2)
         assert np.array_equal(zeroed, np.where(nyquist, 0.0, ones))
         assert nyquist.any() == (b == n // 2)
