@@ -95,18 +95,18 @@ def cmd_diagnose(args) -> int:
     snaps = [first] + [snapshots.load_velocity(path, first.n)
                        for path in args.snapshots[1:]]
     for snap, path in zip(snaps, args.snapshots):
-        if snap.viscosity != snaps[0].viscosity:
-            raise ConfigError(
-                f"{path}: mixed viscosities {snap.viscosity} vs {snaps[0].viscosity}")
-    snaps.sort(key=lambda s: s.time)
+        if snap.viscosity != first.viscosity:
+            raise ConfigError(f"{path}: mixed viscosities {snap.viscosity} vs {first.viscosity}")
+    ordered = sorted(zip(snaps, args.snapshots), key=lambda pair: pair[0].time)
+    for (snap, path), (later, later_path) in zip(ordered, ordered[1:]):
+        if later.time == snap.time:  # the series columns need distinct times
+            raise ConfigError(f"{path} and {later_path} hold the same time {snap.time!r}")
     grid = Grid(first.n)
     collector = diagnostics.RecordCollector(grid, q_list=run_config.q_list,
-                                            viscosity=snaps[0].viscosity)
-    for index, snap in enumerate(snaps):
-        u_hat = grid.fft(snap.data)
-        spectral.zero_nyquist(grid, u_hat)
-        u_hat[:, 0, 0, 0] = 0.0
-        collector(solver.SolverState(u_hat, snap.time, index))
+                                            viscosity=first.viscosity)
+    for index, (snap, _) in enumerate(ordered):
+        collector(solver.SolverState(spectral.velocity_half(grid, snap.data),
+                                     snap.time, index))
     records = collector.finalize()
     diagnostics.write_csv(records, run_config.csv)
     print(f"diagnosed {len(records)} snapshots -> {run_config.csv}")

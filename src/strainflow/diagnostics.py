@@ -81,7 +81,8 @@ def lq_norm(grid: Grid, scalar_field, q) -> float:
     """Discrete L^q norm of a non-negative scalar field.
 
     q ranges over [3/2, infinity]; q = 3/2 exists solely for the
-    borderline monitor, every criterion integral requires q > 3/2.
+    borderline monitor, every criterion integral requires q > 3/2.  Any
+    finite q but the written 2 and 3/2 sums powers of the field over its peak.
     """
     check_q(q)
     field_arr = np.asarray(scalar_field, dtype=float)
@@ -94,8 +95,13 @@ def lq_norm(grid: Grid, scalar_field, q) -> float:
         return float(field_arr.max())
     if q == 1.5:  # the borderline exponent: a general pow costs 10x a sqrt
         powered = field_arr * np.sqrt(field_arr)
-    else:
+    elif q == 2.0:
         powered = field_arr ** q
+    else:  # max (sum (f/max)^q w)^(1/q): no overflow at a large q
+        peak = float(field_arr.max())
+        if peak == 0.0:
+            return 0.0
+        return peak * float(np.sum((field_arr / peak) ** q) * grid.quad_weight) ** (1.0 / q)
     return float(np.sum(powered) * grid.quad_weight) ** (1.0 / q)
 
 
@@ -115,10 +121,6 @@ def criterion_integral_series(times, norms, q, p=None):
         raise InvalidExponentError(
             f"p={p} inconsistent with q={q} (2/p + 3/q = 2 gives p={p_expected})")
     return cumulative_trapezoid(np.asarray(norms, dtype=float) ** p_expected, times)
-
-
-def criterion_integral(times, norms, q, p=None) -> float:
-    return float(criterion_integral_series(times, norms, q, p)[-1])
 
 
 def enstrophy_budget_residual(times, enstrophy, dissipation, det_integral,

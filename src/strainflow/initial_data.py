@@ -7,7 +7,8 @@ import numpy as np
 
 from . import snapshots
 from .exceptions import ConfigError, InvalidInputError
-from .spectral import Grid, project_divergence_free, sobolev_norm_sq, zero_nyquist
+from .spectral import (Grid, project_divergence_free, sobolev_norm_sq, velocity_half,
+                       zero_nyquist)
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0):
@@ -77,10 +78,7 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
 
 def from_file(grid: Grid, path):
     """Velocity from a snapshot file; grid sizes must match."""
-    u_hat = grid.fft(snapshots.load_velocity(path, grid.n).data)
-    zero_nyquist(grid, u_hat)
-    u_hat[:, 0, 0, 0] = 0.0
-    return u_hat
+    return velocity_half(grid, snapshots.load_velocity(path, grid.n).data)
 
 
 # The initial_data names and their generators; a snapshot is file:<path>.

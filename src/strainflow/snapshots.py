@@ -20,6 +20,7 @@ with repr, so save/load round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ def save_snapshot(path, kind: str, time: float, viscosity: float, data) -> None:
 
 
 def load_snapshot(path) -> Snapshot:
+    """Read a snapshot; a malformed file, a time that is not finite or a
+    viscosity that is not positive and finite is a ConfigError naming it."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -95,6 +98,10 @@ def load_snapshot(path) -> Snapshot:
         raise ConfigError(f"{path}: malformed header ({exc})") from exc
     if kind not in _COMPONENTS or components != _COMPONENTS[kind]:
         raise ConfigError(f"{path}: inconsistent kind/components")
+    if not math.isfinite(time):
+        raise ConfigError(f"{path}: time must be finite, got {time}")
+    if not (math.isfinite(viscosity) and viscosity > 0):
+        raise ConfigError(f"{path}: viscosity must be positive and finite, got {viscosity}")
     payload = blob[split + len(marker):]
     expected = components * n ** 3 * 8
     if len(payload) != expected:

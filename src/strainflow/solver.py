@@ -32,7 +32,7 @@ from . import snapshots, spectral
 from .exceptions import InstabilityError, InvalidInputError
 from .numerics import check_uniform_spacing, cumulative_integral_4
 from .spectral import (Grid, divergence_residual, project_divergence_free,
-                       sobolev_norm_sq, zero_nyquist)
+                       sobolev_norm_sq, velocity_half, zero_nyquist)
 
 CFL_SAFETY = 0.5  # the step of dt=None is at most CFL_SAFETY * dx / max|u0|
 
@@ -91,8 +91,6 @@ class SolverState:
 class NoForce:
     """Zero external force."""
 
-    time_dependent = False
-
     def __call__(self, t: float):
         return None
 
@@ -144,14 +142,10 @@ def _parse_force_component(text: str):
 
 
 def _force_hat(grid: Grid, field):
-    """Spectral force from a physical field, as a kz in [0, n/2]
-    half-spectrum like every state: projected divergence-free (which also
-    absorbs the pressure part of any gradient), Nyquist-zeroed and
-    mean-zeroed."""
-    f_half = project_divergence_free(grid, grid.fft(field))
-    zero_nyquist(grid, f_half)
-    f_half[:, 0, 0, 0] = 0.0
-    return f_half
+    """Spectral force from a physical field: its velocity_half, projected
+    divergence-free (which also absorbs the pressure part of any gradient);
+    the projection acts mode by mode, so it commutes with the zeroing."""
+    return project_divergence_free(grid, velocity_half(grid, field))
 
 
 class ExprForce:
@@ -203,28 +197,11 @@ class ExprForce:
         return f_hat
 
 
-def _load_force_field(grid: Grid, path):
-    snap = snapshots.load_velocity(path, grid.n)
-    return snap.time, _force_hat(grid, snap.data)
-
-
-class FileForce:
-    """Constant-in-time force loaded from a velocity snapshot file."""
-
-    time_dependent = False
-
-    def __init__(self, grid: Grid, path):
-        _, self._f_hat = _load_force_field(grid, path)
-
-    def __call__(self, t: float):
-        return self._f_hat
-
-
 class FileSequenceForce:
     """Piecewise-constant force from a sequence of velocity snapshots.
 
     Each file's header time is its activation knot; before the first
-    knot the first field applies.
+    knot the first field applies, so one file is a constant force.
     """
 
     time_dependent = True
@@ -232,10 +209,10 @@ class FileSequenceForce:
     def __init__(self, grid: Grid, paths):
         if not paths:
             raise InvalidInputError("force file sequence is empty")
-        loaded = sorted((_load_force_field(grid, p) for p in paths),
-                        key=lambda pair: pair[0])
-        self._knots = np.array([time for time, _ in loaded])
-        self._fields = [field for _, field in loaded]
+        snaps = sorted((snapshots.load_velocity(p, grid.n) for p in paths),
+                       key=lambda snap: snap.time)
+        self._knots = np.array([snap.time for snap in snaps])
+        self._fields = [_force_hat(grid, snap.data) for snap in snaps]
 
     def __call__(self, t: float):
         index = int(np.searchsorted(self._knots, t, side="right")) - 1
@@ -245,6 +222,8 @@ class FileSequenceForce:
 def make_force(grid: Grid, spec: str):
     """Parse a forcing spec:
     none | expr:<fx>;<fy>;<fz> | file:<path> | files:<path>,<path>,...
+
+    file:<path> is files: with one knot, a field that applies at every t.
     """
     spec = (spec or "none").strip()
     if spec in ("none", ""):
@@ -252,7 +231,7 @@ def make_force(grid: Grid, spec: str):
     if spec.startswith("expr:"):
         return ExprForce(grid, spec[len("expr:"):].split(";"))
     if spec.startswith("file:"):
-        return FileForce(grid, spec[len("file:"):])
+        return FileSequenceForce(grid, [spec[len("file:"):]])
     if spec.startswith("files:"):
         paths = [p.strip() for p in spec[len("files:"):].split(",") if p.strip()]
         return FileSequenceForce(grid, paths)
@@ -572,11 +551,6 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
             record(state)
 
     return RunResult(np.asarray(times), states, state, config)
-
-
-def divergence_invariant(grid: Grid, state: SolverState) -> float:
-    """Divergence residual of a solver state (should stay below 1e-12)."""
-    return divergence_residual(grid, state.u_hat)
 
 
 def kinetic_energy(grid: Grid, u_hat) -> float:

@@ -22,6 +22,9 @@ Conventions (fixed once, used everywhere):
   count every plane strictly inside 0 < kz < n/2 twice, for its mirror
   image.  The only mirror pairs a half holds lie in its self-mirrored
   kz = 0 and kz = n/2 planes.
+* A physical velocity read from outside, a snapshot or a force field,
+  enters through one rule, velocity_half: r2c, then the Nyquist planes
+  and the mean zeroed.
 * The time stepper's stages run on a second layout, Grid.block: a block
   of the half in a compact array of its own (Block), the only modes the
   nonlinear term reads or writes; with 2/3-rule dealiasing that is the
@@ -53,14 +56,6 @@ CONSISTENCY_TOL = 1e-10
 _FFT_WORKERS = 1
 
 
-def _rfftn(arr):
-    return _fft_module.rfftn(arr, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-
-
-def _irfftn(arr, n):
-    return _fft_module.irfftn(arr, s=(n, n, n), axes=(-3, -2, -1), workers=_FFT_WORKERS)
-
-
 class Grid:
     """Uniform n^3 grid over the 2pi-periodic box with its FFT metadata:
     wavenumber arrays that broadcast to the half-spectrum, Grid.shape."""
@@ -87,10 +82,6 @@ class Grid:
                                       out=np.zeros_like(self.ksq_diff),
                                       where=self.ksq_diff > 0)
         self.dealias_kmax = (n - 1) // 3
-        keep = np.abs(k1) <= self.dealias_kmax
-        self.dealias_mask = (keep.reshape(n, 1, 1)
-                             & keep.reshape(1, n, 1)
-                             & keep[:half + 1].reshape(1, 1, half + 1))
         self.volume = (2.0 * np.pi) ** 3
         self.quad_weight = self.volume / n ** 3
         self.spectral_weight = self.volume / float(n) ** 6
@@ -120,12 +111,13 @@ class Grid:
         if field.shape[-3:] != (self.n,) * 3:
             raise InvalidInputError(
                 f"field shape {field.shape} does not end in ({self.n},)*3")
-        return _rfftn(field)
+        return _fft_module.rfftn(field, axes=(-3, -2, -1), workers=_FFT_WORKERS)
 
     def ifft(self, coeffs):
         """Inverse real FFT (c2r) of a half-spectrum over the last three
         axes; returns the real field."""
-        return _irfftn(self.spectrum(coeffs), self.n)
+        return _fft_module.irfftn(self.spectrum(coeffs), s=(self.n,) * 3, axes=(-3, -2, -1),
+                                  workers=_FFT_WORKERS)
 
     def spectrum(self, coeffs):
         """coeffs as an array, after checking that it is a spectrum of
@@ -256,6 +248,15 @@ def zero_nyquist(grid: Grid, coeffs):
     return coeffs
 
 
+def velocity_half(grid: Grid, field):
+    """The half-spectrum of a physical velocity (3, n, n, n) read from
+    outside (a snapshot, a force field), with its Nyquist planes and its
+    mean zeroed, as every state and force is."""
+    u_hat = zero_nyquist(grid, grid.fft(field))
+    u_hat[:, 0, 0, 0] = 0.0
+    return u_hat
+
+
 def divergence_residual(grid: Grid, u_hat) -> float:
     """max_xi |xi . uhat| normalized by max_xi |xi| |uhat| (the same on
     a half-spectrum as on its Hermitian cube)."""
@@ -380,22 +381,6 @@ def vorticity(grid: Grid, u_hat):
     ])
 
 
-def antisym_matrix(omega):
-    """Antisymmetric gradient part built from the vorticity vector.
-
-    Accepts a single 3-vector or a (3, ...) field; returns (3, 3) + shape.
-    Satisfies A @ omega = 0 identically.
-    """
-    omega = np.asarray(omega, dtype=float)
-    w1, w2, w3 = omega[0], omega[1], omega[2]
-    zero = np.zeros_like(w1)
-    return 0.5 * np.stack([
-        np.stack([zero, w3, -w2]),
-        np.stack([-w3, zero, w1]),
-        np.stack([w2, -w1, zero]),
-    ])
-
-
 def plancherel_sum(grid: Grid, mode_values, alpha: float) -> float:
     """Plancherel sum of |xi|^(2 alpha) times per-mode values (summed over
     any leading component axes first) over a half-spectrum, each plane
@@ -515,14 +500,9 @@ def isometry_audit(grid: Grid, u_hat, alpha: float) -> IsometryReport:
     return IsometryReport(s_sq, a_sq, 0.5 * w_sq, 0.5 * g_sq)
 
 
-def strain_to_physical(grid: Grid, s_hat):
-    """Physical-space strain components, shaped (5, n, n, n)."""
-    return grid.ifft(s_hat)
-
-
 def strain_field(grid: Grid, s_hat) -> sym3.TraceFreeSym3:
     """Pointwise matrix view of a spectral strain field."""
-    return sym3.TraceFreeSym3.from_components(strain_to_physical(grid, s_hat))
+    return sym3.TraceFreeSym3.from_components(grid.ifft(s_hat))
 
 
 def directional_strain(grid: Grid, u_hat, v, tol: float = 1e-12):
@@ -534,22 +514,3 @@ def directional_strain(grid: Grid, u_hat, v, tol: float = 1e-12):
     """
     s = strain_field(grid, sym_gradient(grid, u_hat))
     return sym3.apply_to_vector(s, v, tol=tol)
-
-
-def directional_strain_via_derivatives(grid: Grid, u_hat, v):
-    """S v for a constant unit vector, computed as (d_v u + grad(u.v))/2.
-
-    Independent route used to cross-check directional_strain on
-    piecewise-constant direction fields (applied region by region).
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise InvalidInputError("derivative form needs a single constant 3-vector")
-    if abs(np.sqrt(np.sum(v ** 2)) - 1.0) > 1e-12:
-        raise InvalidInputError("direction is not unit length")
-    k = (grid.kdx, grid.kdy, grid.kdz)
-    dv_mult = 1j * (v[0] * k[0] + v[1] * k[1] + v[2] * k[2])
-    dv_u = dv_mult * np.asarray(u_hat)
-    u_dot_v = v[0] * u_hat[0] + v[1] * u_hat[1] + v[2] * u_hat[2]
-    grad_uv = np.stack([1j * k[j] * u_dot_v for j in range(3)])
-    return grid.ifft(0.5 * (dv_u + grad_uv))

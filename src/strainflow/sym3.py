@@ -106,11 +106,6 @@ class TraceFreeSym3:
         """Build from an array shaped (5, ...) in (11, 22, 12, 13, 23) order."""
         return cls(comps[0], comps[1], comps[2], comps[3], comps[4])
 
-    def components(self):
-        """Stack the five stored entries along a new leading axis."""
-        return np.stack([np.asarray(c, dtype=float) for c in
-                         (self.m11, self.m22, self.m12, self.m13, self.m23)])
-
     def to_matrix(self):
         """Full 3x3 representation, shaped (3, 3) + self.shape."""
         m = np.zeros((3, 3) + self.shape)

@@ -69,14 +69,9 @@ def _ratio_poly(r: float) -> float:
     return ((-2.0 * r + 3.0) * r + 3.0) * r - 2.0
 
 
-def rhs_matrix(m: sym3.TraceFreeSym3) -> sym3.TraceFreeSym3:
-    """Right-hand side -M^2 + (|M|^2/3) I as a trace-free matrix."""
-    out = _rhs_matrix_components(np.array(
-        [m.m11, m.m22, m.m12, m.m13, m.m23], dtype=float))
-    return sym3.TraceFreeSym3(out[0], out[1], out[2], out[3], out[4])
-
-
 def _rhs_matrix_components(y):
+    """Right-hand side -M^2 + (|M|^2/3) I of the five stored entries
+    (m11, m22, m12, m13, m23) of M."""
     a, b, d, e, f = y
     c = -a - b
     norm_sq = a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)
@@ -151,10 +146,6 @@ class ToyTrajectory:
     lambda2: np.ndarray
     lambda3: np.ndarray
     r: np.ndarray
-
-    @property
-    def inv_lambda3(self):
-        return 1.0 / self.lambda3
 
 
 @dataclass

@@ -68,8 +68,8 @@ class TestCriterionExponent:
         times = np.linspace(0, 1, 5)
         norms = np.ones(5)
         with pytest.raises(InvalidExponentError):
-            diagnostics.criterion_integral(times, norms, 2.0, p=3.0)
-        ok = diagnostics.criterion_integral(times, norms, 2.0, p=4.0)
+            diagnostics.criterion_integral_series(times, norms, 2.0, p=3.0)
+        ok = diagnostics.criterion_integral_series(times, norms, 2.0, p=4.0)[-1]
         assert ok == pytest.approx(1.0)
 
     def test_decaying_shear_accumulates_nothing(self, tg16):

@@ -1,4 +1,6 @@
 import dataclasses
+import glob
+import math
 import os
 import re
 import subprocess
@@ -402,6 +404,70 @@ class TestCli:
         assert cli.main(["diagnose", "--csv", str(out)] + paths) == 1
         assert "mixed viscosities" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_readme_workflow_gives_finite_series_columns(self, tmp_path, capsys):
+        # t_end on the snapshot grid: state_final.snap repeats the time of
+        # the last state_<step>.snap, so state_* holds a repeated time
+        snaps = tmp_path / "snaps"
+        assert cli.main(["simulate", "--n", "8", "--dt", "1e-3", "--t-end", "0.05",
+                         "--csv", str(tmp_path / "run.csv"), "--snapshot-dir", str(snaps),
+                         "--snapshot-every", "10"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "diag.csv"
+        every = sorted(glob.glob(str(snaps / "state_*.snap")))
+        assert cli.main(["diagnose", "--csv", str(out), *every]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {snaps / 'state_00000050.snap'} and "
+                       f"{snaps / 'state_final.snap'} hold the same time 0.05\n")
+        assert not out.exists()
+        steps = sorted(glob.glob(str(snaps / "state_0*.snap")))
+        assert cli.main(["diagnose", "--csv", str(out), *steps]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert len(rows) == 6
+        columns = header.split(",")
+        for name in ("budget_resid", "gcon_margin", "cubic_margin"):
+            values = [float(row.split(",")[columns.index(name)]) for row in rows]
+            assert all(math.isfinite(v) for v in values), name
+
+    @pytest.mark.parametrize("key, value", [
+        ("time", math.nan), ("time", math.inf), ("viscosity", -1.0),
+        ("viscosity", 0.0), ("viscosity", math.inf), ("viscosity", math.nan)])
+    @pytest.mark.parametrize("reader", ["diagnose", "file_force", "files_force",
+                                        "initial_data"])
+    def test_snapshot_header_values_rejected(self, tmp_path, capsys, grid8, key, value,
+                                             reader):
+        u_phys = grid8.ifft(initial_data.shear(grid8))
+        good, bad = tmp_path / "good.snap", tmp_path / "bad.snap"
+        snapshots.save_snapshot(good, "velocity", 0.0, 1.0, u_phys)
+        header = {"time": 0.5, "viscosity": 1.0, key: value}
+        snapshots.save_snapshot(bad, "velocity", header["time"], header["viscosity"],
+                                u_phys)
+        csv = tmp_path / "never.csv"
+        small = ["simulate", "--n", "8", "--dt", "1e-3", "--t-end", "0.01", "--csv", str(csv)]
+        argv = {"diagnose": ["diagnose", "--csv", str(csv), str(good), str(bad)],
+                "file_force": [*small, "--force", f"file:{bad}"],
+                "files_force": [*small, "--force", f"files:{good},{bad}"],
+                "initial_data": [*small, "--initial-data", f"file:{bad}"]}[reader]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {key} must be") and err.count("\n") == 1
+        assert not csv.exists()
+
+    def test_large_q_does_not_overflow(self, tmp_path, grid8):
+        # |lambda2+|^200 overflowed for a field of amplitude 1e4
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+        csv = tmp_path / "q.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "strainflow.cli", "simulate", "--n", "8",
+             "--dt", "auto", "--t-end", "0.01", "--initial-data", "random_div_free",
+             "--amplitude", "1e4", "--q-list", "200", "--csv", str(csv)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        c = 1e3
+        got = diagnostics.lq_norm(grid8, np.full((8, 8, 8), c), 200.0)
+        assert got == pytest.approx(c * (2.0 * np.pi) ** (3.0 / 200.0), rel=1e-14)
 
     def test_diagnose_rejects_settings_it_ignores(self, tmp_path, capsys, grid8):
         path = str(tmp_path / "s.snap")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rhs_matrix
 from strainflow import sym3, toy_ode, verify
 from strainflow.exceptions import InvalidInputError, NumericalFailureError
 from strainflow.toy_ode import (
@@ -20,20 +21,20 @@ GOLDEN_DECAY = sym3.TraceFreeSym3(-1.0, -1.0, 0.0, 0.0, 0.0)
 class TestRightHandSides:
     def test_matrix_rhs_self_amplifying_direction(self):
         # M = diag(-2,1,1): M^2 = diag(4,1,1), |M|^2 = 6, rhs = M itself
-        out = toy_ode.rhs_matrix(GOLDEN_BLOWUP)
+        out = rhs_matrix(GOLDEN_BLOWUP)
         assert out.m11 == pytest.approx(-2.0)
         assert out.m22 == pytest.approx(1.0)
         for entry in (out.m12, out.m13, out.m23):
             assert entry == pytest.approx(0.0, abs=1e-15)
 
     def test_matrix_rhs_zero(self):
-        out = toy_ode.rhs_matrix(sym3.TraceFreeSym3(0, 0, 0, 0, 0))
+        out = rhs_matrix(sym3.TraceFreeSym3(0, 0, 0, 0, 0))
         assert out.norm() == 0.0
 
     def test_matrix_rhs_trace_free_structurally(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            out = toy_ode.rhs_matrix(random_trace_free(rng))
+            out = rhs_matrix(random_trace_free(rng))
             assert out.m11 + out.m22 + out.m33 == 0.0
 
     def test_matrix_rhs_matches_matrix_arithmetic(self):
@@ -42,7 +43,7 @@ class TestRightHandSides:
             m = random_trace_free(rng)
             a = m.to_matrix()
             expected = -a @ a + (m.norm_sq() / 3.0) * np.eye(3)
-            got = toy_ode.rhs_matrix(m).to_matrix()
+            got = rhs_matrix(m).to_matrix()
             assert np.max(np.abs(got - expected)) < 1e-13 * max(m.norm_sq(), 1.0)
 
     def test_reduced_rhs_fixed_ratios(self):
