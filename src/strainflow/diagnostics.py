@@ -29,8 +29,9 @@ from . import solver, sym3
 from .exceptions import InvalidExponentError, InvalidInputError
 from .numerics import (check_uniform_spacing, cumulative_trapezoid,
                        fd4_derivative)
-from .spectral import (Grid, plancherel_sum, sobolev_inner, sobolev_norm_sq,
-                       strain_field, strain_frobenius_sq, sym_gradient, vorticity)
+from .spectral import (Grid, directional_strain, plancherel_sum, sobolev_inner,
+                       sobolev_norm_sq, strain_field, strain_frobenius_sq, sym_gradient,
+                       vorticity)
 
 # Coefficient of the cubic enstrophy-growth monitor (whole-space sharp
 # Sobolev value; on the torus it is monitored, never asserted).
@@ -217,33 +218,27 @@ def directional_criterion(grid: Grid, u_hat, regions, directions, q) -> float:
     """Assemble |S v|_{L^q} over a piecewise-constant direction field.
 
     regions is a sequence of boolean masks that must partition the grid;
-    directions the matching unit vectors.  The result dominates the
-    L^q norm of |lambda2| and hence of l2+.
+    directions the matching unit 3-vectors.  The field v they make goes
+    to spectral.directional_strain and |S v| to lq_norm.  The result
+    dominates the L^q norm of |lambda2| and hence of l2+.
     """
     if len(regions) != len(directions):
         raise InvalidInputError("regions and directions must pair up")
     check_q(q)
     cover = np.zeros((grid.n,) * 3, dtype=int)
-    for mask in regions:
-        mask = np.asarray(mask)
+    v_field = np.zeros((3,) + cover.shape)
+    for mask, v in zip(regions, directions):
+        mask, v = np.asarray(mask), np.asarray(v, dtype=float)
         if mask.shape != cover.shape or mask.dtype != bool:
             raise InvalidInputError("each region must be a boolean grid mask")
+        if v.shape != (3,):
+            raise InvalidInputError(f"each direction must be a 3-vector, got shape {v.shape}")
         cover += mask
+        v_field[:, mask] = v[:, None]
     if cover.min() < 1 or cover.max() > 1:
         raise InvalidInputError("regions must partition the grid (no gaps, no overlap)")
-    strain = strain_field(grid, sym_gradient(grid, u_hat))
-    total = 0.0
-    peak = 0.0
-    for mask, v in zip(regions, directions):
-        sv = sym3.apply_to_vector(strain, np.asarray(v, dtype=float))
-        mag = np.sqrt(sv[0] ** 2 + sv[1] ** 2 + sv[2] ** 2)[mask]
-        if np.isinf(q):
-            peak = max(peak, float(mag.max(initial=0.0)))
-        else:
-            total += float(np.sum(mag ** q))
-    if np.isinf(q):
-        return peak
-    return (total * grid.quad_weight) ** (1.0 / q)
+    sv = directional_strain(grid, u_hat, v_field)  # checks |v| = 1
+    return lq_norm(grid, np.sqrt(sv[0] ** 2 + sv[1] ** 2 + sv[2] ** 2), q)
 
 
 @dataclass

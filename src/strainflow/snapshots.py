@@ -40,8 +40,17 @@ class Snapshot:
     data: np.ndarray  # (components, n, n, n) float64 physical fields
 
 
+def _check_header_values(path, time: float, viscosity: float) -> None:
+    # save and load share this rule, so every file saved can be loaded
+    if not math.isfinite(time):
+        raise ConfigError(f"{path}: time must be finite, got {time}")
+    if not (math.isfinite(viscosity) and viscosity > 0):
+        raise ConfigError(f"{path}: viscosity must be positive and finite, got {viscosity}")
+
+
 def save_snapshot(path, kind: str, time: float, viscosity: float, data) -> None:
     data = np.ascontiguousarray(np.asarray(data, dtype="<f8"))
+    _check_header_values(path, time, viscosity)
     if kind not in _COMPONENTS:
         raise ConfigError(f"unknown snapshot kind {kind!r}")
     if data.ndim != 4 or data.shape[0] != _COMPONENTS[kind]:
@@ -98,10 +107,7 @@ def load_snapshot(path) -> Snapshot:
         raise ConfigError(f"{path}: malformed header ({exc})") from exc
     if kind not in _COMPONENTS or components != _COMPONENTS[kind]:
         raise ConfigError(f"{path}: inconsistent kind/components")
-    if not math.isfinite(time):
-        raise ConfigError(f"{path}: time must be finite, got {time}")
-    if not (math.isfinite(viscosity) and viscosity > 0):
-        raise ConfigError(f"{path}: viscosity must be positive and finite, got {viscosity}")
+    _check_header_values(path, time, viscosity)
     payload = blob[split + len(marker):]
     expected = components * n ** 3 * 8
     if len(payload) != expected:

@@ -84,9 +84,6 @@ class SolverState:
         self.t = t
         self.step_count = step_count
 
-    def copy(self) -> "SolverState":
-        return SolverState(self.u_hat.copy(), self.t, self.step_count)
-
 
 class NoForce:
     """Zero external force."""
@@ -179,7 +176,6 @@ class ExprForce:
             return self._cached[1]
         names = dict(self._names)
         names["t"] = t
-        ones = np.ones((self.grid.n,) * 3)
         comps = []
         for code in self._codes:
             try:
@@ -190,8 +186,8 @@ class ExprForce:
                 raise InvalidInputError(f"force expression failed at t={t}: {exc}") from exc
             if not np.all(np.isfinite(value)):
                 raise InvalidInputError(f"force expression is not finite at t={t}")
-            comps.append(np.broadcast_to(value, ones.shape) * ones)
-        f_hat = _force_hat(self.grid, np.stack(comps))
+            comps.append(np.broadcast_to(value, (self.grid.n,) * 3))
+        f_hat = _force_hat(self.grid, np.stack(comps))  # stack copies the views
         f_hat.flags.writeable = False
         self._cached = (t, f_hat)
         return f_hat
@@ -330,48 +326,42 @@ def _nonlinear_half(block: spectral.Block, u_block, out, scratch: _NonlinearScra
 
 
 class Stepper:
-    """Integrating-factor RK4 stepper on the half-spectrum.
+    """Integrating-factor RK4 stepper on the half-spectrum, for one dt.
 
     The four stages run on the grid's Block (spectral.Block): with 2/3-rule
     dealiasing only the modes with |kx|, |ky|, |kz| <= (n - 1)//3 enter
     or leave the nonlinear term, so the RK4 sequence runs on the block of
     the state, in block-sized buffers.  Every other mode of the new half
     takes the exact linear update, since N there is the force alone: E^2 u
-    unforced, and the same RK4 combination of the stages' force values
-    otherwise.  Each mode sees the operations of a step that runs every
-    stage on the half, on the same operands, so the result is the same to
-    the bit.  Without dealiasing the block has the shape of the half,
-    nothing lies outside it, and the linear update is overwritten
-    everywhere.
+    unforced, and otherwise the combination _combine of the stages' force
+    values, the routine that also ends the block's step.  Each mode sees
+    the operations of a step that runs every stage on the half, on the
+    same operands, so the result is the same to the bit.  Without
+    dealiasing the block has the shape of the half, nothing lies outside
+    it, and the linear update is overwritten everywhere.
 
-    The heat factors are cached for the latest dt only.  The stages run
-    in place in work buffers made on the first step: the stage output,
-    Nb + Nc, the stage argument, the blocks of the state, of the
-    accumulator and of the force, and the scratch of _nonlinear_half.  A
-    step allocates only the half-spectrum of the state it returns, so a
-    state the caller keeps never shares memory with the buffers, and the
-    input state is never written.
+    Everything a step uses is made here, for config.dt (run resolves
+    dt=None first): the heat factors, six block buffers, the scratch of
+    _nonlinear_half and the half work array of a forced update.  A step
+    allocates only the half-spectrum of the state it returns, so a kept
+    state never shares memory with the buffers, and the input state is
+    never written.
     """
 
     def __init__(self, grid: Grid, config: SolverConfig, force=None):
+        if config.dt is None:
+            raise InvalidInputError("a Stepper needs a dt; run resolves dt=None by auto_dt")
         self.grid = grid
         self.config = config
         self.force = force if force is not None else make_force(grid, config.force)
-        self.block = grid.block(config.dealias)
-        self._factors = None  # (dt, (E, E^2, 2E) on the half, the same on the block)
-        self._buffers = None  # (stage, pair, arg, u, acc, f) on the block
-        self._scratch = None
-        self._outer = None  # half-spectrum work array of a forced linear update
-
-    def _heat_factors(self, dt: float):
-        # on the kz in [0, n/2] half-cube, and gathered from it onto the
-        # block, as complex like the block's wavenumbers; one set, not one per dt
-        if self._factors is None or self._factors[0] != dt:
-            half = np.exp(-self.config.viscosity * self.grid.ksq * (0.5 * dt))
-            factors = (half, half * half, 2.0 * half)
-            self._factors = (dt, factors,
-                             tuple(self.block.gather(f).astype(complex) for f in factors))
-        return self._factors[1:]
+        self.block = block = grid.block(config.dealias)
+        # (E, E^2, 2E) on the half, and gathered onto the block as complex
+        half = np.exp(-config.viscosity * grid.ksq * (0.5 * config.dt))
+        self._half_factors = (half, half * half, 2.0 * half)
+        self._block_factors = tuple(block.gather(f).astype(complex) for f in self._half_factors)
+        self._buffers = tuple(np.empty((3,) + block.shape, dtype=complex) for _ in range(6))
+        self._scratch = _NonlinearScratch(block)
+        self._outer = np.empty((3,) + grid.shape, dtype=complex)
 
     def _rhs(self, u_block, t, out):
         # N(u, t) on the block into out; returns the force half-spectrum
@@ -381,53 +371,37 @@ class Stepper:
             out += self.block.gather(f_half, self._buffers[5])
         return f_half
 
-    def _linear_update(self, u, dt, factors, forces, out):
-        # the step where N is the force alone, in the order of step's sums
+    def _combine(self, factors, u, na, pair, nd, out, tmp):
+        # u' = E^2 u + dt/6 (E^2 na + 2E pair + nd) into out; out may be na, tmp pair
         _, e_full, e_twice = factors
-        fa, fb, fc, fd = forces
-        if fa is None:
-            np.multiply(e_full, u, out=out)
-            return
-        if self._outer is None:
-            self._outer = np.empty(u.shape, dtype=complex)
-        tmp = self._outer
-        np.add(fb, fc, out=tmp)
-        np.multiply(e_twice, tmp, out=tmp)
-        np.multiply(e_full, fa, out=out)
+        np.multiply(e_twice, pair, out=tmp)
+        np.multiply(e_full, na, out=out)
         out += tmp
-        out += fd
-        np.multiply(dt / 6.0, out, out=out)
+        out += nd
+        np.multiply(self.config.dt / 6.0, out, out=out)
         np.multiply(e_full, u, out=tmp)
         np.add(tmp, out, out=out)
 
-    def step(self, state: SolverState, dt: float | None = None, *,
-             t_next: float | None = None) -> SolverState:
-        """The state one step of dt later.  Its time is t_next, state.t + dt
-        if not given; the last stage evaluates the force at that time too
-        (run passes k dt, so a step's force and its state share one float)."""
-        if dt is None:
-            dt = self.config.dt
+    def step(self, state: SolverState, *, t_next: float | None = None) -> SolverState:
+        """The state one step of config.dt later.  Its time is t_next,
+        state.t + dt if not given; the last stage evaluates the force at
+        that time too (run passes k dt, so a step's force and its state
+        share one float)."""
+        dt = self.config.dt
         t = state.t
         if t_next is None:
             t_next = t + dt
-        half_factors, (e_half, e_full, e_twice) = self._heat_factors(dt)
+        e_half, e_full, _ = self._block_factors
         block = self.block
-        u_full = state.u_hat
-        if self._buffers is None:
-            self._buffers = tuple(np.empty((3,) + block.shape, dtype=complex)
-                                  for _ in range(6))
-            self._scratch = _NonlinearScratch(block)
-        stage, pair, arg, u_buffer, acc, _ = self._buffers
-        u = block.gather(u_full, u_buffer)
-        u_new = np.empty(u_full.shape, dtype=complex)
-        # u' = E^2 u + dt/6 (E^2 Na + 2 E (Nb + Nc) + Nd), every product and
-        # sum taken in the order of the textbook expressions
+        na, stage, pair, arg, u, _ = self._buffers
+        block.gather(state.u_hat, u)
+        u_new = np.empty(state.u_hat.shape, dtype=complex)
+        # every product and sum taken in the order of the textbook expressions
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
-            fa = self._rhs(u, t, stage)                  # Na
-            np.multiply(0.5 * dt, stage, out=arg)        # E (u + dt/2 Na)
+            fa = self._rhs(u, t, na)                     # Na
+            np.multiply(0.5 * dt, na, out=arg)           # E (u + dt/2 Na)
             np.add(u, arg, out=arg)
             np.multiply(e_half, arg, out=arg)
-            np.multiply(e_full, stage, out=acc)          # E^2 Na
             fb = self._rhs(arg, t + 0.5 * dt, pair)      # Nb
             np.multiply(e_half, u, out=arg)              # E u + dt/2 Nb
             np.multiply(0.5 * dt, pair, out=stage)
@@ -439,14 +413,14 @@ class Stepper:
             np.multiply(e_full, u, out=arg)
             np.add(arg, stage, out=arg)
             fd = self._rhs(arg, t_next, stage)           # Nd
-            np.multiply(e_twice, pair, out=pair)
-            acc += pair
-            acc += stage
-            np.multiply(dt / 6.0, acc, out=acc)
-            np.multiply(e_full, u, out=arg)
-            np.add(arg, acc, out=acc)
-            self._linear_update(u_full, dt, half_factors, (fa, fb, fc, fd), u_new)
-            block.scatter(acc, u_new)
+            self._combine(self._block_factors, u, na, pair, stage, na, arg)
+            if fa is None:
+                np.multiply(self._half_factors[1], state.u_hat, out=u_new)
+            else:
+                np.add(fb, fc, out=self._outer)
+                self._combine(self._half_factors, state.u_hat, fa, self._outer, fd,
+                              u_new, self._outer)
+            block.scatter(na, u_new)
         u_new[:, 0, 0, 0] = 0.0
         if not np.all(np.isfinite(u_new)):
             raise InstabilityError(
@@ -461,7 +435,7 @@ class RunResult:
     times: np.ndarray
     states: list | None
     final_state: SolverState
-    config: SolverConfig = field(repr=False, default=None)
+    config: SolverConfig = field(repr=False)
 
 
 def auto_dt(grid: Grid, config: SolverConfig, u_half) -> float:
@@ -531,22 +505,21 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     if config.dt is None:
         config = replace(config, dt=auto_dt(grid, config, state.u_hat))
     stepper = Stepper(grid, config, force)
-    times = [0.0]
-    states = [state.copy()] if keep_states else None
-    if on_record is not None:
-        on_record(state)
+    times = []
+    states = [] if keep_states else None
 
-    def record(st):
+    def record(st):  # states are never written, so the list shares them
         times.append(st.t)
         if keep_states:
-            states.append(st.copy())
+            states.append(st)
         if on_record is not None:
             on_record(st)
 
+    record(state)
     n_steps = round(config.t_end / config.dt)  # a whole number of record intervals
     for k in range(1, n_steps + 1):
         # k dt: exact uniform spacing, no accumulation drift
-        state = stepper.step(state, config.dt, t_next=k * config.dt)
+        state = stepper.step(state, t_next=k * config.dt)
         if k % config.record_every == 0:
             record(state)
 

@@ -280,6 +280,25 @@ class TestDirectionalCriterion:
         with pytest.raises(InvalidInputError):
             diagnostics.directional_criterion(grid8, u_hat, [full, full], [e1, e1], 2.0)
 
+    def test_direction_must_be_unit_3_vector(self, grid8):
+        u_hat = initial_data.random_div_free(grid8, seed=42)
+        full = [np.ones((grid8.n,) * 3, dtype=bool)]
+        for bad in (np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0]), np.ones((3, 1))):
+            with pytest.raises(InvalidInputError):
+                diagnostics.directional_criterion(grid8, u_hat, full, [bad], 2.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_q_does_not_overflow(self, grid8):
+        # sum |S v|^200 overflowed for a field of amplitude 1e4; the norm is
+        # homogeneous of degree one in u
+        u_hat = initial_data.random_div_free(grid8, seed=1, amplitude=1e4)
+        full = [np.ones((grid8.n,) * 3, dtype=bool)]
+        e3 = [np.array([0.0, 0.0, 1.0])]
+        value = diagnostics.directional_criterion(grid8, u_hat, full, e3, 200.0)
+        unit = diagnostics.directional_criterion(grid8, u_hat * 1e-4, full, e3, 200.0)
+        assert math.isfinite(value)
+        assert value == pytest.approx(1e4 * unit, rel=1e-12)
+
 
 def full_cube_reference(grid, u_hat, f_hat=None):
     """Record fields rebuilt on the full cube (the half-spectra u_hat and

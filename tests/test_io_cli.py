@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
 import glob
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import c2c_ifft, nyquist_noise_state
 from strainflow import (cli, config as config_mod, diagnostics, initial_data, snapshots,
@@ -56,6 +61,17 @@ class TestSnapshots:
         first_vals = np.frombuffer(payload[:8 * n], dtype="<f8")
         assert np.array_equal(first_vals, np.arange(n, dtype=float))  # x varies fastest
 
+    @pytest.mark.parametrize("key, value", [
+        ("time", math.nan), ("time", math.inf), ("viscosity", -1.0),
+        ("viscosity", 0.0), ("viscosity", math.inf), ("viscosity", math.nan)])
+    def test_save_refuses_header_values_load_rejects(self, tmp_path, grid8, key, value):
+        path = tmp_path / "bad.snap"
+        header = {"time": 0.5, "viscosity": 1.0, key: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {key} must be"):
+            snapshots.save_snapshot(path, "velocity", header["time"], header["viscosity"],
+                                    np.zeros((3,) + (grid8.n,) * 3))
+        assert not path.exists()
+
     def test_malformed_header(self, tmp_path):
         bad = tmp_path / "bad.snap"
         bad.write_bytes(b"not a snapshot\n---\n")
@@ -72,6 +88,59 @@ class TestSnapshots:
         (tmp_path / "t.snap").write_bytes(blob[:-16])
         with pytest.raises(ConfigError):
             snapshots.load_snapshot(path)
+
+
+_HEADER_TIMES = (0.0, 0.125, 0.25, 0.375, 0.5)
+_header_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+_HEADER_VALUES = {
+    "kind": st.sampled_from(["strain", "Velocity", ""]) | _header_text,
+    "n": st.integers(-9, 70).map(str) | _header_text,
+    "time": st.floats().map(repr) | _header_text,
+    "viscosity": st.floats().map(repr) | _header_text,
+    "components": st.integers(-2, 8).map(str) | _header_text,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(0, len(_HEADER_TIMES) - 1),
+       st.sampled_from(sorted(_HEADER_VALUES)).flatmap(
+           lambda key: st.tuples(st.just(key), _HEADER_VALUES[key])))
+def test_diagnose_reads_or_rejects_any_header_field(index, mutation):
+    # one header field of one of five valid n=8 snapshots is rewritten: diagnose
+    # either reads the series at the header times or exits 1 with one error line
+    key, value = mutation
+    grid = spectral.Grid(8)
+    u_phys = grid.ifft(initial_data.random_div_free(grid, seed=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"s{i}.snap") for i in range(len(_HEADER_TIMES))]
+        for path, t in zip(paths, _HEADER_TIMES):
+            snapshots.save_snapshot(path, "velocity", t, 1.0, u_phys)
+        valid = {"kind": "velocity", "n": "8", "time": repr(_HEADER_TIMES[index]),
+                 "viscosity": "1.0", "components": "3"}[key]
+        with open(paths[index], "rb") as fh:
+            blob = fh.read()
+        with open(paths[index], "wb") as fh:
+            fh.write(blob.replace(f"\n{key} = {valid}\n".encode(),
+                                  f"\n{key} = {value}\n".encode(), 1))
+        csv = os.path.join(tmp, "series.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["diagnose", "--csv", csv, *paths])
+        if code == 0:
+            times = list(_HEADER_TIMES)
+            if key == "time":
+                times[index] = float(value)
+            with open(csv) as fh:
+                rows = fh.read().splitlines()
+            column = rows[0].split(",").index("t")
+            assert [float(row.split(",")[column]) for row in rows[1:]] == sorted(times)
+            assert err.getvalue() == ""
+        else:
+            assert code == 1
+            lines = err.getvalue().splitlines(keepends=True)
+            assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+            assert not os.path.exists(csv)
 
 
 class TestInitialData:
@@ -439,9 +508,11 @@ class TestCli:
         u_phys = grid8.ifft(initial_data.shear(grid8))
         good, bad = tmp_path / "good.snap", tmp_path / "bad.snap"
         snapshots.save_snapshot(good, "velocity", 0.0, 1.0, u_phys)
-        header = {"time": 0.5, "viscosity": 1.0, key: value}
-        snapshots.save_snapshot(bad, "velocity", header["time"], header["viscosity"],
-                                u_phys)
+        # save refuses these values, so the bad header is written over a good one
+        snapshots.save_snapshot(bad, "velocity", 0.5, 1.0, u_phys)
+        valid = {"time": 0.5, "viscosity": 1.0}[key]
+        bad.write_bytes(bad.read_bytes().replace(f"\n{key} = {valid!r}\n".encode(),
+                                                 f"\n{key} = {value!r}\n".encode(), 1))
         csv = tmp_path / "never.csv"
         small = ["simulate", "--n", "8", "--dt", "1e-3", "--t-end", "0.01", "--csv", str(csv)]
         argv = {"diagnose": ["diagnose", "--csv", str(csv), str(good), str(bad)],
