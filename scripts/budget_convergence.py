@@ -11,6 +11,7 @@ max budget residual at each, demonstrating the fourth-order decrease
 import argparse
 
 from strainflow import diagnostics, initial_data, solver
+from strainflow.exceptions import InvalidInputError
 from strainflow.spectral import Grid
 
 
@@ -22,18 +23,21 @@ def main():
     ap.add_argument("--t-end", type=float, default=0.4)
     args = ap.parse_args()
 
+    try:  # the whole ladder is checked before the first run
+        configs = [solver.SolverConfig(n=args.n, viscosity=1.0, dt=args.dt0 / 2 ** k,
+                                       t_end=args.t_end, record_every=10)
+                   for k in range(args.steps)]
+    except InvalidInputError as exc:
+        ap.error(str(exc))
     grid = Grid(args.n)
     u0 = initial_data.taylor_green(grid)
     previous = None
     print(f"{'dt':>10}  {'max |residual|':>15}  {'ratio':>7}")
-    for k in range(args.steps):
-        dt = args.dt0 / 2 ** k
-        config = solver.SolverConfig(n=args.n, viscosity=1.0, dt=dt,
-                                     t_end=args.t_end, record_every=10)
+    for config in configs:
         _, records = diagnostics.run_with_diagnostics(config, u0, grid=grid)
         residual = max(abs(r.budget_residual) for r in records)
         ratio = f"{previous / residual:7.2f}" if previous else "      -"
-        print(f"{dt:10.2e}  {residual:15.3e}  {ratio}")
+        print(f"{config.dt:10.2e}  {residual:15.3e}  {ratio}")
         previous = residual
 
 

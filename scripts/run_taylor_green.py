@@ -13,6 +13,7 @@ import argparse
 import numpy as np
 
 from strainflow import diagnostics, initial_data, solver
+from strainflow.exceptions import InvalidInputError
 from strainflow.spectral import Grid
 
 
@@ -25,9 +26,12 @@ def main():
     ap.add_argument("--csv", default="taylor_green.csv")
     args = ap.parse_args()
 
+    try:
+        config = solver.SolverConfig(n=args.n, viscosity=1.0, dt=args.dt,
+                                     t_end=args.t_end, record_every=args.record_every)
+    except InvalidInputError as exc:
+        ap.error(str(exc))
     grid = Grid(args.n)
-    config = solver.SolverConfig(n=args.n, viscosity=1.0, dt=args.dt,
-                                 t_end=args.t_end, record_every=args.record_every)
     result, records = diagnostics.run_with_diagnostics(
         config, initial_data.taylor_green(grid), grid=grid)
     diagnostics.write_csv(records, args.csv)

@@ -14,6 +14,7 @@ import argparse
 import numpy as np
 
 from strainflow import toy_ode
+from strainflow.exceptions import InvalidInputError
 
 
 def main():
@@ -28,7 +29,11 @@ def main():
 
     if args.trajectory:
         lam3, r = args.trajectory
-        res = toy_ode.integrate(toy_ode.ToyState.from_reduced(lam3, r), t_end=1e7)
+        try:
+            state = toy_ode.ToyState.from_reduced(lam3, r)
+        except InvalidInputError as exc:
+            ap.error(str(exc))
+        res = toy_ode.integrate(state, t_end=1e7)
         toy_ode.write_trajectory_csv(res.trajectory, args.out)
         print(f"outcome: {res.outcome}", end="")
         if res.outcome == "blew_up":
@@ -40,9 +45,12 @@ def main():
         print(f"{res.trajectory.t.size} samples -> {args.out}")
         return
 
-    cells = toy_ode.phase_sweep(
-        np.linspace(*args.lambda3_range, args.cells),
-        np.linspace(*args.r_range, args.cells))
+    try:
+        cells = toy_ode.phase_sweep(
+            np.linspace(*args.lambda3_range, args.cells),
+            np.linspace(*args.r_range, args.cells))
+    except InvalidInputError as exc:
+        ap.error(str(exc))
     toy_ode.write_sweep_csv(cells, args.out)
     blown = [c for c in cells if c.outcome == "blew_up"]
     print(f"{len(blown)}/{len(cells)} cells blew up -> {args.out}")

@@ -115,35 +115,6 @@ def criterion_exponent(q) -> float:
     return 2.0 * q / (2.0 * q - 3.0)
 
 
-def criterion_integral_series(times, norms, q, p=None):
-    """Cumulative trapezoidal integral of the q-norm history to power p."""
-    p_expected = criterion_exponent(q)
-    if p is not None and abs(p - p_expected) > 1e-9:
-        raise InvalidExponentError(
-            f"p={p} inconsistent with q={q} (2/p + 3/q = 2 gives p={p_expected})")
-    return cumulative_trapezoid(np.asarray(norms, dtype=float) ** p_expected, times)
-
-
-def enstrophy_budget_residual(times, enstrophy, dissipation, det_integral,
-                              force_term=None, viscosity: float = 1.0):
-    """Residual series of the determinant form of the enstrophy budget.
-
-    dE/dt is estimated with 4th-order finite differences; the residual
-    dE/dt + 2 nu diss + 4 int det - force is reported relative to the
-    largest participating term at each record.
-    """
-    h = check_uniform_spacing(times)
-    e = np.asarray(enstrophy, dtype=float)
-    diss = np.asarray(dissipation, dtype=float)
-    det_int = np.asarray(det_integral, dtype=float)
-    force = np.zeros_like(e) if force_term is None else np.asarray(force_term, dtype=float)
-    dedt = fd4_derivative(e, h)
-    resid = dedt + 2.0 * viscosity * diss + 4.0 * det_int - force
-    scale = np.maximum.reduce([np.abs(dedt), 2.0 * viscosity * diss,
-                               4.0 * np.abs(det_int), np.abs(force)])
-    return resid / np.maximum(scale, 1e-300)
-
-
 def vortex_stretch_identity_residual(vortex_stretch, det_integral, tr3_integral,
                                      cubic_scale: float = 0.0) -> float:
     """Max pairwise relative deviation among <S, w x w>, -4 int det,
@@ -162,56 +133,12 @@ def vortex_stretch_identity_residual(vortex_stretch, det_integral, tr3_integral,
     return (max(values) - min(values)) / scale
 
 
-def gcon_margins(times, enstrophy, dissipation, lambda2_weighted,
-                 force_norm_sq=None, viscosity: float = 1.0):
-    """Per-record slack of the middle-eigenvalue growth inequality.
-
-    margin = (-nu diss + 2 int l2+ |S|^2 + |f|^2/2) - dE/dt, which is
-    bounded below by nu diss for exact solutions and therefore stays
-    positive up to finite-difference noise.
-    """
-    h = check_uniform_spacing(times)
+def gronwall_envelope(times, enstrophy, linf_norms):
+    """Enstrophy envelope E(0) exp(2 int |l2+|_inf dt); only q = infinity
+    carries an explicit constant (2) to assert."""
     e = np.asarray(enstrophy, dtype=float)
-    f_sq = (np.zeros_like(e) if force_norm_sq is None
-            else np.asarray(force_norm_sq, dtype=float))
-    dedt = fd4_derivative(e, h)
-    rhs = (-viscosity * np.asarray(dissipation, dtype=float)
-           + 2.0 * np.asarray(lambda2_weighted, dtype=float) + 0.5 * f_sq)
-    return rhs - dedt
-
-
-def gronwall_envelope(times, enstrophy, linf_norms, q=np.inf, force_norm_sq=None):
-    """Enstrophy envelope E(0) exp(2 int |l2+|_inf dt) for q = infinity.
-
-    Only q = infinity carries an explicit constant (2); finite q is
-    rejected because no numerical constant is available to assert.
-    With a force the base grows by the accumulated |f|^2/2.
-    """
-    if not np.isinf(q):
-        raise InvalidExponentError(
-            "envelope constant is only available at q = infinity")
-    times = np.asarray(times, dtype=float)
-    e = np.asarray(enstrophy, dtype=float)
-    base = np.full_like(e, e[0])
-    if force_norm_sq is not None:
-        base = base + 0.5 * cumulative_trapezoid(np.asarray(force_norm_sq, float), times)
     exponent = 2.0 * cumulative_trapezoid(np.asarray(linf_norms, dtype=float), times)
-    return base * np.exp(exponent)
-
-
-def cubic_growth_margins(times, enstrophy, viscosity: float):
-    """Monitor-only margins E^3/(1458 pi^4 nu^3) - dE/dt (whole-space
-    constant; emitted, never asserted).  Under u -> nu u(x, nu t), E
-    scales as nu^2 and dE/dt as nu^3, hence the nu^-3."""
-    h = check_uniform_spacing(times)
-    e = np.asarray(enstrophy, dtype=float)
-    return CUBIC_GROWTH_COEFF / viscosity ** 3 * e ** 3 - fd4_derivative(e, h)
-
-
-def borderline_monitor(l32_norms):
-    """The L^{3/2} norm history of l2+ next to its reference level
-    3 (pi/2)^{4/3}; for comparison plots only."""
-    return np.asarray(l32_norms, dtype=float), BORDERLINE_REFERENCE
+    return np.full_like(e, e[0]) * np.exp(exponent)
 
 
 def directional_criterion(grid: Grid, u_hat, regions, directions, q) -> float:
@@ -267,10 +194,7 @@ class RecordCollector:
     """Streaming diagnostics: feed solver states, then finalize().
 
     Per-snapshot scalars are computed on the fly so full fields never
-    accumulate; the series-level columns (budget residual, growth-
-    inequality margin, cubic monitor, criterion integrals) are filled in
-    by finalize(), which needs at least 5 uniformly spaced records and
-    writes NaN otherwise.
+    accumulate; finalize() fills in the series-level columns.
 
     A record reads state.u_hat, the kz >= 0 half of the velocity
     spectrum, and the force, a half-spectrum too: strain and vorticity
@@ -330,29 +254,39 @@ class RecordCollector:
         return record
 
     def finalize(self) -> list[DiagnosticsRecord]:
+        """Fill in the series columns: the criterion integrals at any
+        spacing; from one fourth-order dE/dt on at least 5 uniformly spaced
+        records, the budget residual, growth-inequality margin and cubic
+        monitor (NaN otherwise)."""
         records = self.records
         if not records:
             return records
         times = np.array([r.t for r in records])
         for q in (np.inf, 2.0):
-            norms = [r.lambda2_norms[q] for r in records]
-            series = criterion_integral_series(times, norms, q)
+            norms = np.array([r.lambda2_norms[q] for r in records])
+            series = cumulative_trapezoid(norms ** criterion_exponent(q), times)
             for r, value in zip(records, series):
                 r.criterion_integrals[q] = float(value)
         try:
-            check_uniform_spacing(times)
+            h = check_uniform_spacing(times)
         except InvalidInputError:
             return records  # the series-level columns stay NaN
-        e = [r.enstrophy for r in records]
-        diss = [r.dissipation for r in records]
-        det_int = [r.det_integral for r in records]
-        force_term = [r.force_term for r in records]
-        force_sq = [r.force_norm_sq for r in records]
-        weighted = [r.lambda2_weighted for r in records]
-        budget = enstrophy_budget_residual(times, e, diss, det_int,
-                                           force_term, self.viscosity)
-        gcon = gcon_margins(times, e, diss, weighted, force_sq, self.viscosity)
-        cubic = cubic_growth_margins(times, e, self.viscosity)
+        nu = self.viscosity
+        e = np.array([r.enstrophy for r in records])
+        diss = np.array([r.dissipation for r in records])
+        det_int = np.array([r.det_integral for r in records])
+        force = np.array([r.force_term for r in records])
+        dedt = fd4_derivative(e, h)
+        # determinant form of the budget, relative to its largest term
+        scale = np.maximum.reduce([np.abs(dedt), 2.0 * nu * diss,
+                                   4.0 * np.abs(det_int), np.abs(force)])
+        budget = (dedt + 2.0 * nu * diss + 4.0 * det_int - force) / np.maximum(scale, 1e-300)
+        # slack of the growth inequality, bounded below by nu diss
+        gcon = (-nu * diss + 2.0 * np.array([r.lambda2_weighted for r in records])
+                + 0.5 * np.array([r.force_norm_sq for r in records])) - dedt
+        # whole-space constant, monitored only; under u -> nu u(x, nu t), E
+        # scales as nu^2 and dE/dt as nu^3, hence the nu^-3
+        cubic = CUBIC_GROWTH_COEFF / nu ** 3 * e ** 3 - dedt
         for r, b, g, c in zip(records, budget, gcon, cubic):
             r.budget_residual = float(b)
             r.gcon_margin = float(g)
@@ -361,13 +295,12 @@ class RecordCollector:
 
 
 def run_with_diagnostics(config, u0_hat, grid: Grid | None = None,
-                         q_list=DEFAULT_Q_LIST, keep_states: bool = False):
+                         keep_states: bool = False):
     """Integrate a configured run with the record collector attached."""
     if grid is None:
         grid = Grid(config.n)
     force = solver.make_force(grid, config.force)
-    collector = RecordCollector(grid, q_list=q_list, force=force,
-                                viscosity=config.viscosity)
+    collector = RecordCollector(grid, force=force, viscosity=config.viscosity)
     result = solver.run(config, u0_hat, grid=grid, on_record=collector,
                         keep_states=keep_states, force=force)
     return result, collector.finalize()

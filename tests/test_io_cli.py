@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,6 +138,56 @@ def test_diagnose_reads_or_rejects_any_header_field(index, mutation):
             column = rows[0].split(",").index("t")
             assert [float(row.split(",")[column]) for row in rows[1:]] == sorted(times)
             assert err.getvalue() == ""
+        else:
+            assert code == 1
+            lines = err.getvalue().splitlines(keepends=True)
+            assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+            assert not os.path.exists(csv)
+
+
+_q_item = (st.floats().map(repr)
+           | st.sampled_from(["inf", "Infinity", "qinf", " INF ", "2", "1.5", "3", ""])
+           | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
+_q_list_text = st.lists(_q_item, max_size=4).map(",".join)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.sampled_from(["flag", "config file", "environment"]), _q_list_text)
+def test_diagnose_q_list_never_changes_the_csv(layer, text):
+    # the q list reaches diagnose through one layer: the run either writes the
+    # CSV of the default q list or exits 1 with one error line
+    grid = spectral.Grid(8)
+    u_phys = grid.ifft(initial_data.random_div_free(grid, seed=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"s{i}.snap") for i in range(len(_HEADER_TIMES))]
+        for i, (path, t) in enumerate(zip(paths, _HEADER_TIMES)):
+            snapshots.save_snapshot(path, "velocity", t, 1.0, (1.0 + 0.5 * i) * u_phys)
+        default_csv = os.path.join(tmp, "default.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["diagnose", "--csv", default_csv, *paths]) == 0
+        csv = os.path.join(tmp, "series.csv")
+        argv = ["diagnose", "--csv", csv, *paths]
+        environ = {}
+        if layer == "flag":
+            argv.insert(1, f"--q-list={text}")
+        elif layer == "config file":
+            cfg = os.path.join(tmp, "q.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(f"q_list = {text}\n")
+            argv[1:1] = ["--config", cfg]
+        else:
+            environ["STRAINFLOW_Q_LIST"] = text
+        err = io.StringIO()
+        with (mock.patch.dict(os.environ, environ), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = cli.main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+            with open(csv) as fh, open(default_csv) as default:
+                rows = fh.read()
+                assert rows == default.read()
+            assert len(rows.splitlines()[0].split(",")) == 16
         else:
             assert code == 1
             lines = err.getvalue().splitlines(keepends=True)
@@ -652,6 +704,27 @@ VERIFY_CHECK_NAMES = (
     "toy: full-matrix and reduced trajectories agree",
     "toy: attractor sweep and decay line",
 )
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("argv", [
+    ["budget_convergence.py", "--n", "8", "--steps", "2", "--t-end", "0.1"],
+    ["run_taylor_green.py", "--n", "8", "--t-end", "0.0305"],
+    ["toy_blowup_portrait.py", "--trajectory", "1.0", "3.0"],
+    ["toy_blowup_portrait.py", "--cells", "3", "--r-range", "0.3", "3"]],
+    ids=["budget_ladder", "taylor_green_t_end", "toy_trajectory", "toy_sweep_range"])
+def test_script_rejects_bad_flags_with_usage_error(tmp_path, argv):
+    # each ended in an InvalidInputError traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert f"{argv[0]}: error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:
