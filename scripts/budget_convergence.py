@@ -29,6 +29,10 @@ def main():
                    for k in range(args.steps)]
     except InvalidInputError as exc:
         ap.error(str(exc))
+    # the residual needs 5 records, 4 intervals of 10 steps, at the coarsest step
+    if configs and round(args.t_end / (10 * args.dt0)) < 4:
+        ap.error(f"--t-end {args.t_end} gives fewer than 5 records at --dt0 {args.dt0}; "
+                 "use at least 40 * dt0")
     grid = Grid(args.n)
     u0 = initial_data.taylor_green(grid)
     previous = None

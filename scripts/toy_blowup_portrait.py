@@ -30,10 +30,9 @@ def main():
     if args.trajectory:
         lam3, r = args.trajectory
         try:
-            state = toy_ode.ToyState.from_reduced(lam3, r)
+            res = toy_ode.integrate_reduced(lam3, r, t_end=1e7)
         except InvalidInputError as exc:
             ap.error(str(exc))
-        res = toy_ode.integrate(state, t_end=1e7)
         toy_ode.write_trajectory_csv(res.trajectory, args.out)
         print(f"outcome: {res.outcome}", end="")
         if res.outcome == "blew_up":

@@ -149,13 +149,13 @@ def cmd_toy_ode(args) -> int:
         print(f"sweep: {blown}/{len(cells)} cells blew up -> {args.sweep_out}")
         return EXIT_OK
     if args.matrix is not None:
-        state = toy_ode.ToyState.from_matrix(args.matrix)
+        result = toy_ode.integrate_matrix(args.matrix, t_end=args.t_end,
+                                          blowup_threshold=args.blowup_threshold)
     elif args.lambda3 is not None and args.r is not None:
-        state = toy_ode.ToyState.from_reduced(args.lambda3, args.r)
+        result = toy_ode.integrate_reduced(args.lambda3, args.r, t_end=args.t_end,
+                                           blowup_threshold=args.blowup_threshold)
     else:
         raise ConfigError("toy-ode needs --matrix or both --lambda3 and --r")
-    result = toy_ode.integrate(state, t_end=args.t_end,
-                               blowup_threshold=args.blowup_threshold)
     if args.trajectory_out:
         toy_ode.write_trajectory_csv(result.trajectory, args.trajectory_out)
     if result.outcome == "blew_up":

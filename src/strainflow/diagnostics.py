@@ -30,7 +30,7 @@ from .exceptions import InvalidExponentError, InvalidInputError
 from .numerics import (check_uniform_spacing, cumulative_trapezoid,
                        fd4_derivative)
 from .spectral import (Grid, directional_strain, plancherel_sum, sobolev_inner,
-                       sobolev_norm_sq, strain_field, strain_frobenius_sq, sym_gradient,
+                       sobolev_norm_sq, strain_frobenius_sq, sym_gradient,
                        vorticity)
 
 # Coefficient of the cubic enstrophy-growth monitor (whole-space sharp
@@ -65,7 +65,7 @@ def pointwise_strain_analysis(grid: Grid, u_hat) -> StrainPointData:
 
 
 def _strain_point_data(grid: Grid, s_half) -> StrainPointData:
-    strain = strain_field(grid, s_half)
+    strain = sym3.TraceFreeSym3.from_components(grid.ifft(s_half))
     norm_sq = strain.norm_sq()
     det = sym3.det(strain)
     return StrainPointData(strain, sym3.eigenvalues(strain, norm_sq, det),
@@ -116,7 +116,7 @@ def criterion_exponent(q) -> float:
 
 
 def vortex_stretch_identity_residual(vortex_stretch, det_integral, tr3_integral,
-                                     cubic_scale: float = 0.0) -> float:
+                                     cubic_scale: float) -> float:
     """Max pairwise relative deviation among <S, w x w>, -4 int det,
     and -(4/3) int tr(S^3).
 

@@ -138,11 +138,29 @@ def _parse_force_component(text: str):
     return code, names
 
 
+_TOO_LARGE = "n^3 times its energy or enstrophy overflows when squared"
+
+
+def _too_large(grid: Grid, u_hat) -> bool:
+    """Whether (n^3 E)^2 or (n^3 Z)^2 overflows, E and Z the squared L2 and
+    H1 norms of u_hat.  By discrete Parseval sup|u|^2 <= E n^3/(2 pi)^3 and
+    sup|grad u|^2 <= Z n^3/(2 pi)^3, so below it every cubic and quartic term
+    of a record is finite: run refuses any larger u0, force or record."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = [grid.n ** 3 * sobolev_norm_sq(grid, u_hat, alpha) for alpha in (0.0, 1.0)]
+    return not all(math.isfinite(size * size) for size in sizes)
+
+
 def _force_hat(grid: Grid, field):
     """Spectral force from a physical field: its velocity_half, projected
     divergence-free (which also absorbs the pressure part of any gradient);
-    the projection acts mode by mode, so it commutes with the zeroing."""
-    return project_divergence_free(grid, velocity_half(grid, field))
+    the projection acts mode by mode, so it commutes with the zeroing.  A
+    force that is _too_large is rejected."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        f_hat = project_divergence_free(grid, velocity_half(grid, field))
+    if _too_large(grid, f_hat):
+        raise InvalidInputError(f"force is too large: {_TOO_LARGE}")
+    return f_hat
 
 
 class ExprForce:
@@ -179,11 +197,13 @@ class ExprForce:
         comps = []
         for code in self._codes:
             try:
-                value = eval(code, {"__builtins__": {}}, names)  # checked grammar only
-                value = np.asarray(value, dtype=float)
-            except (ArithmeticError, TypeError) as exc:
-                # 1/0 or 9**9**9 in constants; a complex power (-8)**(1/3)
+                with np.errstate(all="ignore"):  # a non-finite value is rejected below
+                    value = eval(code, {"__builtins__": {}}, names)  # checked grammar only
+            except ArithmeticError as exc:  # 1/0 or 9**9**9 in constants
                 raise InvalidInputError(f"force expression failed at t={t}: {exc}") from exc
+            if np.iscomplexobj(value):  # a power such as (-8)**(1/3)
+                raise InvalidInputError(f"force expression is complex at t={t}")
+            value = np.asarray(value, dtype=float)
             if not np.all(np.isfinite(value)):
                 raise InvalidInputError(f"force expression is not finite at t={t}")
             comps.append(np.broadcast_to(value, (self.grid.n,) * 3))
@@ -349,6 +369,8 @@ class Stepper:
     """
 
     def __init__(self, grid: Grid, config: SolverConfig, force=None):
+        if grid.n != config.n:
+            raise InvalidInputError(f"grid size n={grid.n} does not match config n={config.n}")
         if config.dt is None:
             raise InvalidInputError("a Stepper needs a dt; run resolves dt=None by auto_dt")
         self.grid = grid
@@ -461,8 +483,8 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     initial one and the final one, at t_end); with keep_states the
     recorded states are also returned.  force is the stepper's force,
     made from config.force if not given; a caller that records the force
-    passes the one it reads.  Instability raises InstabilityError
-    carrying the last finite state.
+    passes the one it reads.  Instability, or a state to record that is
+    _too_large, raises InstabilityError carrying the last finite state.
     """
     if grid is None:
         grid = Grid(config.n)
@@ -472,16 +494,8 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
             f"initial velocity has shape {u0_hat.shape}, not {(3,) + grid.shape}")
     if not np.all(np.isfinite(u0_hat)):
         raise InvalidInputError("initial velocity has non-finite coefficients")
-    # a finite field can still overflow in the checks below or the first
-    # record.  By discrete Parseval sup|u|^2 <= E n^3/(2 pi)^3 and
-    # sup|grad u|^2 <= Z n^3/(2 pi)^3 (E, Z: squared L2 norms of u and
-    # grad u), so (n^3 E)^2 and (n^3 Z)^2 finite bound every cubic and
-    # quartic term of a record
-    with np.errstate(over="ignore", invalid="ignore"):
-        sizes = [grid.n ** 3 * sobolev_norm_sq(grid, u0_hat, alpha) for alpha in (0.0, 1.0)]
-    if not all(math.isfinite(size * size) for size in sizes):
-        raise InvalidInputError("initial velocity is too large: n^3 times its energy "
-                                "or enstrophy overflows when squared")
+    if _too_large(grid, u0_hat):  # before the checks below can overflow
+        raise InvalidInputError(f"initial velocity is too large: {_TOO_LARGE}")
     # the self-mirrored kz = 0 and kz = n/2 planes must satisfy the
     # Hermitian (real-field) invariant; only rounding is symmetrized
     resid = spectral.hermitian_residual(grid, u0_hat)
@@ -521,6 +535,9 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
         # k dt: exact uniform spacing, no accumulation drift
         state = stepper.step(state, t_next=k * config.dt)
         if k % config.record_every == 0:
+            if _too_large(grid, state.u_hat):  # finite, but its record would overflow
+                raise InstabilityError(f"velocity too large to record after step {k} "
+                                       f"(t={state.t:.6g})", last_state=state)
             record(state)
 
     return RunResult(np.asarray(times), states, state, config)

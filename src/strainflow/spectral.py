@@ -289,7 +289,7 @@ def helmholtz_project(grid: Grid, v_hat):
     return v_hat - grad, grad
 
 
-def sym_gradient(grid: Grid, u_hat, check: bool = True):
+def sym_gradient(grid: Grid, u_hat):
     """Spectral strain tensor of a divergence-free velocity field.
 
     Returns the five independent components, shaped (5,) + Grid.shape,
@@ -297,11 +297,9 @@ def sym_gradient(grid: Grid, u_hat, check: bool = True):
     is never stored, so the output is trace-free structurally.
     """
     u_hat = grid.spectrum(u_hat)
-    if check:
-        resid = divergence_residual(grid, u_hat)
-        if resid > DIVERGENCE_TOL:
-            raise InvalidInputError(
-                f"velocity is not divergence-free (residual {resid:.3e})")
+    resid = divergence_residual(grid, u_hat)
+    if resid > DIVERGENCE_TOL:
+        raise InvalidInputError(f"velocity is not divergence-free (residual {resid:.3e})")
     kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
     u1, u2, u3 = u_hat[0], u_hat[1], u_hat[2]
     return np.stack([
@@ -313,16 +311,6 @@ def sym_gradient(grid: Grid, u_hat, check: bool = True):
     ])
 
 
-def tensor_full(s_hat):
-    """Expand five stored components into the full (3, 3, ...) tensor."""
-    s11, s22, s12, s13, s23 = s_hat
-    s33 = -s11 - s22
-    row0 = np.stack([s11, s12, s13])
-    row1 = np.stack([s12, s22, s23])
-    row2 = np.stack([s13, s23, s33])
-    return np.stack([row0, row1, row2])
-
-
 def consistency_residual(grid: Grid, s_hat) -> float:
     """How far a trace-free symmetric tensor field is from being a strain.
 
@@ -330,7 +318,7 @@ def consistency_residual(grid: Grid, s_hat) -> float:
     Frobenius norm is normalized by the max of |xi|^2 |S|.  Zero exactly
     on symmetric gradients of divergence-free fields.
     """
-    s3 = tensor_full(grid.spectrum(s_hat))
+    s3 = sym3.full_matrix(grid.spectrum(s_hat))
     k = (grid.kdx, grid.kdy, grid.kdz)
     ksq = grid.ksq_diff
     # t = S xi (= xi^T S by symmetry)
@@ -348,17 +336,18 @@ def consistency_residual(grid: Grid, s_hat) -> float:
     return float(np.max(np.sqrt(num_sq)) / denom)
 
 
-def velocity_from_strain(grid: Grid, s_hat, tol: float = CONSISTENCY_TOL):
+def velocity_from_strain(grid: Grid, s_hat):
     """Reconstruct the unique mean-zero velocity whose strain is s_hat.
 
     Spectrally, uhat_k = -2i sum_j xi_j Shat_jk / |xi|^2.  The input must
-    satisfy the strain constraint (consistency_residual below tol).
+    satisfy the strain constraint (consistency_residual below
+    CONSISTENCY_TOL).
     """
     resid = consistency_residual(grid, s_hat)
-    if resid > tol:
+    if resid > CONSISTENCY_TOL:
         raise ConstraintViolationError(
             f"tensor is not in the strain constraint space (residual {resid:.3e})")
-    s3 = tensor_full(np.asarray(s_hat))
+    s3 = sym3.full_matrix(np.asarray(s_hat))
     k = (grid.kdx, grid.kdy, grid.kdz)
     inv_ksq = grid.inv_ksq_diff
     u_hat = np.stack([
@@ -475,14 +464,10 @@ def isometry_audit(grid: Grid, u_hat, alpha: float) -> IsometryReport:
     if alpha not in (0, 1, 0.0, 1.0):
         raise InvalidInputError(f"audit supports alpha in {{0, 1}}, got {alpha}")
     u_hat = np.asarray(u_hat)
-    resid = divergence_residual(grid, u_hat)
-    if resid > DIVERGENCE_TOL:
-        raise InvalidInputError(f"velocity is not divergence-free (residual {resid:.3e})")
+    s_sq = strain_norm_sq(grid, sym_gradient(grid, u_hat), alpha)  # checks div u = 0
     peak = np.max(np.abs(u_hat))
     if peak > 0 and np.max(np.abs(u_hat[:, 0, 0, 0])) > 1e-12 * peak:
         raise InvalidInputError("velocity must be mean-zero for the audit")
-
-    s_sq = strain_norm_sq(grid, sym_gradient(grid, u_hat, check=False), alpha)
 
     k = (grid.kdx, grid.kdy, grid.kdz)
     antisym = np.stack([
@@ -500,17 +485,12 @@ def isometry_audit(grid: Grid, u_hat, alpha: float) -> IsometryReport:
     return IsometryReport(s_sq, a_sq, 0.5 * w_sq, 0.5 * g_sq)
 
 
-def strain_field(grid: Grid, s_hat) -> sym3.TraceFreeSym3:
-    """Pointwise matrix view of a spectral strain field."""
-    return sym3.TraceFreeSym3.from_components(grid.ifft(s_hat))
-
-
-def directional_strain(grid: Grid, u_hat, v, tol: float = 1e-12):
+def directional_strain(grid: Grid, u_hat, v):
     """Physical field S(x) v(x) for a unit direction (vector or field).
 
     v is either a constant unit 3-vector or a (3, n, n, n) pointwise-unit
     field.  Returns a (3, n, n, n) physical array; pointwise
     |S(x) v(x)| >= |lambda2(x)|.
     """
-    s = strain_field(grid, sym_gradient(grid, u_hat))
-    return sym3.apply_to_vector(s, v, tol=tol)
+    s = sym3.TraceFreeSym3.from_components(grid.ifft(sym_gradient(grid, u_hat)))
+    return sym3.apply_to_vector(s, v)

@@ -58,6 +58,16 @@ def _blockwise(formula, m: "TraceFreeSym3"):
     return out.reshape(shape)
 
 
+def full_matrix(entries):
+    """The full matrix, shaped (3, 3) + the entries' shape, of the five
+    stored entries (m11, m22, m12, m13, m23), real or complex; m33 is
+    -m11 - m22."""
+    m11, m22, m12, m13, m23 = entries
+    return np.stack([np.stack([m11, m12, m13]),
+                     np.stack([m12, m22, m23]),
+                     np.stack([m13, m23, -m11 - m22])])
+
+
 @dataclass(frozen=True)
 class TraceFreeSym3:
     """Pointwise strain value: symmetric, exactly trace-free.
@@ -88,16 +98,17 @@ class TraceFreeSym3:
         return np.shape(self.m11)
 
     @classmethod
-    def from_matrix(cls, a, tol: float = 1e-12) -> "TraceFreeSym3":
-        """Build from a full 3x3 array, validating symmetry and trace."""
+    def from_matrix(cls, a) -> "TraceFreeSym3":
+        """Build from a full 3x3 array, validating symmetry and trace to
+        1e-12 of its largest entry (or of 1)."""
         a = np.asarray(a, dtype=float)
         if a.shape != (3, 3):
             raise InvalidInputError(f"expected a 3x3 matrix, got shape {a.shape}")
         scale = max(np.max(np.abs(a)), 1.0)
         asym = max(abs(a[0, 1] - a[1, 0]), abs(a[0, 2] - a[2, 0]), abs(a[1, 2] - a[2, 1]))
-        if asym > tol * scale:
+        if asym > 1e-12 * scale:
             raise InvalidInputError("matrix is not symmetric")
-        if abs(a[0, 0] + a[1, 1] + a[2, 2]) > tol * scale:
+        if abs(a[0, 0] + a[1, 1] + a[2, 2]) > 1e-12 * scale:
             raise InvalidInputError("matrix is not trace-free")
         return cls(a[0, 0], a[1, 1], a[0, 1], a[0, 2], a[1, 2])
 
@@ -108,14 +119,7 @@ class TraceFreeSym3:
 
     def to_matrix(self):
         """Full 3x3 representation, shaped (3, 3) + self.shape."""
-        m = np.zeros((3, 3) + self.shape)
-        m[0, 0] = self.m11
-        m[1, 1] = self.m22
-        m[2, 2] = self.m33
-        m[0, 1] = m[1, 0] = self.m12
-        m[0, 2] = m[2, 0] = self.m13
-        m[1, 2] = m[2, 1] = self.m23
-        return m
+        return full_matrix((self.m11, self.m22, self.m12, self.m13, self.m23))
 
     def norm_sq(self):
         """Squared Frobenius norm |M|^2 (sum over all nine entries)."""
@@ -240,17 +244,17 @@ def extremal_eigen_bounds(m: TraceFreeSym3):
     return eig.lambda3 - floor, -eig.lambda1 - floor
 
 
-def apply_to_vector(m: TraceFreeSym3, v, tol: float = 1e-12):
+def apply_to_vector(m: TraceFreeSym3, v):
     """Matrix-vector product M v for a unit vector (or unit-vector field).
 
-    v has shape (3,) or (3,) + m.shape and must satisfy |v| = 1 to tol
+    v has shape (3,) or (3,) + m.shape and must satisfy |v| = 1 to 1e-12
     pointwise.  The result |Mv| is bounded below by |lambda2|.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[0] != 3:
         raise InvalidInputError("direction must have three components")
     norm_err = np.max(np.abs(np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2) - 1.0))
-    if not np.isfinite(norm_err) or norm_err > tol:
+    if not np.isfinite(norm_err) or norm_err > 1e-12:
         raise InvalidInputError(f"direction is not unit length (|v|-1 off by {norm_err:.3e})")
     out = np.stack([
         m.m11 * v[0] + m.m12 * v[1] + m.m13 * v[2],

@@ -85,11 +85,13 @@ def _rhs_matrix_components(y):
     ])
 
 
-def _check_reduced(lambda3: float, r: float) -> None:
+def _check_reduced(lambda3: float, r: float) -> float:
+    """The one check of a reduced start: returns r clamped into [1/2, 2]."""
     if not (math.isfinite(lambda3) and lambda3 > 0):
         raise InvalidInputError(f"lambda3 must be positive and finite, got {lambda3}")
     if not (0.5 - _RATIO_CLAMP <= r <= 2.0 + _RATIO_CLAMP):
         raise InvalidInputError(f"ratio r={r} outside [1/2, 2]")
+    return min(max(r, 0.5), 2.0)
 
 
 def rhs_reduced(lambda3: float, r: float):
@@ -111,32 +113,6 @@ def blowup_time_bound(lambda3_0: float, r_0: float):
     if r_0 <= R_GROWTH_ZERO:
         return None
     return 3.0 / (_growth_poly(r_0) * lambda3_0)
-
-
-@dataclass(frozen=True)
-class ToyState:
-    """Either a full matrix state or reduced (lambda3, r) coordinates, at t = 0."""
-
-    matrix: sym3.TraceFreeSym3 | None = None
-    lambda3: float | None = None
-    r: float | None = None
-
-    def __post_init__(self):
-        if (self.matrix is None) == (self.lambda3 is None and self.r is None):
-            raise InvalidInputError("state needs a matrix or (lambda3, r), not both")
-        if self.matrix is None:
-            if self.lambda3 is None or self.r is None:
-                raise InvalidInputError("reduced state needs both lambda3 and r")
-            _check_reduced(self.lambda3, self.r)
-            object.__setattr__(self, "r", min(max(self.r, 0.5), 2.0))
-
-    @classmethod
-    def from_matrix(cls, m: sym3.TraceFreeSym3) -> "ToyState":
-        return cls(matrix=m)
-
-    @classmethod
-    def from_reduced(cls, lambda3: float, r: float) -> "ToyState":
-        return cls(lambda3=lambda3, r=r)
 
 
 @dataclass
@@ -377,45 +353,42 @@ def _integrate_matrix(y0, t_end: float, *, blowup_threshold: float,
     return np.array(times), np.stack(comps), status
 
 
-def integrate(initial: ToyState, t_end: float,
-              blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-              t_eval=None) -> ToyResult:
-    """Integrate the toy model from a matrix or reduced state at t = 0.
-
-    Declares blow-up once lambda3 crosses blowup_threshold and
-    extrapolates the blow-up time from the last two samples of
-    1/lambda3.  A run that reaches t_end is "decayed" when the matrix
-    norm has fallen below DECAY_THRESHOLD, else "completed".
-    """
+def integrate_reduced(lambda3: float, r: float, t_end: float,
+                      blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                      t_eval=None) -> ToyResult:
+    """Integrate the toy model from reduced coordinates (lambda3, r) at t = 0,
+    with a step landing on each time of t_eval.  Blow-up is declared once
+    lambda3 crosses blowup_threshold, at a time extrapolated from the last
+    two samples of 1/lambda3; a run that reaches t_end has "decayed" when
+    the matrix norm is below DECAY_THRESHOLD, else "completed"."""
+    r = _check_reduced(lambda3, r)
     if not t_end > 0:
         raise InvalidInputError(f"t_end must be positive, got {t_end}")
+    times, l3s, rs, status = _integrate_reduced(
+        lambda3, r, t_end, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol,
+        record=True, t_eval=t_eval)
+    traj = ToyTrajectory(times, -rs * l3s, (rs - 1.0) * l3s, l3s, rs)
+    outcome, t_est = _classify_end(status, times, l3s, rs)
+    return ToyResult(outcome, t_est, traj)
 
-    if initial.matrix is None:
-        times, l3s, rs, status = _integrate_reduced(
-            initial.lambda3, initial.r, t_end,
-            blowup_threshold=blowup_threshold, rtol=rtol, atol=atol,
-            record=True, t_eval=t_eval)
-        lam1 = -rs * l3s
-        lam2 = (rs - 1.0) * l3s
-        traj = ToyTrajectory(times, lam1, lam2, l3s, rs)
-        final_matrix = None
-        norm = None
-    else:
-        m0 = initial.matrix
-        y0 = np.array([m0.m11, m0.m22, m0.m12, m0.m13, m0.m23], dtype=float)
-        times, comps, status = _integrate_matrix(
-            y0, t_end, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol)
-        field = sym3.TraceFreeSym3.from_components(comps.T)
-        eig = sym3.eigenvalues(field)
-        traj = ToyTrajectory(times, np.asarray(eig.lambda1),
-                             np.asarray(eig.lambda2), np.asarray(eig.lambda3),
-                             np.asarray(eig.r))
-        last = comps[-1]
-        final_matrix = sym3.TraceFreeSym3(last[0], last[1], last[2], last[3], last[4])
-        norm = float(final_matrix.norm())
 
-    outcome, t_est = _classify_end(status, traj.t, traj.lambda3, traj.r, norm)
+def integrate_matrix(m0: sym3.TraceFreeSym3, t_end: float,
+                     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> ToyResult:
+    """Integrate the toy model from the matrix m0 at t = 0; blow-up and the
+    outcome are judged as in integrate_reduced."""
+    if not t_end > 0:
+        raise InvalidInputError(f"t_end must be positive, got {t_end}")
+    y0 = np.array([m0.m11, m0.m22, m0.m12, m0.m13, m0.m23], dtype=float)
+    times, comps, status = _integrate_matrix(
+        y0, t_end, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol)
+    eig = sym3.eigenvalues(sym3.TraceFreeSym3.from_components(comps.T))
+    traj = ToyTrajectory(times, np.asarray(eig.lambda1), np.asarray(eig.lambda2),
+                         np.asarray(eig.lambda3), np.asarray(eig.r))
+    final_matrix = sym3.TraceFreeSym3.from_components(comps[-1])
+    outcome, t_est = _classify_end(status, traj.t, traj.lambda3, traj.r,
+                                   float(final_matrix.norm()))
     return ToyResult(outcome, t_est, traj, final_matrix)
 
 
@@ -432,17 +405,17 @@ def phase_sweep(lambda3_values, r_values, t_end: float = 1e7,
                 blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Outcome map over a grid of reduced initial conditions.
 
-    Each cell is checked as ToyState.from_reduced checks it before it is
-    integrated.  Cells are fully independent (safe to parallelize); this
-    runs them sequentially with the lightweight scalar integrator and
-    keeps only endpoint data per cell.
+    Each cell's start is checked as integrate_reduced checks it.  Cells
+    are fully independent (safe to parallelize); this runs them
+    sequentially with the lightweight scalar integrator and keeps only
+    endpoint data per cell.
     """
     cells = []
     for l3_0 in lambda3_values:
         for r_0 in r_values:
-            start = ToyState.from_reduced(float(l3_0), float(r_0))
+            r_start = _check_reduced(float(l3_0), float(r_0))
             times, l3s, rs, status = _integrate_reduced(
-                start.lambda3, start.r, t_end, blowup_threshold=blowup_threshold,
+                float(l3_0), r_start, t_end, blowup_threshold=blowup_threshold,
                 rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, record=False)
             outcome, t_est = _classify_end(status, times, l3s, rs)
             cells.append(SweepCell(float(l3_0), float(r_0), outcome, t_est,

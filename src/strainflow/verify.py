@@ -64,10 +64,7 @@ def random_rotation(rng):
 
 def rotate(m: sym3.TraceFreeSym3, q) -> sym3.TraceFreeSym3:
     a = q @ m.to_matrix() @ q.T
-    return sym3.TraceFreeSym3(a[0, 0], a[1, 1],
-                              0.5 * (a[0, 1] + a[1, 0]),
-                              0.5 * (a[0, 2] + a[2, 0]),
-                              0.5 * (a[1, 2] + a[2, 1]))
+    return sym3.TraceFreeSym3.from_matrix(0.5 * (a + a.T))
 
 
 def _scaled(values, scale):
@@ -305,13 +302,13 @@ def toy_scaling_families(blowup=(0.5, 1.0, 2.0), decay=(0.5, 1.0, 2.0)):
     t_error = decay_error = 0.0
     for c in blowup:
         m0 = sym3.TraceFreeSym3(-2.0 * c, c, 0.0, 0.0, 0.0)
-        res = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=10.0 / c)
+        res = toy_ode.integrate_matrix(m0, t_end=10.0 / c)
         assert res.outcome == "blew_up"
         assert abs(res.t_est - 1.0 / c) < 1e-6 / c, f"T_est {res.t_est} vs {1.0 / c}"
         t_error = max(t_error, abs(res.t_est - 1.0 / c) * c)
     for c in decay:
         m0 = sym3.TraceFreeSym3(-c, -c, 0.0, 0.0, 0.0)
-        res = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=10.0)
+        res = toy_ode.integrate_matrix(m0, t_end=10.0)
         assert res.outcome == "completed", f"decay run {res.outcome}"
         expected = 2.0 * c / (1.0 + c * 10.0)
         assert abs(res.trajectory.lambda3[-1] - expected) < 1e-8
@@ -323,12 +320,11 @@ def toy_reduced_vs_matrix(rng):
     m0 = rotate(sym3.TraceFreeSym3(-1.3, 0.4, 0.0, 0.0, 0.0),
                 random_rotation(rng))
     eig = sym3.eigenvalues(m0)
-    res_m = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=50.0,
-                              blowup_threshold=1e6, rtol=1e-12, atol=1e-14)
-    res_r = toy_ode.integrate(
-        toy_ode.ToyState.from_reduced(eig.lambda3, eig.r), t_end=50.0,
-        blowup_threshold=1e7, rtol=1e-12, atol=1e-14,
-        t_eval=list(res_m.trajectory.t[1:]))
+    res_m = toy_ode.integrate_matrix(m0, t_end=50.0, blowup_threshold=1e6,
+                                     rtol=1e-12, atol=1e-14)
+    res_r = toy_ode.integrate_reduced(eig.lambda3, eig.r, t_end=50.0,
+                                      blowup_threshold=1e7, rtol=1e-12, atol=1e-14,
+                                      t_eval=list(res_m.trajectory.t[1:]))
     # compare at exactly matched sample times; 1/lambda3 is the
     # well-conditioned variable (fixed-time lambda3 differences are
     # amplified by lambda3 itself approaching blow-up)

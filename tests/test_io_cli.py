@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -193,6 +194,74 @@ def test_diagnose_q_list_never_changes_the_csv(layer, text):
             lines = err.getvalue().splitlines(keepends=True)
             assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
             assert not os.path.exists(csv)
+
+
+@pytest.mark.parametrize("components, message", [
+    ("x*(-8)**(1/3);0;0", "error: force expression is complex at t=0.0"),
+    ("sqrt(x-1);0;0", "error: force expression is not finite at t=0.0"),
+    ("1e200*sin(y);0;0", "error: force is too large: n^3 times its energy or enstrophy "
+                         "overflows when squared")],
+    ids=["complex_on_grid", "invalid_value", "overflowing_record"])
+def test_expr_force_rejected_without_warning(tmp_path, capsys, components, message):
+    # the first ran with its real part, the second printed a numpy warning
+    # before its error line, the third overflowed in the first record and
+    # exited 2
+    csv = tmp_path / "series.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["simulate", "--n", "8", "--t-end", "0.01", "--csv", str(csv),
+                         "--force", f"expr:{components}"])
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not csv.exists()
+
+
+def _expr_of_depth(depth):
+    """Strategy for expr: components of at most `depth` nested operations,
+    drawn from the grammar of solver._parse_force_component."""
+    sign = st.sampled_from(["", "-"])  # unary minus
+    leaf = st.tuples(sign, st.sampled_from(["0", "0.5", "3", "1e3", "1e200", "2.5e-3",
+                                            "x", "y", "z", "t", "pi"])).map("".join)
+    if depth == 0:
+        return leaf
+    inner = _expr_of_depth(depth - 1)
+    node = (st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "**"]), inner).map(
+                lambda parts: "({}{}{})".format(*parts))
+            | st.tuples(st.sampled_from(["sin", "cos", "exp", "tanh", "sqrt"]), inner).map(
+                lambda parts: "{}({})".format(*parts)))
+    return leaf | st.tuples(sign, node).map("".join)
+
+
+_expr_component = (_expr_of_depth(4)
+                   | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.tuples(_expr_component, _expr_component, _expr_component))
+def test_simulate_runs_or_rejects_any_expr_force(components):
+    # exit 0 with the two records, exit 1 with one error line, or exit 2
+    # with one line naming a failed step; no exception escapes main
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "series.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", "--n", "8", "--t-end", "0.01", "--csv", csv,
+                             "--force", "expr:" + ";".join(components)])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            with open(csv) as fh:
+                rows = fh.read().splitlines()
+            assert len(rows) == 3 and all(len(row.split(",")) == 16 for row in rows)
+        elif code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not os.path.exists(csv)
+        else:
+            assert code == 2 and len(lines) == 1
+            step = re.match(r"numerical failure: .* after step (\d+) ", lines[0])
+            assert step and int(step.group(1)) >= 1
 
 
 class TestInitialData:
@@ -713,10 +782,13 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ["budget_convergence.py", "--n", "8", "--steps", "2", "--t-end", "0.1"],
     ["run_taylor_green.py", "--n", "8", "--t-end", "0.0305"],
     ["toy_blowup_portrait.py", "--trajectory", "1.0", "3.0"],
-    ["toy_blowup_portrait.py", "--cells", "3", "--r-range", "0.3", "3"]],
-    ids=["budget_ladder", "taylor_green_t_end", "toy_trajectory", "toy_sweep_range"])
+    ["toy_blowup_portrait.py", "--cells", "3", "--r-range", "0.3", "3"],
+    ["budget_convergence.py", "--n", "8", "--steps", "2", "--t-end", "0.08"]],
+    ids=["budget_ladder", "taylor_green_t_end", "toy_trajectory", "toy_sweep_range",
+         "budget_short_run"])
 def test_script_rejects_bad_flags_with_usage_error(tmp_path, argv):
-    # each ended in an InvalidInputError traceback
+    # each ended in an InvalidInputError traceback but budget_short_run,
+    # which printed nan for the 3 records of its coarsest step
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],

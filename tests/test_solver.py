@@ -415,6 +415,28 @@ class TestRun:
             with pytest.raises(InvalidInputError):
                 solver.run(config, bad, grid=grid8)
 
+    def test_grid_of_another_size_rejected(self, grid8):
+        # ran at n=8 and reported config.n = 32
+        config = solver.SolverConfig(n=32, dt=1e-3, t_end=0.01, record_every=5)
+        u0 = initial_data.taylor_green(grid8)
+        with pytest.raises(InvalidInputError, match="n=8 does not match config n=32"):
+            solver.run(config, u0, grid=grid8)
+        with pytest.raises(InvalidInputError, match="n=8 does not match config n=32"):
+            diagnostics.run_with_diagnostics(config, u0, grid=grid8)
+
+    def test_state_too_large_to_record_is_a_failure(self, grid8):
+        # a force that passes the size rule made a finite state whose
+        # record overflowed, with a numpy warning
+        config = solver.SolverConfig(
+            n=8, dt=1e-3, t_end=1e-3, record_every=1,
+            force="expr:1e30*sin(y)*cos(z);1e30*cos(x);1e30*sin(x+z)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match="too large to record after step 1") as info:
+                diagnostics.run_with_diagnostics(config, initial_data.taylor_green(grid8),
+                                                 grid=grid8)
+        assert info.value.last_state.step_count == 1
+
     def test_caller_u0_never_written(self, tmp_path, grid8):
         # run symmetrizes, zeroes and projects its own copy, so one u0
         # array can start any number of runs
@@ -568,7 +590,7 @@ class TestForcing:
         # constants are floats, so 9**9**9 overflows instead of building a
         # huge integer; a complex or non-finite value is rejected too
         for expr in ("9**9**9", "1" + "0" * 400, "(-8)**(1/3)", "x**1e300",
-                     "sqrt(x - 1)", "t**-1"):
+                     "sqrt(x - 1)", "t**-1", "x*(-8)**(1/3)"):
             with pytest.raises(InvalidInputError):
                 with np.errstate(all="ignore"):
                     solver.make_force(grid8, f"expr:{expr};0;0")(0.0)

@@ -265,7 +265,8 @@ class TestDirectionalStrain:
 
     def test_dominates_middle_eigenvalue(self, grid16):
         u_hat = initial_data.random_div_free(grid16, seed=33)
-        s = spectral.strain_field(grid16, spectral.sym_gradient(grid16, u_hat))
+        s = sym3.TraceFreeSym3.from_components(
+            grid16.ifft(spectral.sym_gradient(grid16, u_hat)))
         eig = sym3.eigenvalues(s)
         rng = np.random.default_rng(34)
         for _ in range(5):
@@ -286,7 +287,8 @@ class TestOrthogonalityRelations:
         # tr(S) g integrates to zero structurally: the 33 entry is the
         # negated sum of the stored diagonals
         u_hat = initial_data.random_div_free(grid16, seed=36)
-        s = spectral.strain_field(grid16, spectral.sym_gradient(grid16, u_hat))
+        s = sym3.TraceFreeSym3.from_components(
+            grid16.ifft(spectral.sym_gradient(grid16, u_hat)))
         rng = np.random.default_rng(37)
         g = rng.standard_normal((grid16.n,) * 3)
         trace = s.m11 + s.m22 + s.m33
@@ -395,14 +397,14 @@ class TestHalfSpectrumLayout:
                     spectral.isometry_audit(grid16, mean_free, alpha).values(), audit_full):
                 assert close(on_half, on_full)
         not_strain = s_hat + 0.5 * s_hat[[1, 2, 3, 4, 0]]
-        s3 = spectral.tensor_full(full(not_strain))
+        s3 = sym3.full_matrix(full(not_strain))
         t = [sum(k[i] * s3[i, j] for i in range(3)) for j in range(3)]
         num_sq = sum(np.abs(kd_sq * s3[j, i] - k[j] * t[i] - t[j] * k[i]) ** 2
                      for j in range(3) for i in range(3))
         frob = np.sqrt(sum(np.abs(s3[j, i]) ** 2 for j in range(3) for i in range(3)))
         assert close(spectral.consistency_residual(grid16, not_strain),
                      np.max(np.sqrt(num_sq)) / np.max(kd_sq * frob))
-        s3 = spectral.tensor_full(s_full)
+        s3 = sym3.full_matrix(s_full)
         inv_ksq = np.divide(1.0, kd_sq, out=np.zeros_like(kd_sq), where=kd_sq > 0)
         expected = np.stack([-2j * sum(k[i] * s3[i, j] for i in range(3)) * inv_ksq
                              for j in range(3)])

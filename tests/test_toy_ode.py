@@ -78,13 +78,12 @@ class TestGoldenSolutions:
         verify.toy_scaling_families(blowup=(), decay=(c,))
 
     def test_decay_family_long_run_lands_in_decayed_bucket(self):
-        res = toy_ode.integrate(toy_ode.ToyState.from_matrix(GOLDEN_DECAY),
-                                t_end=1e7)
+        res = toy_ode.integrate_matrix(GOLDEN_DECAY, t_end=1e7)
         assert res.outcome == "decayed"
         assert res.final_matrix.norm() < 1e-6
 
     def test_reduced_blowup_from_mid_ratio(self):
-        res = toy_ode.integrate(toy_ode.ToyState.from_reduced(1.0, 1.0), t_end=100.0)
+        res = toy_ode.integrate_reduced(1.0, 1.0, t_end=100.0)
         assert res.outcome == "blew_up"
         # near blow-up the ratio has locked onto 2
         t_probe = res.t_est * (1.0 - 1e-6)
@@ -94,22 +93,21 @@ class TestGoldenSolutions:
 
     def test_rotated_initial_data_same_blowup_time(self):
         rng = np.random.default_rng(5)
-        base = toy_ode.integrate(toy_ode.ToyState.from_matrix(GOLDEN_BLOWUP),
-                                 t_end=10.0)
+        base = toy_ode.integrate_matrix(GOLDEN_BLOWUP, t_end=10.0)
         rotated = rotate_matrix(GOLDEN_BLOWUP, random_rotation(rng))
-        res = toy_ode.integrate(toy_ode.ToyState.from_matrix(rotated), t_end=10.0)
+        res = toy_ode.integrate_matrix(rotated, t_end=10.0)
         assert res.outcome == "blew_up"
         assert abs(res.t_est - base.t_est) < 1e-7
 
 
 class TestTrajectoryStructure:
     def test_ratio_monotone_nondecreasing(self):
-        res = toy_ode.integrate(toy_ode.ToyState.from_reduced(1.0, 0.7), t_end=100.0)
+        res = toy_ode.integrate_reduced(1.0, 0.7, t_end=100.0)
         r = res.trajectory.r
         assert np.all(np.diff(r) >= -1e-12)
 
     def test_reciprocal_slope_approaches_minus_one(self):
-        res = toy_ode.integrate(toy_ode.ToyState.from_reduced(1.0, 1.2), t_end=100.0)
+        res = toy_ode.integrate_reduced(1.0, 1.2, t_end=100.0)
         lam3 = res.trajectory.lambda3
         t = res.trajectory.t
         window = lam3 >= lam3[-1] / 10.0  # last decade of growth
@@ -120,8 +118,7 @@ class TestTrajectoryStructure:
         rng = np.random.default_rng(6)
         m0 = rotate_matrix(sym3.TraceFreeSym3(-1.1, 0.3, 0.0, 0.0, 0.0),
                            random_rotation(rng))
-        res = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=100.0,
-                                blowup_threshold=1e8)
+        res = toy_ode.integrate_matrix(m0, t_end=100.0, blowup_threshold=1e8)
         traj = res.trajectory
         total = traj.lambda1 + traj.lambda2 + traj.lambda3
         assert np.all(np.abs(total) <= 1e-10 * np.maximum(traj.lambda3, 1.0))
@@ -132,8 +129,7 @@ class TestTrajectoryStructure:
         rng = np.random.default_rng(7)
         m0 = rotate_matrix(sym3.TraceFreeSym3(-1.4, 0.2, 0.0, 0.0, 0.0),
                            random_rotation(rng))
-        res = toy_ode.integrate(toy_ode.ToyState.from_matrix(m0), t_end=100.0,
-                                blowup_threshold=1e6)
+        res = toy_ode.integrate_matrix(m0, t_end=100.0, blowup_threshold=1e6)
         _, vecs0 = np.linalg.eigh(m0.to_matrix())
         _, vecs1 = np.linalg.eigh(res.final_matrix.to_matrix() /
                                   res.final_matrix.norm())
@@ -147,12 +143,12 @@ class TestTrajectoryStructure:
 class TestBlowupTimeBound:
     def test_tight_on_scaling_family(self):
         assert toy_ode.blowup_time_bound(1.0, 2.0) == pytest.approx(1.0)
-        res = toy_ode.integrate(toy_ode.ToyState.from_reduced(1.0, 2.0), t_end=5.0)
+        res = toy_ode.integrate_reduced(1.0, 2.0, t_end=5.0)
         assert res.t_est <= toy_ode.blowup_time_bound(1.0, 2.0) * (1 + 1e-6)
 
     def test_respected_above_growth_zero(self):
         bound = toy_ode.blowup_time_bound(1.0, 1.9)
-        res = toy_ode.integrate(toy_ode.ToyState.from_reduced(1.0, 1.9), t_end=10.0)
+        res = toy_ode.integrate_reduced(1.0, 1.9, t_end=10.0)
         assert res.outcome == "blew_up"
         assert res.t_est <= bound * (1 + 1e-6)
 
@@ -194,21 +190,16 @@ class TestPhaseSweep:
 class TestStateAndCsv:
     def test_state_validation(self):
         with pytest.raises(InvalidInputError):
-            toy_ode.ToyState()
+            toy_ode.integrate_reduced(-1.0, 1.0, 1.0)
         with pytest.raises(InvalidInputError):
-            toy_ode.ToyState(matrix=GOLDEN_BLOWUP, lambda3=1.0, r=1.0)
+            toy_ode.integrate_reduced(1.0, 2.5, 1.0)
         with pytest.raises(InvalidInputError):
-            toy_ode.ToyState.from_reduced(-1.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            toy_ode.ToyState.from_reduced(1.0, 2.5)
-        with pytest.raises(InvalidInputError):
-            toy_ode.ToyState.from_reduced(math.inf, 1.0)
+            toy_ode.integrate_reduced(math.inf, 1.0, 1.0)
         with pytest.raises(InvalidInputError):
             toy_ode.phase_sweep([1.0], [1.0, 3.0])
 
     def test_trajectory_csv(self, tmp_path):
-        res = toy_ode.integrate(toy_ode.ToyState.from_matrix(GOLDEN_BLOWUP),
-                                t_end=5.0)
+        res = toy_ode.integrate_matrix(GOLDEN_BLOWUP, t_end=5.0)
         path = tmp_path / "traj.csv"
         toy_ode.write_trajectory_csv(res.trajectory, path)
         lines = path.read_text().splitlines()
@@ -400,8 +391,8 @@ class TestInlinedKernel:
                                             (0.3, 0.7)])
     @pytest.mark.parametrize("t_eval", [None, np.linspace(0.01, 3.0, 50)])
     def test_integrate(self, monkeypatch, lambda3, r, t_eval):
-        got, want = _kernel_and_reference(monkeypatch, lambda: toy_ode.integrate(
-            toy_ode.ToyState.from_reduced(lambda3, r), t_end=100.0, t_eval=t_eval))
+        got, want = _kernel_and_reference(monkeypatch, lambda: toy_ode.integrate_reduced(
+            lambda3, r, t_end=100.0, t_eval=t_eval))
         _assert_same_result(got, want)
 
     def test_verify_reduced_vs_matrix_call(self, monkeypatch):
@@ -422,8 +413,8 @@ class TestInlinedKernel:
             assert np.array_equal(a, b)
 
     def test_step_size_underflow(self, monkeypatch):
-        got, want = _failures(monkeypatch, lambda: toy_ode.integrate(
-            toy_ode.ToyState.from_reduced(1.0, 1.0), t_end=10.0, blowup_threshold=1e100))
+        got, want = _failures(monkeypatch, lambda: toy_ode.integrate_reduced(
+            1.0, 1.0, t_end=10.0, blowup_threshold=1e100))
         assert str(got) == "step size underflow at t=2.10327"
         _assert_same_failure(got, want)
 
@@ -432,8 +423,7 @@ class TestInlinedKernel:
         monkeypatch.setattr(toy_ode, "_MAX_STEPS", 50)
         monkeypatch.setitem(globals(), "_MAX_STEPS", 50)
         for call in (lambda: toy_ode.phase_sweep([1.0], [1.0]),
-                     lambda: toy_ode.integrate(toy_ode.ToyState.from_reduced(1.0, 1.0),
-                                               t_end=100.0)):
+                     lambda: toy_ode.integrate_reduced(1.0, 1.0, t_end=100.0)):
             got, want = _failures(monkeypatch, call)
             assert str(got) == "step budget exhausted"
             _assert_same_failure(got, want)
