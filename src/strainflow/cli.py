@@ -102,11 +102,15 @@ def cmd_diagnose(args) -> int:
         if later.time == snap.time:  # the series columns need distinct times
             raise ConfigError(f"{path} and {later_path} hold the same time {snap.time!r}")
     grid = Grid(first.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        halves = [spectral.velocity_half(grid, snap.data) for snap, _ in ordered]
+    for u_hat, (_, path) in zip(halves, ordered):
+        if solver._too_large(grid, u_hat):  # the rule run applies to its records
+            raise ConfigError(f"{path}: velocity is too large: {solver._TOO_LARGE}")
     collector = diagnostics.RecordCollector(grid, q_list=run_config.q_list,
                                             viscosity=first.viscosity)
-    for index, (snap, _) in enumerate(ordered):
-        collector(solver.SolverState(spectral.velocity_half(grid, snap.data),
-                                     snap.time, index))
+    for index, (u_hat, (snap, _)) in enumerate(zip(halves, ordered)):
+        collector(solver.SolverState(u_hat, snap.time, index))
     records = collector.finalize()
     diagnostics.write_csv(records, run_config.csv)
     print(f"diagnosed {len(records)} snapshots -> {run_config.csv}")
@@ -139,7 +143,22 @@ def _parse_range(text):
     return np.linspace(lo, hi, int(count))
 
 
+# the flags a run and a sweep read besides --blowup-threshold; the parser leaves them None
+_TOY_RUN = {"matrix": None, "lambda3": None, "r": None, "t_end": 10.0, "trajectory_out": None}
+_TOY_SWEEP = {"sweep_lambda3": np.linspace(0.1, 10.0, 20), "sweep_r": np.linspace(0.51, 2.0, 20),
+              "sweep_t_end": 1e7, "sweep_out": "toy_sweep.csv"}
+
+
 def cmd_toy_ode(args) -> int:
+    config_mod.build_config(keys=())  # toy-ode reads no setting
+    read, unread = (_TOY_SWEEP, [*_TOY_RUN]) if args.sweep else (_TOY_RUN, [*_TOY_SWEEP])
+    mode = "--sweep" if args.sweep else "--matrix" if args.matrix is not None else "--lambda3 --r"
+    if mode == "--matrix":
+        unread += ["lambda3", "r"]
+    given = ["--" + name.replace("_", "-") for name in unread if getattr(args, name) is not None]
+    if given:
+        raise ConfigError(f"{', '.join(given)}: not read by toy-ode {mode}")
+    vars(args).update({name: value for name, value in read.items() if getattr(args, name) is None})
     if args.sweep:
         cells = toy_ode.phase_sweep(args.sweep_lambda3, args.sweep_r,
                                     t_end=args.sweep_t_end,
@@ -168,6 +187,7 @@ def cmd_toy_ode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    config_mod.build_config(keys=())  # verify reads no setting
     checks = verify.run_checks(n=args.n, dt=args.dt, t_end=args.t_end)
     print(verify.format_table(checks))
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
@@ -194,17 +214,15 @@ def build_parser() -> _Parser:
     p_toy.add_argument("--matrix", type=_parse_matrix, metavar="M11,M22,M12,M13,M23",
                        help="initial matrix entries (use --matrix=-2,1,0,0,0 "
                             "when the first entry is negative)")
-    p_toy.add_argument("--t-end", type=_positive_float, default=10.0)
+    p_toy.add_argument("--t-end", type=_positive_float)
     p_toy.add_argument("--blowup-threshold", type=_positive_float,
                        default=toy_ode.DEFAULT_BLOWUP_THRESHOLD)
     p_toy.add_argument("--trajectory-out", metavar="CSV")
     p_toy.add_argument("--sweep", action="store_true", help="run an outcome sweep")
-    p_toy.add_argument("--sweep-lambda3", type=_parse_range, default="0.1,10,20",
-                       metavar="MIN,MAX,COUNT")
-    p_toy.add_argument("--sweep-r", type=_parse_range, default="0.51,2,20",
-                       metavar="MIN,MAX,COUNT")
-    p_toy.add_argument("--sweep-t-end", type=_positive_float, default=1e7)
-    p_toy.add_argument("--sweep-out", default="toy_sweep.csv", metavar="CSV")
+    p_toy.add_argument("--sweep-lambda3", type=_parse_range, metavar="MIN,MAX,COUNT")
+    p_toy.add_argument("--sweep-r", type=_parse_range, metavar="MIN,MAX,COUNT")
+    p_toy.add_argument("--sweep-t-end", type=_positive_float)
+    p_toy.add_argument("--sweep-out", metavar="CSV")
     p_toy.set_defaults(fn=cmd_toy_ode)
 
     p_ver = sub.add_parser("verify", help="run the built-in check suite")

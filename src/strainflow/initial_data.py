@@ -7,8 +7,8 @@ import numpy as np
 
 from . import snapshots
 from .exceptions import ConfigError, InvalidInputError
-from .spectral import (Grid, project_divergence_free, sobolev_norm_sq, velocity_half,
-                       zero_nyquist)
+from .spectral import (Grid, clean_half, project_divergence_free, sobolev_norm_sq,
+                       velocity_half)
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0):
@@ -47,7 +47,8 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
 
     Complex Gaussian coefficients are drawn for every mode of the full
     cube, those with |xi_i| <= max_wavenumber kept, and the half of their
-    Hermitian part (c(xi) + conj c(-xi))/2 Leray-projected.
+    Hermitian part (c(xi) + conj c(-xi))/2 cleaned (spectral.clean_half)
+    and Leray-projected.
     The default band (n-1)//3 keeps triple products alias-free under the
     grid quadrature, so cubic integral identities hold to rounding.
     Identical (seed, n) inputs give bit-identical fields.
@@ -67,9 +68,7 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
         & (np.abs(grid.ky) <= max_wavenumber) \
         & (grid.kz <= max_wavenumber)
     coeffs = 0.5 * (coeffs[..., :planes] * band + np.conj(mirror * band))
-    coeffs[:, 0, 0, 0] = 0.0
-    zero_nyquist(grid, coeffs)
-    u_hat = project_divergence_free(grid, coeffs)
+    u_hat = project_divergence_free(grid, clean_half(grid, coeffs))
     norm = np.sqrt(sobolev_norm_sq(grid, u_hat, 0.0))
     if norm == 0.0:
         raise InvalidInputError("random field collapsed to zero")

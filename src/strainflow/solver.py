@@ -15,9 +15,9 @@ nonlinearity plus force,
 
 which is exact for the viscous part and fourth-order overall.
 
-Solver states are kept mean-free (Galilean gauge) and Nyquist-free; the
-quadratic term is evaluated pseudo-spectrally with optional 2/3-rule
-dealiasing.
+Solver states are kept as spectral.clean_half leaves them (mean-free,
+Nyquist-free, kz = 0 plane self-conjugate); the quadratic term is
+evaluated pseudo-spectrally with optional 2/3-rule dealiasing.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 from . import snapshots, spectral
 from .exceptions import InstabilityError, InvalidInputError
 from .numerics import check_uniform_spacing, cumulative_integral_4
-from .spectral import (Grid, divergence_residual, project_divergence_free,
-                       sobolev_norm_sq, velocity_half, zero_nyquist)
+from .spectral import (Grid, clean_half, divergence_residual, project_divergence_free,
+                       sobolev_norm_sq, velocity_half)
 
 CFL_SAFETY = 0.5  # the step of dt=None is at most CFL_SAFETY * dx / max|u0|
 
@@ -271,9 +271,8 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
     products to rounding, with or without dealiasing.  For band-limited
     dealiased states this agrees exactly with the advective form.
 
-    Takes and returns a half-spectrum (3,) + Grid.shape; the kz = 0
-    plane of the output is made exactly self-conjugate.  The output is
-    always mean- and Nyquist-free.
+    Takes and returns a half-spectrum (3,) + Grid.shape; the output is
+    clean (spectral.clean_half), and its projection keeps it so.
     """
     u_hat = grid.spectrum(u_hat)
     block = grid.block(dealias)
@@ -333,9 +332,7 @@ def _nonlinear_half(block: spectral.Block, u_block, out, scratch: _NonlinearScra
     for m, row in enumerate(((0, 2, 3), (2, 1, 4), (3, 4))):
         np.multiply(-1j, k_dot(*(p_hat[r] for r in row)), out=out[m])
     del p_hat
-    block.zero_nyquist(out)
-    out[:, 0, 0, 0] = 0.0
-    spectral.symmetrize_kz0_plane(block, out)
+    clean_half(block, out)
     # Leray projection on the block
     dot = k_dot(out[0], out[1], out[2])
     dot *= block.inv_ksq_diff
@@ -501,9 +498,7 @@ def run(config: SolverConfig, u0_hat, grid: Grid | None = None,
     resid = spectral.hermitian_residual(grid, u0_hat)
     if resid > spectral.HERMITIAN_TOL:
         raise InvalidInputError(f"initial velocity is not Hermitian (residual {resid:.3e})")
-    spectral.symmetrize_kz0_plane(grid, u0_hat)
-    zero_nyquist(grid, u0_hat)
-    u0_hat[:, 0, 0, 0] = 0.0
+    clean_half(grid, u0_hat)
     # every step is Leray-projected, so divergence left in u0 would only
     # decay viscously: rounding noise at |xi| = 1 outlives a decaying flow
     # and grows relative to it until the divergence check trips

@@ -22,9 +22,9 @@ Conventions (fixed once, used everywhere):
   count every plane strictly inside 0 < kz < n/2 twice, for its mirror
   image.  The only mirror pairs a half holds lie in its self-mirrored
   kz = 0 and kz = n/2 planes.
-* A physical velocity read from outside, a snapshot or a force field,
-  enters through one rule, velocity_half: r2c, then the Nyquist planes
-  and the mean zeroed.
+* One rule, clean_half, puts a half-spectrum in the form of every state
+  and force: Nyquist planes and mean zeroed, kz = 0 plane exactly
+  self-conjugate.  Snapshots and forces enter by velocity_half: r2c, clean_half.
 * The time stepper's stages run on a second layout, Grid.block: a block
   of the half in a compact array of its own (Block), the only modes the
   nonlinear term reads or writes; with 2/3-rule dealiasing that is the
@@ -86,6 +86,7 @@ class Grid:
         self.quad_weight = self.volume / n ** 3
         self.spectral_weight = self.volume / float(n) ** 6
         self._rev = (n - np.arange(n)) % n  # index of -xi per axis
+        self._nyquist = tuple((..., half) + (slice(None),) * k for k in (2, 1, 0))  # x, y, z
         # modes each half-spectrum plane stands for: 1 on the self-mirrored
         # kz = 0 and kz = n/2 planes, 2 elsewhere
         self.half_multiplicity = np.full((1, 1, half + 1), 2.0)
@@ -159,10 +160,7 @@ class Block:
                  (slice(b + 1, b + 1 + neg), slice(n - neg, n)))
         self._slabs = tuple(((bx, by), (hx, hy, slice(0, planes)))
                             for bx, hx in parts for by, hy in parts)
-        # the Nyquist row and plane share their index, b, and only b = n/2 holds them
-        self._nyquist = tuple(index for h in np.flatnonzero(rows == n // 2)
-                              for index in ((..., h, slice(None), slice(None)),
-                                            (..., h, slice(None)), (..., h)))
+        self._nyquist = grid._nyquist if b == n // 2 else ()  # the half's, at b = n/2 only
         m = len(rows)
         self.shape = (m, m, planes)
         self._rev = (m - np.arange(m)) % m  # index of -xi per axis
@@ -190,38 +188,27 @@ class Block:
             half[(..., *half_rows)] = block[(..., *block_rows, slice(None))]
         return half
 
-    def zero_nyquist(self, coeffs):
-        """Zero the Nyquist row and plane of a block in place (there are
-        none unless b = n/2)."""
-        for index in self._nyquist:
-            coeffs[index] = 0.0
-        return coeffs
+
+def _mirror(space: Grid | Block, planes):
+    """conj of the mirror image -xi of each mode of whole kz planes (..., m, m, p)."""
+    rev = space._rev
+    return np.conj(planes[..., rev, :, :][..., :, rev, :])
 
 
-def symmetrize_kz0_plane(grid: Grid | Block, half):
-    """Make the kz = 0 plane of a half-spectrum (of a Grid) or of a
-    block (of a Block) exactly self-conjugate.
-
-    rfftn leaves that plane Hermitian only to rounding; one cheap 2-d
-    mirror makes the expanded cube exactly symmetric.
-    """
-    rev = grid._rev
-    plane = half[..., :, :, 0]
-    mirror = np.conj(plane[..., rev, :][..., :, rev])
-    half[..., :, :, 0] = 0.5 * (plane + mirror)
+def symmetrize_kz0_plane(space: Grid | Block, half):
+    """Make the kz = 0 plane of a half-spectrum or a block exactly self-conjugate."""
+    plane = half[..., :1]
+    half[..., :1] = 0.5 * (plane + _mirror(space, plane))
     return half
 
 
 def expand_half(grid: Grid, half):
     """Expand a kz in [0, n/2] half-spectrum to the full Hermitian cube
     (..., n, n, n): no code path needs it, tests compare against it."""
-    n = grid.n
-    hn = n // 2
-    rev = grid._rev
-    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    hn = grid.n // 2
+    out = np.empty(half.shape[:-1] + (grid.n,), dtype=complex)
     out[..., :hn + 1] = half
-    tail = half[..., :, :, hn - 1:0:-1]          # kz = n/2-1 ... 1
-    out[..., hn + 1:] = np.conj(tail[..., rev, :, :][..., :, rev, :])
+    out[..., hn + 1:] = _mirror(grid, half[..., :, :, hn - 1:0:-1])  # kz = n/2-1 ... 1
     return out
 
 
@@ -233,28 +220,31 @@ def hermitian_residual(grid: Grid, half):
     peak = np.max(np.abs(half))
     if peak == 0.0:
         return 0.0
-    rev = grid._rev
     planes = half[..., [0, grid.n // 2]]
-    mirror = np.conj(planes[..., rev, :, :][..., :, rev, :])
-    return float(np.max(np.abs(planes - mirror)) / peak)
+    return float(np.max(np.abs(planes - _mirror(grid, planes))) / peak)
 
 
-def zero_nyquist(grid: Grid, coeffs):
-    """Zero the Nyquist planes (index n/2 on each axis) in place; returns coeffs."""
-    half = grid.n // 2
-    coeffs[..., half, :, :] = 0.0
-    coeffs[..., :, half, :] = 0.0
-    coeffs[..., :, :, half] = 0.0
+def zero_nyquist(space: Grid | Block, coeffs):
+    """Zero the Nyquist rows and plane (index n/2 on each axis) of a half-spectrum
+    or a block in place (a block holds none unless b = n/2); returns coeffs."""
+    for index in space._nyquist:
+        coeffs[index] = 0.0
     return coeffs
 
 
+def clean_half(space: Grid | Block, half):
+    """Zero the Nyquist planes and the mean of a half-spectrum or a block and make
+    its kz = 0 plane exactly self-conjugate, in place; returns half.  The mirror
+    maps the Nyquist rows and the mean onto themselves, so the order is free."""
+    zero_nyquist(space, half)
+    half[..., 0, 0, 0] = 0.0
+    return symmetrize_kz0_plane(space, half)
+
+
 def velocity_half(grid: Grid, field):
-    """The half-spectrum of a physical velocity (3, n, n, n) read from
-    outside (a snapshot, a force field), with its Nyquist planes and its
-    mean zeroed, as every state and force is."""
-    u_hat = zero_nyquist(grid, grid.fft(field))
-    u_hat[:, 0, 0, 0] = 0.0
-    return u_hat
+    """The half-spectrum of a physical velocity (3, n, n, n) read from outside
+    (a snapshot, a force field): its r2c, clean_half, as every state and force is."""
+    return clean_half(grid, grid.fft(field))
 
 
 def divergence_residual(grid: Grid, u_hat) -> float:

@@ -94,6 +94,13 @@ def _check_reduced(lambda3: float, r: float) -> float:
     return min(max(r, 0.5), 2.0)
 
 
+def _check_run(t_end: float, blowup_threshold: float) -> None:
+    """The one check of the run settings: both positive and finite."""
+    for name, value in (("t_end", t_end), ("blowup_threshold", blowup_threshold)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidInputError(f"{name} must be positive and finite, got {value}")
+
+
 def rhs_reduced(lambda3: float, r: float):
     """Reduced right-hand side (dlambda3/dt, dr/dt)."""
     _check_reduced(lambda3, r)
@@ -363,8 +370,7 @@ def integrate_reduced(lambda3: float, r: float, t_end: float,
     two samples of 1/lambda3; a run that reaches t_end has "decayed" when
     the matrix norm is below DECAY_THRESHOLD, else "completed"."""
     r = _check_reduced(lambda3, r)
-    if not t_end > 0:
-        raise InvalidInputError(f"t_end must be positive, got {t_end}")
+    _check_run(t_end, blowup_threshold)
     times, l3s, rs, status = _integrate_reduced(
         lambda3, r, t_end, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol,
         record=True, t_eval=t_eval)
@@ -378,8 +384,7 @@ def integrate_matrix(m0: sym3.TraceFreeSym3, t_end: float,
                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> ToyResult:
     """Integrate the toy model from the matrix m0 at t = 0; blow-up and the
     outcome are judged as in integrate_reduced."""
-    if not t_end > 0:
-        raise InvalidInputError(f"t_end must be positive, got {t_end}")
+    _check_run(t_end, blowup_threshold)
     y0 = np.array([m0.m11, m0.m22, m0.m12, m0.m13, m0.m23], dtype=float)
     times, comps, status = _integrate_matrix(
         y0, t_end, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol)
@@ -405,11 +410,12 @@ def phase_sweep(lambda3_values, r_values, t_end: float = 1e7,
                 blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Outcome map over a grid of reduced initial conditions.
 
-    Each cell's start is checked as integrate_reduced checks it.  Cells
+    Settings and starts are checked as integrate_reduced checks them.  Cells
     are fully independent (safe to parallelize); this runs them
     sequentially with the lightweight scalar integrator and keeps only
     endpoint data per cell.
     """
+    _check_run(t_end, blowup_threshold)
     cells = []
     for l3_0 in lambda3_values:
         for r_0 in r_values:

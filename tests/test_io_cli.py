@@ -264,6 +264,57 @@ def test_simulate_runs_or_rejects_any_expr_force(components):
             assert step and int(step.group(1)) >= 1
 
 
+_ENV_KEYS = sorted(config_mod._PARSERS)
+_env_name = (st.sampled_from(_ENV_KEYS).map(str.upper)
+             | st.sampled_from(_ENV_KEYS) | st.sampled_from(_ENV_KEYS).map(str.title)
+             | st.text(st.sampled_from("ABQXZ_019"), max_size=8))
+_env_value = st.sampled_from(["auto", "none", "nan", "inf", "", "0", "1", "-1", "5", "2.5",
+                              "1e300", "true", "x"])
+_ENV_COMMANDS = {
+    "simulate": ["simulate", "--n", "8", "--dt", "1e-3", "--t-end", "0.01",
+                 "--record-every", "5", "--csv", "out.csv"],
+    "diagnose": ["diagnose", "--csv", "out.csv", "s0.snap", "s1.snap"],
+    "verify": ["verify", "--n", "8", "--dt", "1e-3", "--t-end", "0.04"],
+    "toy-ode": ["toy-ode", "--lambda3", "1", "--r", "0.7", "--t-end", "1",
+                "--trajectory-out", "out.csv"],
+}
+_ENV_READ = {"simulate": {key.upper() for key in _ENV_KEYS}, "diagnose": {"Q_LIST", "CSV"},
+             "verify": set(), "toy-ode": set()}
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(_ENV_COMMANDS)), _env_name, _env_value)
+def test_every_command_runs_or_rejects_any_env_setting(command, name, value):
+    # one STRAINFLOW_<name>=<value> under each command, run in a scratch
+    # directory: exit 0 with its output if the command reads the setting,
+    # exit 1 with one error line and no output, or (simulate only) exit 2
+    # with one numerical failure line
+    grid = spectral.Grid(8)
+    u_phys = grid.ifft(initial_data.random_div_free(grid, seed=3))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for i in range(2):
+                snapshots.save_snapshot(f"s{i}.snap", "velocity", 0.1 * i, 1.0, u_phys)
+            err = io.StringIO()
+            with (mock.patch.dict(os.environ, {"STRAINFLOW_" + name: value}),
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                code = cli.main(_ENV_COMMANDS[command])
+            lines = err.getvalue().splitlines()
+            written = os.path.exists("out.csv")
+        finally:
+            os.chdir(cwd)
+    if code == 0:
+        assert name in _ENV_READ[command] and lines == [] and written
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: ") and not written
+    else:
+        assert command == "simulate" and code == 2 and len(lines) == 1
+        assert lines[0].startswith("numerical failure: ")
+
+
 class TestInitialData:
     def test_taylor_green_divergence_free(self, grid16):
         u_hat = initial_data.taylor_green(grid16)
@@ -585,6 +636,20 @@ class TestCli:
                                         r.tr3_integral, r.vortex_stretch)):
             assert float(got) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    def test_diagnose_rejects_snapshots_too_large_to_record(self, tmp_path, capsys, grid8):
+        # these printed 20 RuntimeWarnings, wrote NaN in det_int through
+        # lam2p_L32 and exited 0; each snapshot now meets the rule of u0,
+        # forces and recorded states before any record is made
+        u_phys = 1e120 * grid8.ifft(initial_data.random_div_free(grid8, seed=3))
+        paths = [str(tmp_path / f"s{i}.snap") for i in range(5)]
+        for i, path in enumerate(paths):
+            snapshots.save_snapshot(path, "velocity", 0.1 * i, 1.0, u_phys)
+        out = tmp_path / "diag.csv"
+        assert cli.main(["diagnose", "--csv", str(out), *paths[::-1]]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paths[0]}: velocity is too large: {solver._TOO_LARGE}"]
+        assert not out.exists()
+
     def test_diagnose_mixed_viscosity_rejected(self, tmp_path, capsys, grid8):
         u_phys = grid8.ifft(initial_data.taylor_green(grid8))
         paths = [str(tmp_path / f"s{i}.snap") for i in range(2)]
@@ -739,6 +804,42 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert not out.exists()
+
+    def test_toy_ode_rejects_flags_its_mode_does_not_read(self, tmp_path, capsys):
+        # each ran, exited 0 and ignored the flags its error line names
+        traj, sweep = tmp_path / "traj.csv", tmp_path / "sweep.csv"
+        small = ["--sweep-lambda3", "0.5,2,2", "--sweep-r", "0.6,2,2", "--sweep-out", str(sweep)]
+        for flags, error in (
+                (["--sweep", *small, "--lambda3", "1", "--r", "0.7", "--trajectory-out", str(traj)],
+                 "--lambda3, --r, --trajectory-out: not read by toy-ode --sweep"),
+                (["--matrix=-2,1,0,0,0", "--lambda3", "1", "--r", "0.7",
+                  "--trajectory-out", str(traj)],
+                 "--lambda3, --r: not read by toy-ode --matrix"),
+                (["--lambda3", "1", "--r", "0.7", "--trajectory-out", str(traj),
+                  "--sweep-out", str(sweep), "--sweep-t-end", "5"],
+                 "--sweep-t-end, --sweep-out: not read by toy-ode --lambda3 --r")):
+            assert cli.main(["toy-ode", *flags]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+            assert not traj.exists() and not sweep.exists()
+
+    def test_verify_and_toy_ode_reject_env_settings(self, tmp_path, capsys, monkeypatch):
+        # neither reads a setting: verify passed 21/21 under STRAINFLOW_DT=banana
+        # and toy-ode ran under STRAINFLOW_T_END=5
+        traj = tmp_path / "traj.csv"
+        for argv in (["verify", "--n", "8", "--dt", "1e-3", "--t-end", "0.04"],
+                     ["toy-ode", "--lambda3", "1", "--r", "0.7", "--trajectory-out", str(traj)]):
+            for name, value, error in (
+                    ("STRAINFLOW_DT", "banana", "settings this command does not read: "
+                                                "STRAINFLOW_DT"),
+                    ("STRAINFLOW_T_END", "5", "settings this command does not read: "
+                                              "STRAINFLOW_T_END"),
+                    ("STRAINFLOW_BOGUS", "1", "unknown setting STRAINFLOW_BOGUS")):
+                with monkeypatch.context() as env:
+                    env.setenv(name, value)
+                    assert cli.main(argv) == 1
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err == f"error: {error}\n"
+                assert not traj.exists()
 
     def test_toy_ode_sweep_subcommand(self, tmp_path):
         out = tmp_path / "sweep.csv"

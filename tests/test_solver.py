@@ -543,6 +543,23 @@ class TestForcing:
         bound = 0.5 * (f_norm / config.viscosity) ** 2
         assert all(k <= bound * (1 + 1e-9) for k in kinetic)
 
+    @pytest.mark.parametrize("kind", ["expr", "file"])
+    def test_forced_states_keep_exact_kz0_symmetry(self, tmp_path, grid16, kind):
+        # a force enters through clean_half like every state, so N + f and
+        # every recorded state are exactly self-conjugate on kz = 0
+        spec = "expr:sin(2*y)*cos(z);cos(3*z)*t;sin(x+y)"
+        if kind == "file":
+            from strainflow import snapshots
+            path = tmp_path / "f.snap"
+            snapshots.save_snapshot(path, "velocity", 0.0, 1.0,
+                                    grid16.ifft(initial_data.random_div_free(grid16, seed=2)))
+            spec = f"file:{path}"
+        config = solver.SolverConfig(n=16, dt=1e-3, t_end=0.02, record_every=5, force=spec)
+        result = solver.run(config, initial_data.random_div_free(grid16, seed=1), grid=grid16,
+                            keep_states=True)
+        residuals = [spectral.hermitian_residual(grid16, s.u_hat) for s in result.states]
+        assert residuals == [0.0] * 5
+
     def test_file_force(self, tmp_path, grid8):
         from strainflow import snapshots
         u_phys = grid8.ifft(initial_data.shear(grid8))

@@ -198,6 +198,24 @@ class TestStateAndCsv:
         with pytest.raises(InvalidInputError):
             toy_ode.phase_sweep([1.0], [1.0, 3.0])
 
+    @pytest.mark.parametrize("setting", [
+        {"t_end": math.nan}, {"t_end": 0.0}, {"t_end": -1.0}, {"t_end": math.inf},
+        {"blowup_threshold": -1.0}, {"blowup_threshold": math.nan},
+        {"blowup_threshold": math.inf}],
+        ids=["t_end_nan", "t_end_0", "t_end_-1", "t_end_inf", "threshold_-1",
+             "threshold_nan", "threshold_inf"])
+    def test_run_settings_validation(self, setting):
+        # a sweep took each: t_end = nan blew up, 0 and -1 completed without
+        # a step, threshold -1 blew up at 1.00015 and nan underflowed its step
+        kwargs = {"t_end": 10.0, **setting}
+        [(name, value)] = setting.items()
+        for call in (lambda: toy_ode.phase_sweep([1.0], [0.7], **kwargs),
+                     lambda: toy_ode.integrate_reduced(1.0, 0.7, **kwargs),
+                     lambda: toy_ode.integrate_matrix(GOLDEN_BLOWUP, **kwargs)):
+            with pytest.raises(InvalidInputError,
+                               match=f"^{name} must be positive and finite, got {value}$"):
+                call()
+
     def test_trajectory_csv(self, tmp_path):
         res = toy_ode.integrate_matrix(GOLDEN_BLOWUP, t_end=5.0)
         path = tmp_path / "traj.csv"
