@@ -42,6 +42,7 @@ class RunConfig(SolverConfig):
         if self.snapshot_every and self.snapshot_dir is None:
             raise ConfigError("snapshot_every needs snapshot_dir")
         initial_data.check_name(self.initial_data)
+        initial_data.check_seed(self.seed)
         if not math.isfinite(self.amplitude):
             raise ConfigError(f"amplitude must be finite, got {self.amplitude}")
         for q in self.q_list:

@@ -48,28 +48,11 @@ CSV_COLUMNS = ("t", "E", "diss_H1", "det_int", "tr3_int", "vortex_stretch",
                "cubic_margin", "force_term")
 
 
-@dataclass(frozen=True)
-class StrainPointData:
-    """Pointwise strain analysis of one snapshot."""
-
-    strain: sym3.TraceFreeSym3          # matrix entries as (n, n, n) arrays
-    eig: sym3.EigenTriple               # sorted eigenvalue fields
-    det: np.ndarray
-    norm_sq: np.ndarray                 # |S(x)|^2
-
-
-def pointwise_strain_analysis(grid: Grid, u_hat) -> StrainPointData:
-    """Strain, eigenvalues, det and |S|^2 at every grid point of the
-    velocity whose kz in [0, n/2] half-spectrum is u_hat."""
-    return _strain_point_data(grid, sym_gradient(grid, u_hat))
-
-
-def _strain_point_data(grid: Grid, s_half) -> StrainPointData:
-    strain = sym3.TraceFreeSym3.from_components(grid.ifft(s_half))
-    norm_sq = strain.norm_sq()
-    det = sym3.det(strain)
-    return StrainPointData(strain, sym3.eigenvalues(strain, norm_sq, det),
-                           det, norm_sq)
+def pointwise_strain_analysis(grid: Grid, u_hat):
+    """(strain, eig): the strain at every grid point of the velocity whose
+    kz in [0, n/2] half-spectrum is u_hat, and its sym3.eigenvalues."""
+    strain = sym3.TraceFreeSym3.from_components(grid.ifft(sym_gradient(grid, u_hat)))
+    return strain, sym3.eigenvalues(strain)
 
 
 def check_q(q) -> None:
@@ -217,8 +200,8 @@ class RecordCollector:
         grid = self.grid
         u_half = state.u_hat
         s_half = sym_gradient(grid, u_half)
-        data = _strain_point_data(grid, s_half)
-        m = data.strain
+        m = sym3.TraceFreeSym3.from_components(grid.ifft(s_half))
+        eig = sym3.eigenvalues(m)
         w = grid.ifft(vorticity(grid, u_half))
         stretch = (m.m11 * w[0] ** 2 + m.m22 * w[1] ** 2 + m.m33 * w[2] ** 2
                    + 2.0 * (m.m12 * w[0] * w[1] + m.m13 * w[0] * w[2]
@@ -232,18 +215,18 @@ class RecordCollector:
                 force_term = sobolev_inner(grid, u_half, f_half, 1.0)
                 force_sq = sobolev_norm_sq(grid, f_half, 0.0)
 
-        lam2p = data.eig.lambda2_plus
+        lam2p = eig.lambda2_plus
         frob_sq = strain_frobenius_sq(s_half)
         record = DiagnosticsRecord(
             t=state.t,
             enstrophy=plancherel_sum(grid, frob_sq, 0.0),
             dissipation=plancherel_sum(grid, frob_sq, 1.0),
-            det_integral=grid.integrate(data.det),
+            det_integral=grid.integrate(eig.det),
             tr3_integral=grid.integrate(sym3.tr_cubed(m)),
             vortex_stretch=grid.integrate(stretch),
-            strain_cubed=grid.integrate(data.norm_sq * np.sqrt(data.norm_sq)),
+            strain_cubed=grid.integrate(eig.norm_sq * np.sqrt(eig.norm_sq)),
             lambda2_norms={q: lq_norm(grid, lam2p, q) for q in self.q_list},
-            lambda2_weighted=grid.integrate(lam2p * data.norm_sq),
+            lambda2_weighted=grid.integrate(lam2p * eig.norm_sq),
             force_term=force_term,
             force_norm_sq=force_sq,
         )

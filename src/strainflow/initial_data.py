@@ -53,6 +53,7 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
     grid quadrature, so cubic integral identities hold to rounding.
     Identical (seed, n) inputs give bit-identical fields.
     """
+    check_seed(seed)
     if max_wavenumber is None:
         max_wavenumber = grid.dealias_kmax
     if max_wavenumber < 1 or max_wavenumber > grid.n // 2:
@@ -96,6 +97,12 @@ def check_name(name: str) -> None:
     if not name.startswith(_FILE_PREFIX) and name not in _GENERATORS:
         raise ConfigError(f"unknown initial_data {name!r}; expected "
                           f"{', '.join(_GENERATORS)} or file:<path>")
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def generate_initial(grid: Grid, name: str, *, seed: int = 1,

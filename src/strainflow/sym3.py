@@ -134,7 +134,8 @@ class EigenTriple:
     """Sorted eigenvalues lambda1 <= lambda2 <= lambda3 of a trace-free
     symmetric matrix, with the derived quantities used throughout the
     diagnostics: lambda2_plus = max(lambda2, 0) and the shape ratio
-    r = -lambda1/lambda3 in [1/2, 2].
+    r = -lambda1/lambda3 in [1/2, 2], and the invariants norm_sq = |M|^2
+    and det = det(M) the closed form is computed from.
 
     r is NaN wherever the matrix is (numerically) zero; r_defined marks
     the points where it is meaningful.
@@ -146,19 +147,17 @@ class EigenTriple:
     lambda2_plus: object
     r: object
     r_defined: object
+    norm_sq: object
+    det: object
 
 
-def eigenvalues(m: TraceFreeSym3, norm_sq=None, determinant=None) -> EigenTriple:
-    """Closed-form eigenvalues, sorted ascending, broadcast over fields.
-
-    norm_sq and determinant, when given, must be m.norm_sq() and det(m);
-    a caller that needs them anyway passes them in to save recomputing.
-    """
-    if norm_sq is None:
-        norm_sq = m.norm_sq()
+def eigenvalues(m: TraceFreeSym3) -> EigenTriple:
+    """Closed-form eigenvalues, sorted ascending, broadcast over fields,
+    with the |M|^2 and det(M) they are computed from."""
+    norm_sq = m.norm_sq()
     norm = np.sqrt(norm_sq)
     norm3 = norm_sq * norm
-    d = det(m) if determinant is None else determinant
+    d = det(m)
     arg = np.divide(3.0 * _SQRT6 * d, norm3,
                     out=np.zeros_like(np.asarray(norm3, dtype=float)),
                     where=norm3 > 0)
@@ -173,9 +172,9 @@ def eigenvalues(m: TraceFreeSym3, norm_sq=None, determinant=None) -> EigenTriple
     r = np.divide(-lam1, lam3, out=np.full_like(np.asarray(lam3, dtype=float), np.nan),
                   where=defined)
     if np.ndim(norm) == 0:
-        return EigenTriple(float(lam1), float(lam2), float(lam3),
-                           float(lam2_plus), float(r), bool(defined))
-    return EigenTriple(lam1, lam2, lam3, lam2_plus, r, defined)
+        return EigenTriple(float(lam1), float(lam2), float(lam3), float(lam2_plus),
+                           float(r), bool(defined), float(norm_sq), float(d))
+    return EigenTriple(lam1, lam2, lam3, lam2_plus, r, defined, norm_sq, d)
 
 
 def _norm_sq(m11, m22, m12, m13, m23):
@@ -211,36 +210,31 @@ def tr_cubed(m: TraceFreeSym3):
     return _blockwise(_tr_cubed, m)
 
 
-def det_bound_gap(m: TraceFreeSym3):
+def det_bound_gap(eig: EigenTriple):
     """Slack in the sharp cubic determinant bound.
 
     Returns (2/9)*sqrt(6)*|M|^3 + 4*det(M), which is >= 0 and vanishes
     exactly when the eigenvalues are (-2c, c, c) for some c > 0.
     """
-    norm_sq = m.norm_sq()
-    return DET_BOUND_COEFF * norm_sq * np.sqrt(norm_sq) + 4.0 * det(m)
+    return DET_BOUND_COEFF * eig.norm_sq * np.sqrt(eig.norm_sq) + 4.0 * eig.det
 
 
-def lambda2_bound_gap(m: TraceFreeSym3):
+def lambda2_bound_gap(eig: EigenTriple):
     """Slack in the middle-eigenvalue determinant bound.
 
     Returns |M|^2 * lambda2_plus / 2 + det(M) >= 0.
     """
-    norm_sq = m.norm_sq()
-    d = det(m)
-    eig = eigenvalues(m, norm_sq, d)
-    return 0.5 * norm_sq * eig.lambda2_plus + d
+    return 0.5 * eig.norm_sq * eig.lambda2_plus + eig.det
 
 
-def extremal_eigen_bounds(m: TraceFreeSym3):
+def extremal_eigen_bounds(eig: EigenTriple):
     """Slack in the extremal-eigenvalue lower bounds.
 
     Returns (lambda3 - |M|/sqrt(6), -lambda1 - |M|/sqrt(6)); both are
     >= 0, the first vanishing iff the top two eigenvalues coincide, the
     second iff the bottom two do.
     """
-    eig = eigenvalues(m)
-    floor = m.norm() / _SQRT6
+    floor = np.sqrt(eig.norm_sq) / _SQRT6
     return eig.lambda3 - floor, -eig.lambda1 - floor
 
 

@@ -311,7 +311,8 @@ def _integrate_matrix(y0, t_end: float, *, blowup_threshold: float,
     y = np.asarray(y0, dtype=float).copy()
     times = [0.0]
     comps = [y.copy()]
-    k1 = _rhs_matrix_components(y)
+    with np.errstate(over="ignore", invalid="ignore"):  # as for every stage below
+        k1 = _rhs_matrix_components(y)
     h = 1e-4
     status = "reached_end"
     for _ in range(_MAX_STEPS):
@@ -324,18 +325,22 @@ def _integrate_matrix(y0, t_end: float, *, blowup_threshold: float,
                 f"step size underflow at t={clock.value:.6g}",
                 trajectory=(np.array(times), np.array(comps)))
 
-        k2 = _rhs_matrix_components(y + h * (_A21 * k1))
-        k3 = _rhs_matrix_components(y + h * (_A31 * k1 + _A32 * k2))
-        k4 = _rhs_matrix_components(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = _rhs_matrix_components(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = _rhs_matrix_components(
-            y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = _rhs_matrix_components(y_new)
+        # an overflowing stage gives a non-finite error norm, which shrinks
+        # the step below; only finite states are accepted
+        with np.errstate(over="ignore", invalid="ignore"):
+            k2 = _rhs_matrix_components(y + h * (_A21 * k1))
+            k3 = _rhs_matrix_components(y + h * (_A31 * k1 + _A32 * k2))
+            k4 = _rhs_matrix_components(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = _rhs_matrix_components(
+                y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+            k6 = _rhs_matrix_components(
+                y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7 = _rhs_matrix_components(y_new)
 
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
+            err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
 
         if not math.isfinite(err_norm):
             h *= 0.2

@@ -85,25 +85,25 @@ def cubic_identity(ms):
 def det_bound(ms, rng, family: int = 50, scales=None):
     """The sharp cubic determinant bound on ms, tight on `family` randomly
     rotated (-2c, c, c): c = 1, or c uniform in scales = (lo, hi)."""
-    gap = sym3.det_bound_gap(ms)
+    gap = sym3.det_bound_gap(sym3.eigenvalues(ms))
     assert np.all(gap >= -1e-12 * ms.norm() ** 3), f"min gap {gap.min():.3e}"
     worst = 0.0
     for _ in range(family):
         c = 1.0 if scales is None else rng.uniform(*scales)
         m = rotate(sym3.TraceFreeSym3(-2.0 * c, c, 0.0, 0.0, 0.0), random_rotation(rng))
-        g = sym3.det_bound_gap(m)
+        g = sym3.det_bound_gap(sym3.eigenvalues(m))
         assert abs(g) < 1e-12 * m.norm() ** 3, f"family gap {g:.3e}"
         worst = max(worst, abs(g) / m.norm() ** 3)
     return f"min scaled gap {_scaled(gap, ms.norm() ** 3).min():.1e}, family gap {worst:.1e}"
 
 def lambda2_bound(ms):
-    gap = sym3.lambda2_bound_gap(ms)
+    gap = sym3.lambda2_bound_gap(sym3.eigenvalues(ms))
     assert np.all(gap >= -1e-12 * ms.norm() ** 3), f"min gap {gap.min():.3e}"
     return f"min scaled gap {_scaled(gap, ms.norm() ** 3).min():.1e}"
 
 
 def extremal_floors(ms):
-    top, bottom = sym3.extremal_eigen_bounds(ms)
+    top, bottom = sym3.extremal_eigen_bounds(sym3.eigenvalues(ms))
     floor = -1e-12 * ms.norm()
     assert np.all(top >= floor) and np.all(bottom >= floor)
     return f"min scaled margin {_scaled(np.minimum(top, bottom), ms.norm()).min():.1e}"
@@ -271,14 +271,14 @@ def pointwise_inequalities(grid, states):
     bounds at every grid point of every state."""
     worst = math.inf
     for state in states:
-        pd = diagnostics.pointwise_strain_analysis(grid, state.u_hat)
-        norm = np.sqrt(pd.norm_sq)
+        _, eig = diagnostics.pointwise_strain_analysis(grid, state.u_hat)
+        norm = np.sqrt(eig.norm_sq)
         cube = np.maximum(norm ** 3, 1e-300)
-        gap = sym3.lambda2_bound_gap(pd.strain)
+        gap = sym3.lambda2_bound_gap(eig)
         worst = min(worst, (gap / cube).min())
         assert np.all(gap >= -1e-12 * cube), f"min scaled gap {worst:.3e}"
-        assert np.all(sym3.det_bound_gap(pd.strain) >= -1e-12 * cube)
-        top, bottom = sym3.extremal_eigen_bounds(pd.strain)
+        assert np.all(sym3.det_bound_gap(eig) >= -1e-12 * cube)
+        top, bottom = sym3.extremal_eigen_bounds(eig)
         floor = -1e-12 * np.maximum(norm, 1e-300)
         assert np.all(top >= floor) and np.all(bottom >= floor)
     return f"min scaled gap {worst:.1e} over {len(states)} states"

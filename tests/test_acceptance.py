@@ -131,18 +131,18 @@ def test_criterion_12_directional_machinery():
                 v = rng.standard_normal(3)
                 directions.append(v / np.linalg.norm(v))
             state = snapshots[trial % len(snapshots)]
-            data = diagnostics.pointwise_strain_analysis(grid, state.u_hat)
+            strain, eig = diagnostics.pointwise_strain_analysis(grid, state.u_hat)
             for (lo, hi), v in zip(zip(bounds, bounds[1:]), directions):
-                sv = sym3.apply_to_vector(data.strain, v)
+                sv = sym3.apply_to_vector(strain, v)
                 mag = np.sqrt(sv[0] ** 2 + sv[1] ** 2 + sv[2] ** 2)[lo:hi]
-                lam2 = np.abs(data.eig.lambda2)[lo:hi]
-                gap = mag - lam2 + 1e-12 * data.strain.norm()[lo:hi]
+                lam2 = np.abs(eig.lambda2)[lo:hi]
+                gap = mag - lam2 + 1e-12 * strain.norm()[lo:hi]
                 worst = min(worst, float(gap.min()))
                 assert np.all(gap >= 0.0)
         shear_grid = Grid(16)
         u_shear = initial_data.shear(shear_grid)
-        shear_data = diagnostics.pointwise_strain_analysis(shear_grid, u_shear)
-        assert np.max(shear_data.eig.lambda2_plus) < 1e-13
+        _, shear_eig = diagnostics.pointwise_strain_analysis(shear_grid, u_shear)
+        assert np.max(shear_eig.lambda2_plus) < 1e-13
         full = [np.ones((16,) * 3, dtype=bool)]
         null_norm = diagnostics.directional_criterion(
             shear_grid, u_shear, full, [np.array([0.0, 0.0, 1.0])], 2.0)

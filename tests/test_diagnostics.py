@@ -20,10 +20,10 @@ class TestLqNorm:
         assert diagnostics.lq_norm(grid16, field, np.inf) == pytest.approx(c)
 
     def test_shear_lambda2_plus_vanishes(self, grid16):
-        data = diagnostics.pointwise_strain_analysis(
+        _, eig = diagnostics.pointwise_strain_analysis(
             grid16, initial_data.shear(grid16))
         for q in (2.0, 4.0, np.inf):
-            assert diagnostics.lq_norm(grid16, data.eig.lambda2_plus, q) < 1e-13
+            assert diagnostics.lq_norm(grid16, eig.lambda2_plus, q) < 1e-13
 
     def test_smooth_bump_against_quadrature_oracle(self, grid32):
         # f(x,y,z) = exp(cos x + cos y + cos z) is separable, so the L^q
@@ -76,19 +76,19 @@ class TestCriterionExponent:
 
 class TestPointwiseAnalysis:
     def test_shear_middle_eigenvalue_zero(self, grid16):
-        data = diagnostics.pointwise_strain_analysis(grid16, initial_data.shear(grid16))
-        assert np.max(np.abs(data.eig.lambda2)) < 1e-13
-        assert np.max(data.eig.lambda2_plus) < 1e-13
+        _, eig = diagnostics.pointwise_strain_analysis(grid16, initial_data.shear(grid16))
+        assert np.max(np.abs(eig.lambda2)) < 1e-13
+        assert np.max(eig.lambda2_plus) < 1e-13
 
     def test_taylor_green_gap_sweep(self, grid16):
         state = solver.SolverState(initial_data.taylor_green(grid16))
         verify.pointwise_inequalities(grid16, [state])
 
     def test_zero_flow(self, grid8):
-        data = diagnostics.pointwise_strain_analysis(
+        _, eig = diagnostics.pointwise_strain_analysis(
             grid8, np.zeros((3,) + grid8.shape, dtype=complex))
-        assert np.max(np.abs(data.det)) == 0.0
-        assert np.max(data.norm_sq) == 0.0
+        assert np.max(np.abs(eig.det)) == 0.0
+        assert np.max(eig.norm_sq) == 0.0
 
 
 class TestBudgetResidual:
@@ -235,7 +235,7 @@ class TestDirectionalCriterion:
 
     def test_dominates_lambda2_norms(self, grid16):
         u_hat = initial_data.random_div_free(grid16, seed=40)
-        data = diagnostics.pointwise_strain_analysis(grid16, u_hat)
+        _, eig = diagnostics.pointwise_strain_analysis(grid16, u_hat)
         rng = np.random.default_rng(41)
         masks = slab_partition(grid16.n, 4)
         for q in (2.0, 4.0, np.inf):
@@ -245,8 +245,8 @@ class TestDirectionalCriterion:
                 directions.append(v / np.linalg.norm(v))
             value = diagnostics.directional_criterion(grid16, u_hat, masks,
                                                       directions, q)
-            lam2_norm = diagnostics.lq_norm(grid16, np.abs(data.eig.lambda2), q)
-            lam2p_norm = diagnostics.lq_norm(grid16, data.eig.lambda2_plus, q)
+            lam2_norm = diagnostics.lq_norm(grid16, np.abs(eig.lambda2), q)
+            lam2p_norm = diagnostics.lq_norm(grid16, eig.lambda2_plus, q)
             assert value >= lam2_norm * (1.0 - 1e-10)
             assert lam2_norm >= lam2p_norm * (1.0 - 1e-12)
 
@@ -355,13 +355,13 @@ class TestHalfSpectrumRecord:
         if force is not None:
             assert ref["force_norm_sq"] > 0.0 and ref["force_term"] != 0.0
 
-        data = diagnostics.pointwise_strain_analysis(grid16, state.u_hat)
-        scale = np.sqrt(np.max(data.norm_sq))
-        assert np.max(np.abs(data.eig.lambda2_plus - lam2p)) <= 1e-12 * scale
+        _, eig = diagnostics.pointwise_strain_analysis(grid16, state.u_hat)
+        scale = np.sqrt(np.max(eig.norm_sq))
+        assert np.max(np.abs(eig.lambda2_plus - lam2p)) <= 1e-12 * scale
         for q in diagnostics.DEFAULT_Q_LIST:
             expected = diagnostics.lq_norm(grid16, lam2p, q)
             assert record.lambda2_norms[q] == pytest.approx(expected, rel=1e-12)
-            assert diagnostics.lq_norm(grid16, data.eig.lambda2_plus, q) == pytest.approx(
+            assert diagnostics.lq_norm(grid16, eig.lambda2_plus, q) == pytest.approx(
                 expected, rel=1e-12)
 
 

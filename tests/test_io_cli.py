@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import c2c_ifft, nyquist_noise_state
 from strainflow import (cli, config as config_mod, diagnostics, initial_data, snapshots,
                         solver, spectral, verify)
-from strainflow.exceptions import ConfigError
+from strainflow.exceptions import ConfigError, InvalidInputError
 
 
 class TestSnapshots:
@@ -377,6 +377,23 @@ class TestInitialData:
     def test_unknown_name(self, grid8):
         with pytest.raises(ConfigError):
             initial_data.generate_initial(grid8, "vortex_sheet")
+
+    def test_negative_seed_rejected(self, tmp_path, capsys, grid8, monkeypatch):
+        # --seed -1 ended in a numpy traceback, and STRAINFLOW_SEED=-3 with
+        # taylor_green ran with the value ignored
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidInputError, match="seed"):
+                initial_data.random_div_free(grid8, seed=seed)
+        csv = tmp_path / "never.csv"
+        small = ["simulate", "--n", "8", "--dt", "1e-3", "--t-end", "0.01", "--csv", str(csv)]
+        assert cli.main([*small, "--initial-data", "random_div_free", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be") and err.count("\n") == 1
+        monkeypatch.setenv("STRAINFLOW_SEED", "-3")
+        assert cli.main(small) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be") and err.count("\n") == 1
+        assert not csv.exists()
 
 
 class TestConfig:
@@ -776,6 +793,21 @@ class TestCli:
                          "--trajectory-out", str(traj)])
         assert code == 0
         assert traj.read_text().splitlines()[0] == "t,lambda1,lambda2,lambda3,r,inv_lambda3"
+
+    def test_toy_ode_large_matrix_quiet(self):
+        # stages that overflow only shrink the step, yet each printed
+        # RuntimeWarnings from the right-hand side
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+        for entry, code, out, err in (
+                ("1e13", 0, "blew_up", ""),
+                ("1e200", 2, "", "numerical failure: step size underflow at t=0\n")):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "strainflow.cli", "toy-ode",
+                 f"--matrix={entry},{entry},0,0,0"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == code, proc.stderr
+            assert proc.stdout.startswith(out) and proc.stderr == err
 
     def test_toy_ode_bad_flags_rejected(self, tmp_path, capsys):
         # bad numbers ended in tracebacks, and --t-end nan ran with no horizon

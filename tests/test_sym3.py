@@ -143,19 +143,54 @@ class TestDeterminantAndCube:
             assert sym3.tr_cubed(m) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
+class TestOneAnalysis:
+    """eigenvalues(m) carries the |M|^2 and det(M) its closed form reads,
+    and the gap helpers read them instead of recomputing."""
+
+    MATRICES = (
+        random_trace_free(np.random.default_rng(16), shape=(32, 32, 32), scale=2.0),
+        sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0),
+        sym3.TraceFreeSym3(0.3, -1.1, 0.7, -0.2, 0.9),
+        sym3.TraceFreeSym3(0.0, 0.0, 0.0, 0.0, 0.0),
+    )
+
+    @pytest.mark.parametrize("m", MATRICES)
+    def test_invariants_are_the_matrix_functions(self, m):
+        eig = sym3.eigenvalues(m)
+        assert np.array_equal(eig.norm_sq, m.norm_sq())
+        assert np.array_equal(eig.det, sym3.det(m))
+        assert np.shape(eig.norm_sq) == np.shape(eig.det) == m.shape
+
+    @pytest.mark.parametrize("m", MATRICES)
+    def test_gaps_are_the_recomputed_formulas(self, m):
+        eig = sym3.eigenvalues(m)
+        norm_sq, det = m.norm_sq(), sym3.det(m)
+        assert np.array_equal(
+            sym3.det_bound_gap(eig),
+            sym3.DET_BOUND_COEFF * norm_sq * np.sqrt(norm_sq) + 4.0 * det)
+        assert np.array_equal(sym3.lambda2_bound_gap(eig),
+                              0.5 * norm_sq * eig.lambda2_plus + det)
+        top, bottom = sym3.extremal_eigen_bounds(eig)
+        floor = m.norm() / np.sqrt(6.0)
+        assert np.array_equal(top, eig.lambda3 - floor)
+        assert np.array_equal(bottom, -eig.lambda1 - floor)
+
+
 class TestDetBoundGap:
     def test_equality_on_two_equal_positive(self):
         # -4 det = 8 meets (2/9) sqrt(6) |M|^3 = 8 for diag(-2, 1, 1)
-        gap = sym3.det_bound_gap(sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0))
+        gap = sym3.det_bound_gap(sym3.eigenvalues(
+            sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0)))
         assert abs(gap) < 1e-12 * 6.0 ** 1.5
 
     def test_two_equal_negative(self):
         # -4 det = -8 against bound 8: gap 16
-        gap = sym3.det_bound_gap(sym3.TraceFreeSym3(-1.0, -1.0, 0.0, 0.0, 0.0))
+        gap = sym3.det_bound_gap(sym3.eigenvalues(
+            sym3.TraceFreeSym3(-1.0, -1.0, 0.0, 0.0, 0.0)))
         assert gap == pytest.approx(16.0, rel=1e-12)
 
     def test_zero(self):
-        assert sym3.det_bound_gap(sym3.TraceFreeSym3(0, 0, 0, 0, 0)) == 0.0
+        assert sym3.det_bound_gap(sym3.eigenvalues(sym3.TraceFreeSym3(0, 0, 0, 0, 0))) == 0.0
 
     def test_nonnegative_on_random(self):
         rng = np.random.default_rng(10)
@@ -166,19 +201,21 @@ class TestDetBoundGap:
                          family=50, scales=(0.1, 5.0))
         # away from the family the gap is strictly positive
         m = sym3.TraceFreeSym3(-1.5, 0.5, 0.0, 0.0, 0.0)
-        assert sym3.det_bound_gap(m) > 1e-3
+        assert sym3.det_bound_gap(sym3.eigenvalues(m)) > 1e-3
 
 
 class TestLambda2BoundGap:
     def test_two_equal_positive_value(self):
         # -det = 2 against |M|^2 lambda2+/2 = 3: gap 1
-        gap = sym3.lambda2_bound_gap(sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0))
+        gap = sym3.lambda2_bound_gap(sym3.eigenvalues(
+            sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0)))
         assert gap == pytest.approx(1.0, rel=1e-12)
 
     def test_nonpositive_lambda2_branch(self):
         # lambda2 <= 0 and det >= 0: the gap reduces to det itself
         m = sym3.TraceFreeSym3(-1.0, -1.0, 0.0, 0.0, 0.0)
-        assert sym3.lambda2_bound_gap(m) == pytest.approx(sym3.det(m), rel=1e-12)
+        assert sym3.lambda2_bound_gap(sym3.eigenvalues(m)) == pytest.approx(
+            sym3.det(m), rel=1e-12)
         assert sym3.det(m) >= 0
 
     def test_nonnegative_on_random(self):
@@ -188,15 +225,16 @@ class TestLambda2BoundGap:
 
 class TestExtremalBounds:
     def test_equality_cases(self):
-        top, bottom = sym3.extremal_eigen_bounds(
-            sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0))
+        top, bottom = sym3.extremal_eigen_bounds(sym3.eigenvalues(
+            sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0)))
         assert abs(top) < 1e-12 and bottom == pytest.approx(1.0, rel=1e-12)
-        top, bottom = sym3.extremal_eigen_bounds(
-            sym3.TraceFreeSym3(-1.0, -1.0, 0.0, 0.0, 0.0))
+        top, bottom = sym3.extremal_eigen_bounds(sym3.eigenvalues(
+            sym3.TraceFreeSym3(-1.0, -1.0, 0.0, 0.0, 0.0)))
         assert top == pytest.approx(1.0, rel=1e-12) and abs(bottom) < 1e-12
 
     def test_zero(self):
-        top, bottom = sym3.extremal_eigen_bounds(sym3.TraceFreeSym3(0, 0, 0, 0, 0))
+        top, bottom = sym3.extremal_eigen_bounds(
+            sym3.eigenvalues(sym3.TraceFreeSym3(0, 0, 0, 0, 0)))
         assert top == 0.0 and bottom == 0.0
 
     def test_nonnegative_on_random(self):
@@ -244,9 +282,9 @@ def test_invariants_hold_for_any_entries(m11, m22, m12, m13, m23):
     assert abs(sym3.tr_cubed(m) - 3.0 * sym3.det(m)) <= 1e-12 * cube
     frob = eig.lambda1 ** 2 + eig.lambda2 ** 2 + eig.lambda3 ** 2
     assert abs(frob - norm ** 2) <= 1e-12 * norm ** 2 + 1e-300
-    assert sym3.det_bound_gap(m) >= -1e-12 * cube
-    assert sym3.lambda2_bound_gap(m) >= -1e-12 * cube
-    top, bottom = sym3.extremal_eigen_bounds(m)
+    assert sym3.det_bound_gap(eig) >= -1e-12 * cube
+    assert sym3.lambda2_bound_gap(eig) >= -1e-12 * cube
+    top, bottom = sym3.extremal_eigen_bounds(eig)
     assert top >= -1e-12 * norm - 1e-300
     assert bottom >= -1e-12 * norm - 1e-300
     if eig.r_defined:

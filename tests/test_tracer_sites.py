@@ -38,3 +38,16 @@ def test_tracer_wraps_a_short_run(tmp_path, grid8):
             "spectral.vorticity", "sym3.eigenvalues", "sym3.det",
             "snapshots.save_snapshot", "snapshots.load_snapshot",
             "initial_data.taylor_green"} <= names
+    # one strain analysis per record: counts.sym3_det_calls_per_record is 1
+    spans = tracer.spans
+    under = [[] for _ in spans]
+    for i, span in enumerate(spans):
+        parent = span[3]
+        while parent >= 0:
+            under[parent].append(span[0])
+            parent = spans[parent][3]
+    records = [i for i, span in enumerate(spans) if span[0] == tracing.RECORD]
+    assert len(records) == 3
+    for i in records:
+        assert under[i].count("sym3.det") == 1
+        assert under[i].count("sym3.eigenvalues") == 1
