@@ -3,6 +3,7 @@
 perfbench/tracing.py wraps each of its sites through owner.__dict__[attr],
 so a name that src/ renames or deletes breaks every traced benchmark run
 with a KeyError.  The module is loaded from its file and only read.
+The spans also show that a record still analyses its strain once.
 """
 
 import importlib.util
