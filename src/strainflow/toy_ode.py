@@ -85,13 +85,28 @@ def _rhs_matrix_components(y):
     ])
 
 
-def _check_reduced(lambda3: float, r: float) -> float:
+def _check_reduced(lambda3: float, r: float, blowup_threshold: float = math.inf) -> float:
     """The one check of a reduced start: returns r clamped into [1/2, 2]."""
     if not (math.isfinite(lambda3) and lambda3 > 0):
         raise InvalidInputError(f"lambda3 must be positive and finite, got {lambda3}")
     if not (0.5 - _RATIO_CLAMP <= r <= 2.0 + _RATIO_CLAMP):
         raise InvalidInputError(f"ratio r={r} outside [1/2, 2]")
+    if lambda3 >= blowup_threshold:  # a start there has nothing to integrate
+        raise InvalidInputError(f"initial lambda3={lambda3:.9g} is not below "
+                                f"blowup_threshold={blowup_threshold:.9g}")
     return min(max(r, 0.5), 2.0)
+
+
+def _check_matrix_start(m0: sym3.TraceFreeSym3, blowup_threshold: float) -> None:
+    """Reject a matrix start whose lambda3 is already at blowup_threshold.
+    lambda3 is judged on m0 scaled exactly by a power of two to a largest
+    stored entry below 1, where no square or cube of an entry overflows."""
+    entries = (m0.m11, m0.m22, m0.m12, m0.m13, m0.m23)
+    exponent = max(math.frexp(max(abs(x) for x in entries))[1], 0)
+    unit = sym3.TraceFreeSym3(*(math.ldexp(x, -exponent) for x in entries))
+    if sym3.eigenvalues(unit).lambda3 >= math.ldexp(blowup_threshold, -exponent):
+        raise InvalidInputError("initial matrix has lambda3 at or above "
+                                f"blowup_threshold={blowup_threshold:.9g}")
 
 
 def _check_run(t_end: float, blowup_threshold: float) -> None:
@@ -374,8 +389,8 @@ def integrate_reduced(lambda3: float, r: float, t_end: float,
     lambda3 crosses blowup_threshold, at a time extrapolated from the last
     two samples of 1/lambda3; a run that reaches t_end has "decayed" when
     the matrix norm is below DECAY_THRESHOLD, else "completed"."""
-    r = _check_reduced(lambda3, r)
     _check_run(t_end, blowup_threshold)
+    r = _check_reduced(lambda3, r, blowup_threshold)
     times, l3s, rs, status = _integrate_reduced(
         lambda3, r, t_end, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol,
         record=True, t_eval=t_eval)
@@ -390,6 +405,7 @@ def integrate_matrix(m0: sym3.TraceFreeSym3, t_end: float,
     """Integrate the toy model from the matrix m0 at t = 0; blow-up and the
     outcome are judged as in integrate_reduced."""
     _check_run(t_end, blowup_threshold)
+    _check_matrix_start(m0, blowup_threshold)
     y0 = np.array([m0.m11, m0.m22, m0.m12, m0.m13, m0.m23], dtype=float)
     times, comps, status = _integrate_matrix(
         y0, t_end, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol)
@@ -424,7 +440,7 @@ def phase_sweep(lambda3_values, r_values, t_end: float = 1e7,
     cells = []
     for l3_0 in lambda3_values:
         for r_0 in r_values:
-            r_start = _check_reduced(float(l3_0), float(r_0))
+            r_start = _check_reduced(float(l3_0), float(r_0), blowup_threshold)
             times, l3s, rs, status = _integrate_reduced(
                 float(l3_0), r_start, t_end, blowup_threshold=blowup_threshold,
                 rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, record=False)

@@ -338,9 +338,7 @@ def toy_reduced_vs_matrix(rng):
         worst_inv = max(worst_inv, abs(1.0 / res_m.trajectory.lambda3[i]
                                        - 1.0 / res_r.trajectory.lambda3[j])
                         * eig.lambda3)
-        if res_m.trajectory.r[i] <= 1.9:  # closed-form eigenvalue noise
-            worst_r = max(worst_r,        # dominates past near-degeneracy
-                          abs(res_m.trajectory.r[i] - res_r.trajectory.r[j]))
+        worst_r = max(worst_r, abs(res_m.trajectory.r[i] - res_r.trajectory.r[j]))
     assert matched > 100, f"only {matched} matched samples"
     assert worst_inv < 1e-8, f"reciprocal disagreement {worst_inv:.3e}"
     assert worst_r < 1e-8, f"ratio disagreement {worst_r:.3e}"

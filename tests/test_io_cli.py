@@ -615,6 +615,25 @@ class TestCli:
             assert float(diag_first[column]) == pytest.approx(float(sim_first[column]),
                                                               rel=1e-12)
 
+    def test_diagnose_matches_simulate_in_lambda2(self, tmp_path):
+        # the arccos closed form moved lam2p_L32 by 1.3e-12 of its largest
+        # value between a run's records and diagnose of its snapshots
+        snaps, csv, out = tmp_path / "snaps", tmp_path / "sim.csv", tmp_path / "diag.csv"
+        assert cli.main(["simulate", "--n", "16", "--t-end", "0.1",
+                         "--force", "expr:sin(7*y);cos(6*z)*t;sin(7*x)",
+                         "--snapshot-every", "10", "--record-every", "10",
+                         "--snapshot-dir", str(snaps), "--csv", str(csv)]) == 0
+        assert cli.main(["diagnose", "--csv", str(out),
+                         *sorted(glob.glob(str(snaps / "state_0*")))]) == 0
+        columns = diagnostics.CSV_COLUMNS
+        sim = np.loadtxt(csv, delimiter=",", skiprows=1)
+        diag = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert sim.shape == diag.shape == (11, len(columns))
+        for name in ("lam2p_L2", "lam2p_L32"):
+            col = columns.index(name)
+            assert np.all(np.abs(sim[:, col] - diag[:, col])
+                          <= 1e-14 * np.abs(sim[:, col]).max()), name
+
     def test_diagnose_matches_full_spectrum_path(self, tmp_path, grid8):
         # diagnose transforms each snapshot to the half-spectrum by an rfft;
         # the c2c transform of the full cube it replaced gives the same
@@ -799,12 +818,13 @@ class TestCli:
         # RuntimeWarnings from the right-hand side
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
-        for entry, code, out, err in (
-                ("1e13", 0, "blew_up", ""),
-                ("1e200", 2, "", "numerical failure: step size underflow at t=0\n")):
+        # (the thresholds lie above the starts, which are rejected otherwise)
+        for entry, threshold, code, out, err in (
+                ("1e13", "1e14", 0, "blew_up", ""),
+                ("1e200", "1e300", 2, "", "numerical failure: step size underflow at t=0\n")):
             proc = subprocess.run(
                 [sys.executable, "-W", "error", "-m", "strainflow.cli", "toy-ode",
-                 f"--matrix={entry},{entry},0,0,0"],
+                 f"--matrix={entry},{entry},0,0,0", "--blowup-threshold", threshold],
                 capture_output=True, text=True, env=env, timeout=120)
             assert proc.returncode == code, proc.stderr
             assert proc.stdout.startswith(out) and proc.stderr == err
@@ -835,6 +855,28 @@ class TestCli:
             assert cli.main(["toy-ode", *flags, "--sweep-out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+
+    def test_toy_ode_start_at_threshold_rejected(self, tmp_path, capsys):
+        # --lambda3 1e13 --r 1 reported blew_up after one step, and 1e200
+        # ended in a step size underflow at t=0
+        out = tmp_path / "sweep.csv"
+        for flags, error in (
+                (["--lambda3", "1e13", "--r", "1"],
+                 "initial lambda3=1e+13 is not below blowup_threshold=1e+12"),
+                (["--lambda3", "1e200", "--r", "1"],
+                 "initial lambda3=1e+200 is not below blowup_threshold=1e+12"),
+                (["--lambda3", "2", "--r", "1", "--blowup-threshold", "2"],
+                 "initial lambda3=2 is not below blowup_threshold=2"),
+                (["--matrix=1e13,1e13,0,0,0"],
+                 "initial matrix has lambda3 at or above blowup_threshold=1e+12"),
+                (["--matrix=1e200,1e200,0,0,0"],
+                 "initial matrix has lambda3 at or above blowup_threshold=1e+12"),
+                (["--sweep", "--sweep-lambda3", "1,20,2", "--sweep-r", "1,2,2",
+                  "--blowup-threshold", "10", "--sweep-out", str(out)],
+                 "initial lambda3=20 is not below blowup_threshold=10")):
+            assert cli.main(["toy-ode", *flags]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
             assert not out.exists()
 
     def test_toy_ode_rejects_flags_its_mode_does_not_read(self, tmp_path, capsys):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strainflow import sym3, verify
+from strainflow import diagnostics, initial_data, sym3, verify
 from strainflow.exceptions import InvalidInputError
+from strainflow.spectral import Grid
 from strainflow.verify import random_rotation, random_trace_free, rotate as rotate_matrix
 
 
@@ -109,6 +110,88 @@ class TestEigenvalues:
             sym3.TraceFreeSym3(np.nan, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(InvalidInputError):
             sym3.TraceFreeSym3(np.inf, 0.0, 1.0, 0.0, 0.0)
+
+
+def prescribed_field(rng, gap, rotations=40):
+    """Q diag(a, a(1 + gap), -a(2 + gap)) Q^T and its mirror -Q diag(...) Q^T
+    for random rotations Q and a in [1/2, 2], as one field of matrices,
+    with the prescribed eigenvalues sorted ascending, shaped (3, points)."""
+    entries, values = [], []
+    for _ in range(rotations):
+        a = rng.uniform(0.5, 2.0)
+        q = random_rotation(rng)
+        for sign in (1.0, -1.0):
+            lam = sign * a * np.array([1.0, 1.0 + gap, -2.0 - gap])
+            m = q @ np.diag(lam) @ q.T
+            entries.append([m[0, 0], m[1, 1], m[0, 1], m[0, 2], m[1, 2]])
+            values.append(np.sort(lam))
+    return (sym3.TraceFreeSym3.from_components(np.array(entries).T),
+            np.array(values).T)
+
+
+class TestAccurateTheta:
+    """theta is accurate where eigenvalues meet: arccos away from
+    |arg| = 1, atan2 of the discriminant near it."""
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-5, 1e-8, 1e-12, 1e-15, 0.0])
+    def test_near_degenerate_eigenvalues(self, gap):
+        # the arccos closed form was off by up to 7.9e-9 |M| at gap <= 1e-8
+        m, prescribed = prescribed_field(np.random.default_rng(20), gap)
+        eig = sym3.eigenvalues(m)
+        got = np.array([eig.lambda1, eig.lambda2, eig.lambda3])
+        lapack = np.linalg.eigvalsh(np.moveaxis(m.to_matrix(), (0, 1), (-2, -1))).T
+        norm = m.norm()
+        assert np.all(np.abs(got - prescribed) <= 4e-15 * norm)
+        assert np.all(np.abs(got - lapack) <= 4e-15 * norm)
+        for i in range(0, norm.size, 7):  # the scalar path
+            single = sym3.eigenvalues(sym3.TraceFreeSym3(
+                m.m11[i], m.m22[i], m.m12[i], m.m13[i], m.m23[i]))
+            assert np.all(np.abs(np.array([single.lambda1, single.lambda2, single.lambda3])
+                                 - prescribed[:, i]) <= 4e-15 * norm[i])
+
+    def test_discriminant_is_the_invariant_form(self):
+        rng = np.random.default_rng(21)
+        m = random_trace_free(rng, shape=(20000,), scale=3.0)
+        delta, norm_sq, det = sym3.discriminant(m), m.norm_sq(), sym3.det(m)
+        assert np.all(delta >= 0.0)
+        assert np.all(np.abs(delta - 0.5 * (norm_sq ** 3 - 54.0 * det ** 2))
+                      <= 1e-14 * norm_sq ** 3)
+        assert sym3.discriminant(sym3.TraceFreeSym3(1.0, 2.0, 0.0, 0.0, 0.0)) == 400.0
+
+    @pytest.mark.parametrize("c", [1.0, -0.3, 7e-5, 3e40])
+    def test_discriminant_zero_on_two_equal(self, c):
+        for m in (sym3.TraceFreeSym3(c, c, 0.0, 0.0, 0.0),
+                  sym3.TraceFreeSym3(c, -2.0 * c, 0.0, 0.0, 0.0),
+                  sym3.TraceFreeSym3(-2.0 * c, c, 0.0, 0.0, 0.0)):
+            assert sym3.discriminant(m) == 0.0
+
+    def test_discriminant_nonnegative_near_degeneracy(self):
+        for gap in (1e-8, 1e-15, 0.0):
+            m, _ = prescribed_field(np.random.default_rng(22), gap)
+            assert np.all(sym3.discriminant(m) >= 0.0)
+
+    def test_hybrid_theta_matches_atan2_everywhere(self):
+        # the arccos points against the slow path evaluated at every point
+        grid = Grid(16)
+        s, eig = diagnostics.pointwise_strain_analysis(
+            grid, initial_data.generate_initial(grid, "random_div_free", seed=3))
+        norm = s.norm()
+        unit = sym3.TraceFreeSym3(*(x / norm for x in (s.m11, s.m22, s.m12, s.m13, s.m23)))
+        arg = 3.0 * np.sqrt(6.0) * sym3.det(unit)
+        theta = np.arctan2(np.sqrt(2.0 * sym3.discriminant(unit)), arg)
+        lam2 = 2.0 * norm / np.sqrt(6.0) * np.sin(theta / 3.0 - np.pi / 6.0)
+        assert 0 < np.count_nonzero(np.abs(arg) >= sym3.ARCCOS_LIMIT) < arg.size // 10
+        assert np.all(np.abs(eig.lambda2 - lam2) <= 2e-15 * norm)
+
+    def test_derived_on_read(self):
+        eig = sym3.eigenvalues(sym3.TraceFreeSym3(0.3, -1.1, 0.7, -0.2, 0.9))
+        assert all(type(getattr(eig, name)) is float
+                   for name in ("theta", "lambda1", "lambda2", "lambda3", "lambda2_plus",
+                                "r", "norm_sq", "det"))
+        assert type(eig.r_defined) is bool
+        field = sym3.eigenvalues(random_trace_free(np.random.default_rng(23), shape=(8,)))
+        assert "lambda1" not in vars(field)  # nothing derived before it is read
+        assert field.lambda1 is field.lambda1
 
 
 class TestDeterminantAndCube:

@@ -198,6 +198,23 @@ class TestStateAndCsv:
         with pytest.raises(InvalidInputError):
             toy_ode.phase_sweep([1.0], [1.0, 3.0])
 
+    def test_start_at_threshold_rejected(self):
+        # each was integrated: lambda3 = 1e13 "blew up" after one step
+        for call in (lambda: toy_ode.integrate_reduced(1e13, 1.0, 10.0),
+                     lambda: toy_ode.integrate_reduced(2.0, 1.0, 10.0, blowup_threshold=2.0),
+                     lambda: toy_ode.phase_sweep([1.0, 1e13], [1.0]),
+                     lambda: toy_ode.integrate_matrix(
+                         sym3.TraceFreeSym3(-2e13, 1e13, 0.0, 0.0, 0.0), 10.0),
+                     lambda: toy_ode.integrate_matrix(GOLDEN_BLOWUP, 10.0,
+                                                      blowup_threshold=1.0),
+                     lambda: toy_ode.integrate_matrix(
+                         sym3.TraceFreeSym3(1e300, 1e300, 0.0, 0.0, 0.0), 10.0)):
+            with pytest.raises(InvalidInputError, match="blowup_threshold"):
+                call()
+        # just below the threshold the start is integrated
+        res = toy_ode.integrate_matrix(GOLDEN_BLOWUP, 10.0, blowup_threshold=1.0 + 1e-12)
+        assert res.outcome == "blew_up"
+
     @pytest.mark.parametrize("setting", [
         {"t_end": math.nan}, {"t_end": 0.0}, {"t_end": -1.0}, {"t_end": math.inf},
         {"blowup_threshold": -1.0}, {"blowup_threshold": math.nan},
