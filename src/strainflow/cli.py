@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -46,14 +47,22 @@ def _build_config(args, keys=None) -> config_mod.RunConfig:
     return config_mod.build_config(args.config, overrides, keys=keys)
 
 
+def _snapshot_due(run_config, state) -> bool:
+    return bool(run_config.snapshot_every) and state.step_count % run_config.snapshot_every == 0
+
+
 def _write_snapshots(grid, state, run_config, final=False):
     if run_config.snapshot_dir is None:
         return
     os.makedirs(run_config.snapshot_dir, exist_ok=True)
-    name = "state_final.snap" if final else f"state_{state.step_count:08d}.snap"
-    path = os.path.join(run_config.snapshot_dir, name)
-    snapshots.save_snapshot(path, "velocity", state.t, run_config.viscosity,
-                            grid.ifft(state.u_hat))
+    step_path = os.path.join(run_config.snapshot_dir, f"state_{state.step_count:08d}.snap")
+    path = os.path.join(run_config.snapshot_dir, "state_final.snap") if final else step_path
+    if final and _snapshot_due(run_config, state):
+        # the final state is always recorded, so on_record has just written it
+        shutil.copyfile(step_path, path)
+    else:
+        snapshots.save_snapshot(path, "velocity", state.t, run_config.viscosity,
+                                grid.ifft(state.u_hat))
 
 
 def cmd_simulate(args) -> int:
@@ -69,7 +78,7 @@ def cmd_simulate(args) -> int:
 
     def on_record(state):
         collector(state)
-        if run_config.snapshot_every and state.step_count % run_config.snapshot_every == 0:
+        if _snapshot_due(run_config, state):
             _write_snapshots(grid, state, run_config)
 
     try:

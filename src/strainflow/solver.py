@@ -283,15 +283,13 @@ def nonlinear_term(grid: Grid, u_hat, dealias: bool = True):
 
 class _NonlinearScratch:
     """Work arrays of _nonlinear_half: the five shifted velocity products
-    in physical space, two scalar fields on the block, the c2r input (zero
-    outside the block, which scatter never writes) and the block of the
+    in physical space, two scalar fields on the block and the block of the
     products' r2c output."""
 
     def __init__(self, block: spectral.Block):
         n = block.grid.n
         self.prods = np.empty((5,) + (n,) * 3)
         self.scalars = np.empty((2,) + block.shape, dtype=complex)
-        self.spectrum = np.zeros((3,) + block.grid.shape, dtype=complex)
         self.p_hat = np.empty((5,) + block.shape, dtype=complex)
 
 
@@ -300,10 +298,11 @@ def _nonlinear_half(block: spectral.Block, u_block, out, scratch: _NonlinearScra
     out: the 2/3 rule zeroes the velocity outside the block before the
     products and the term outside it after them, so the block of the
     velocity gives the whole term.  u_block is only read, and out may not
-    overlap it.  A call does a c2r of 3 cubes and an r2c of the 5 shifted
-    products."""
-    grid = block.grid
-    u = grid.ifft(block.scatter(u_block, scratch.spectrum))
+    overlap it.  A call transforms the 3 velocity components to physical
+    space and the 5 shifted products back by Block.to_physical and
+    Block.from_physical, whose c2c over (x, y) is pruned to the block's
+    b + 1 kz planes."""
+    u = block.to_physical(u_block)
     # u u^T - u_3^2 I in the order (11 - 33, 22 - 33, 12, 13, 23); slot 4
     # holds u_3^2 until both diagonal entries have read it
     prods = scratch.prods
@@ -314,7 +313,7 @@ def _nonlinear_half(block: spectral.Block, u_block, out, scratch: _NonlinearScra
     for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=2):
         np.multiply(u[i], u[j], out=prods[k])
     del u
-    p_hat = block.gather(grid.fft(prods), scratch.p_hat)
+    p_hat = block.from_physical(prods, scratch.p_hat)
     kx, ky, kz = block.kdx, block.kdy, block.kdz
     acc, term = scratch.scalars
 

@@ -28,7 +28,10 @@ Conventions (fixed once, used everywhere):
 * The time stepper's stages run on a second layout, Grid.block: a block
   of the half in a compact array of its own (Block), the only modes the
   nonlinear term reads or writes; with 2/3-rule dealiasing that is the
-  2/3-rule block, without it the block is the size of the half.
+  2/3-rule block, without it the block is the size of the half.  The block
+  owns the transforms at its boundary (Block.to_physical, from_physical),
+  pruned to its b + 1 kz planes and equal to Grid.ifft and Grid.fft of the
+  whole half to the bit.
 """
 
 from __future__ import annotations
@@ -148,6 +151,15 @@ class Block:
     holds wavenumber i for i <= b and i - m above), so the mirror of index
     i is (m - i) % m.  gather and scatter move values between a
     half-spectrum and the block by four slab copies.
+
+    to_physical and from_physical, the transforms at the block's boundary,
+    are pruned (Markel, IEEE Trans. Audio Electroacoust. AU-19, 305, 1971):
+    a block's c2r input is zero above plane b and only planes 0..b of an
+    r2c output are gathered, so each is a c2c over (x, y) on those b + 1
+    planes and a real transform along z.  The inverse passes are unscaled
+    and 1/n^3 is applied once after the last, where irfftn applies it;
+    scaling each pass differs from Grid.ifft in the last bit where n is not
+    a power of two.  Without dealiasing the same calls run unpruned.
     """
 
     def __init__(self, grid: Grid, b: int):
@@ -187,6 +199,28 @@ class Block:
         for block_rows, half_rows in self._slabs:
             half[(..., *half_rows)] = block[(..., *block_rows, slice(None))]
         return half
+
+    def to_physical(self, block):
+        """Grid.ifft of the half that holds the block, zeros elsewhere, to the
+        bit.  The block goes into the lower planes of a zeroed half, so the
+        c2r along z reads it without a zero-padded copy."""
+        n = self.grid.n
+        planes = np.zeros(block.shape[:-3] + self.grid.shape, dtype=complex)
+        lower = planes[..., :self.shape[-1]]
+        # scipy writes the c2c of a complex input it may overwrite into that input
+        _fft_module.ifftn(self.scatter(block, lower), axes=(-3, -2), norm="forward",
+                          overwrite_x=True, workers=_FFT_WORKERS)
+        field = _fft_module.irfftn(planes, s=(n,), axes=(-1,), norm="forward",
+                                   workers=_FFT_WORKERS)
+        field *= 1.0 / n ** 3
+        return field
+
+    def from_physical(self, field, out):
+        """The block of Grid.fft(field), to the bit, gathered into out."""
+        planes = _fft_module.rfftn(field, axes=(-1,), workers=_FFT_WORKERS)
+        planes = _fft_module.fftn(planes[..., :self.shape[-1]], axes=(-3, -2),
+                                  overwrite_x=True, workers=_FFT_WORKERS)
+        return self.gather(planes, out)
 
 
 def _mirror(space: Grid | Block, planes):

@@ -431,22 +431,21 @@ def phase_sweep(lambda3_values, r_values, t_end: float = 1e7,
                 blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Outcome map over a grid of reduced initial conditions.
 
-    Settings and starts are checked as integrate_reduced checks them.  Cells
-    are fully independent (safe to parallelize); this runs them
-    sequentially with the lightweight scalar integrator and keeps only
-    endpoint data per cell.
+    Settings and starts are checked as integrate_reduced checks them, every
+    start before the first integration.  Cells are fully independent (safe
+    to parallelize); this runs them sequentially with the lightweight
+    scalar integrator and keeps only endpoint data per cell.
     """
     _check_run(t_end, blowup_threshold)
+    starts = [(float(l3_0), float(r_0)) for l3_0 in lambda3_values for r_0 in r_values]
+    clamped = [_check_reduced(l3_0, r_0, blowup_threshold) for l3_0, r_0 in starts]
     cells = []
-    for l3_0 in lambda3_values:
-        for r_0 in r_values:
-            r_start = _check_reduced(float(l3_0), float(r_0), blowup_threshold)
-            times, l3s, rs, status = _integrate_reduced(
-                float(l3_0), r_start, t_end, blowup_threshold=blowup_threshold,
-                rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, record=False)
-            outcome, t_est = _classify_end(status, times, l3s, rs)
-            cells.append(SweepCell(float(l3_0), float(r_0), outcome, t_est,
-                                   float(rs[-1])))
+    for (l3_0, r_0), r_start in zip(starts, clamped):
+        times, l3s, rs, status = _integrate_reduced(
+            l3_0, r_start, t_end, blowup_threshold=blowup_threshold,
+            rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, record=False)
+        outcome, t_est = _classify_end(status, times, l3s, rs)
+        cells.append(SweepCell(l3_0, r_0, outcome, t_est, float(rs[-1])))
     return cells
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import filecmp
 import glob
 import io
 import math
@@ -614,6 +615,21 @@ class TestCli:
         for column in (1, 2):  # E, diss_H1
             assert float(diag_first[column]) == pytest.approx(float(sim_first[column]),
                                                               rel=1e-12)
+
+    def test_final_state_written_once(self, tmp_path):
+        # the final state is recorded at step 100 and written there; the
+        # final snapshot is a copy of that file, not a second transform
+        snaps = tmp_path / "snaps"
+        with mock.patch.object(snapshots, "save_snapshot",
+                               wraps=snapshots.save_snapshot) as save:
+            assert cli.main(["simulate", "--n", "16", "--t-end", "0.1",
+                             "--snapshot-every", "20", "--snapshot-dir", str(snaps),
+                             "--csv", str(tmp_path / "sim.csv")]) == 0
+        written = [Path(call.args[0]).name for call in save.call_args_list]
+        assert written == [f"state_{k:08d}.snap" for k in range(0, 101, 20)]
+        assert sorted(os.listdir(snaps)) == sorted(written + ["state_final.snap"])
+        assert filecmp.cmp(snaps / "state_00000100.snap", snaps / "state_final.snap",
+                           shallow=False)
 
     def test_diagnose_matches_simulate_in_lambda2(self, tmp_path):
         # the arccos closed form moved lam2p_L32 by 1.3e-12 of its largest

@@ -240,6 +240,31 @@ class TestInPlaceStep:
             state = stepper.step(state)
             assert np.array_equal(state.u_hat, expected)
 
+    def test_pruned_transforms_match_the_whole_half_path(self, monkeypatch):
+        # the stage's transforms as they were before Block.to_physical and
+        # Block.from_physical: scatter into a zeroed half, Grid.ifft, and
+        # Grid.fft, then gather; 20 steps at n = 24 give the same bits
+        grid = spectral.Grid(24)
+        config = solver.SolverConfig(n=24, viscosity=0.1, dt=1e-3, t_end=0.1)
+        u0 = solver.SolverState(initial_data.random_div_free(grid, seed=3, amplitude=5.0))
+
+        def twenty_steps():
+            stepper, state = solver.Stepper(grid, config), u0
+            for _ in range(20):
+                state = stepper.step(state)
+            return state.u_hat
+
+        fast = twenty_steps()
+        with monkeypatch.context() as m:
+            m.setattr(spectral.Block, "to_physical", lambda block, u_block:
+                      grid.ifft(block.scatter(u_block, np.zeros((3,) + grid.shape,
+                                                                dtype=complex))))
+            m.setattr(spectral.Block, "from_physical", lambda block, prods, out:
+                      block.gather(grid.fft(prods), out))
+            whole = twenty_steps()
+        assert np.array_equal(fast, whole)
+        assert not np.array_equal(fast, u0.u_hat)
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_shifted_products_match_conservation_form(self, grid16, case):
         # the shift by u_3^2 I adds a gradient the projection removes, so the

@@ -215,6 +215,23 @@ class TestStateAndCsv:
         res = toy_ode.integrate_matrix(GOLDEN_BLOWUP, 10.0, blowup_threshold=1.0 + 1e-12)
         assert res.outcome == "blew_up"
 
+    def test_sweep_checks_every_start_before_integrating(self, monkeypatch):
+        # each cell used to be checked when the sweep reached it, so the
+        # cells before a bad one were integrated and then thrown away
+        calls = []
+        integrate = toy_ode._integrate_reduced
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(toy_ode, "_integrate_reduced", counting)
+        with pytest.raises(InvalidInputError, match="blowup_threshold"):
+            toy_ode.phase_sweep([1.0, 2.0, 10.0], [0.5, 1.0], blowup_threshold=10.0)
+        assert calls == []
+        cells = toy_ode.phase_sweep([1.0, 2.0], [0.5, 1.0], blowup_threshold=10.0)
+        assert len(calls) == len(cells) == 4
+
     @pytest.mark.parametrize("setting", [
         {"t_end": math.nan}, {"t_end": 0.0}, {"t_end": -1.0}, {"t_end": math.inf},
         {"blowup_threshold": -1.0}, {"blowup_threshold": math.nan},

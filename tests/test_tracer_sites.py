@@ -3,13 +3,14 @@
 perfbench/tracing.py wraps each of its sites through owner.__dict__[attr],
 so a name that src/ renames or deletes breaks every traced benchmark run
 with a KeyError.  The module is loaded from its file and only read.
-The spans also show that a record still analyses its strain once.
+The spans also show that a record still analyses its strain once, and
+that a step's pruned transforms still go through spectral._fft_module.
 """
 
 import importlib.util
 from pathlib import Path
 
-from strainflow import diagnostics, initial_data, snapshots, solver
+from strainflow import diagnostics, initial_data, snapshots, solver, spectral
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,3 +53,14 @@ def test_tracer_wraps_a_short_run(tmp_path, grid8):
     for i in records:
         assert under[i].count("sym3.det") == 1
         assert under[i].count("sym3.eigenvalues") == 1
+    # a stage's transforms are split into c2c over (x, y) and a real
+    # transform along z, all four through the module the tracer swaps
+    steps = [i for i, span in enumerate(spans) if span[0] == tracing.STEP]
+    assert len(steps) == 10
+    for i in steps:
+        for name in ("spectral.fftn", "spectral.ifftn", "spectral.rfftn", "spectral.irfftn"):
+            assert under[i].count(name) == 4, name
+    # the tracer wraps expand_half through spectral.__dict__
+    assert "expand_half" in vars(spectral)
+    assert any(owner is spectral and attr == "expand_half"
+               for owner, attr, _, _ in tracing._SITES)
