@@ -140,7 +140,8 @@ def build_config(config_path=None, cli_overrides=None, environ=None,
     """Assemble a RunConfig from file, environment, and CLI layers.
 
     keys, if given, are the only settings the caller reads: a file or
-    environment setting outside them is rejected rather than ignored.
+    environment setting outside them is rejected rather than ignored, and
+    so is an initial-data setting that the initial data does not read.
     """
     raw = {}
     if config_path is not None:
@@ -168,6 +169,13 @@ def build_config(config_path=None, cli_overrides=None, environ=None,
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
     try:
-        return RunConfig(**settings)
+        run_config = RunConfig(**settings)
     except InvalidInputError as exc:
         raise ConfigError(str(exc)) from exc
+    read = initial_data.check_name(run_config.initial_data)
+    unread = [key for key in ("seed", "max_wavenumber", "amplitude")
+              if key in settings and key not in read]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by "
+                          f"initial_data = {run_config.initial_data}")
+    return run_config

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import solver, sym3
+from . import snapshots, solver, sym3
 from .exceptions import InvalidExponentError, InvalidInputError
 from .numerics import (check_uniform_spacing, cumulative_trapezoid,
                        fd4_derivative)
@@ -289,20 +289,12 @@ def run_with_diagnostics(config, u0_hat, grid: Grid | None = None,
     return result, collector.finalize()
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % value
-
-
 def write_csv(records, path) -> None:
     """Write the per-record CSV with the fixed column contract."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        row = (r.t, r.enstrophy, r.dissipation, r.det_integral, r.tr3_integral,
-               r.vortex_stretch, r.lambda2_norms[np.inf], r.lambda2_norms[2.0],
-               r.lambda2_norms[1.5], r.criterion_integrals.get(np.inf, math.nan),
-               r.criterion_integrals.get(2.0, math.nan), r.budget_residual,
-               r.vortex_stretch_residual, r.gcon_margin, r.cubic_margin,
-               r.force_term)
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    snapshots.write_rows(path, CSV_COLUMNS, (
+        (r.t, r.enstrophy, r.dissipation, r.det_integral, r.tr3_integral,
+         r.vortex_stretch, r.lambda2_norms[np.inf], r.lambda2_norms[2.0],
+         r.lambda2_norms[1.5], r.criterion_integrals.get(np.inf, math.nan),
+         r.criterion_integrals.get(2.0, math.nan), r.budget_residual,
+         r.vortex_stretch_residual, r.gcon_margin, r.cubic_margin, r.force_term)
+        for r in records))

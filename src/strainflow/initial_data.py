@@ -11,34 +11,30 @@ from .spectral import (Grid, clean_half, project_divergence_free, sobolev_norm_s
                        velocity_half)
 
 
-def taylor_green(grid: Grid, amplitude: float = 1.0):
-    """u = (sin x cos y cos z, -cos x sin y cos z, 0), the canonical
-    smooth nontrivial test flow."""
-    x, y, z = grid.coords()
+def _analytic(grid: Grid, amplitude: float, components):
+    """amplitude times the half-spectrum of the field whose three
+    components are the functions f(x, y, z) given, with its mean zeroed."""
+    coords = grid.coords()
     shape = (grid.n,) * 3
-    u = np.stack([
-        np.broadcast_to(np.sin(x) * np.cos(y) * np.cos(z), shape),
-        np.broadcast_to(-np.cos(x) * np.sin(y) * np.cos(z), shape),
-        np.zeros(shape),
-    ])
+    u = np.stack([np.broadcast_to(f(*coords), shape) for f in components])
     u_hat = amplitude * grid.fft(u)
     u_hat[:, 0, 0, 0] = 0.0
     return u_hat
+
+
+def taylor_green(grid: Grid, amplitude: float = 1.0):
+    """u = (sin x cos y cos z, -cos x sin y cos z, 0), the canonical
+    smooth nontrivial test flow."""
+    return _analytic(grid, amplitude, (lambda x, y, z: np.sin(x) * np.cos(y) * np.cos(z),
+                                       lambda x, y, z: -np.cos(x) * np.sin(y) * np.cos(z),
+                                       lambda x, y, z: 0.0))
 
 
 def shear(grid: Grid, amplitude: float = 1.0):
     """u = (sin y, 0, 0): single-mode exactly solvable flow (the
     nonlinearity vanishes, so it decays as exp(-nu t))."""
-    _, y, _ = grid.coords()
-    shape = (grid.n,) * 3
-    u = np.stack([
-        np.broadcast_to(np.sin(y), shape),
-        np.zeros(shape),
-        np.zeros(shape),
-    ])
-    u_hat = amplitude * grid.fft(u)
-    u_hat[:, 0, 0, 0] = 0.0
-    return u_hat
+    return _analytic(grid, amplitude, (lambda x, y, z: np.sin(y),
+                                       lambda x, y, z: 0.0, lambda x, y, z: 0.0))
 
 
 def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
@@ -81,22 +77,26 @@ def from_file(grid: Grid, path):
     return velocity_half(grid, snapshots.load_velocity(path, grid.n).data)
 
 
-# The initial_data names and their generators; a snapshot is file:<path>.
+# Each initial_data name with the settings its generator reads.  The
+# generator is this module's function of that name, looked up per call so
+# that a wrapped function is the one called; file:<path> reads none.
 _GENERATORS = {
-    "taylor_green": lambda grid, seed, kmax, amplitude: taylor_green(grid, amplitude),
-    "shear": lambda grid, seed, kmax, amplitude: shear(grid, amplitude),
-    "random_div_free": random_div_free,
+    "taylor_green": ("amplitude",),
+    "shear": ("amplitude",),
+    "random_div_free": ("seed", "max_wavenumber", "amplitude"),
 }
 _FILE_PREFIX = "file:"
 
 
-def check_name(name: str) -> None:
-    """Reject an initial_data name that generate_initial does not take."""
+def check_name(name: str) -> tuple:
+    """Reject an initial_data name that generate_initial does not take;
+    return the settings that generate_initial passes on for it."""
     if name == _FILE_PREFIX:
         raise ConfigError("initial_data = file:<path> needs a path")
     if not name.startswith(_FILE_PREFIX) and name not in _GENERATORS:
         raise ConfigError(f"unknown initial_data {name!r}; expected "
                           f"{', '.join(_GENERATORS)} or file:<path>")
+    return _GENERATORS.get(name, ())
 
 
 def check_seed(seed) -> None:
@@ -107,8 +107,10 @@ def check_seed(seed) -> None:
 
 def generate_initial(grid: Grid, name: str, *, seed: int = 1,
                      max_wavenumber: int | None = None, amplitude: float = 1.0):
-    """Dispatch on the initial_data name used in run configurations."""
-    check_name(name)
+    """Dispatch on the initial_data name used in run configurations,
+    passing on only the settings that its generator reads."""
+    read = check_name(name)
     if name.startswith(_FILE_PREFIX):
         return from_file(grid, name[len(_FILE_PREFIX):])
-    return _GENERATORS[name](grid, seed, max_wavenumber, amplitude)
+    given = {"seed": seed, "max_wavenumber": max_wavenumber, "amplitude": amplitude}
+    return globals()[name](grid, **{key: given[key] for key in read})

@@ -1,6 +1,6 @@
-"""Snapshot file format: text header + raw little-endian float64 arrays.
+"""The file formats: the snapshot format and the one CSV row writer.
 
-Layout::
+Snapshot layout::
 
     strainflow snapshot 1
     kind = velocity            # or strain
@@ -16,6 +16,9 @@ used everywhere, flattened in Fortran order), one component after the
 other.  velocity stores (u1, u2, u3); strain stores the five independent
 entries (m11, m22, m12, m13, m23).  Floats in the header are printed
 with repr, so save/load round-trips are bit-exact.
+
+write_rows writes every CSV (diagnostics, toy trajectory, toy sweep):
+floats as %.17g, which reads back bit-exact, None as nan, strings as is.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def _check_header_values(path, time: float, viscosity: float) -> None:
 
 
 def save_snapshot(path, kind: str, time: float, viscosity: float, data) -> None:
-    data = np.ascontiguousarray(np.asarray(data, dtype="<f8"))
+    data = np.asarray(data, dtype="<f8")
     _check_header_values(path, time, viscosity)
     if kind not in _COMPONENTS:
         raise ConfigError(f"unknown snapshot kind {kind!r}")
@@ -69,7 +72,7 @@ def save_snapshot(path, kind: str, time: float, viscosity: float, data) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for comp in data:
-            fh.write(comp.ravel(order="F").astype("<f8").tobytes())
+            fh.write(comp.T.tobytes())  # x fastest
 
 
 def load_snapshot(path) -> Snapshot:
@@ -113,12 +116,17 @@ def load_snapshot(path) -> Snapshot:
     if len(payload) != expected:
         raise ConfigError(
             f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    data = np.stack([
-        flat[i * n ** 3:(i + 1) * n ** 3].reshape((n, n, n), order="F")
-        for i in range(components)
-    ])
+    data = np.frombuffer(payload, "<f8").reshape(components, n, n, n)
+    data = data.transpose(0, 3, 2, 1).copy(order="K")  # writable, x fastest in memory
     return Snapshot(kind, n, time, viscosity, data)
+
+
+def write_rows(path, header, rows) -> None:
+    """Write the header line and one line per row, in the format above."""
+    lines = (",".join(v if isinstance(v, str) else "nan" if v is None else "%.17g" % v
+                      for v in row) for row in (header, *rows))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_velocity(path, n: int | None = None) -> Snapshot:

@@ -335,6 +335,12 @@ def sym_gradient(grid: Grid, u_hat):
     ])
 
 
+def _strain_xi(grid: Grid, s3):
+    """S xi (= xi^T S): [sum_j xi_j S_jm for m = 0, 1, 2] from the full spectrum s3."""
+    k = (grid.kdx, grid.kdy, grid.kdz)
+    return [k[0] * s3[0, m] + k[1] * s3[1, m] + k[2] * s3[2, m] for m in range(3)]
+
+
 def consistency_residual(grid: Grid, s_hat) -> float:
     """How far a trace-free symmetric tensor field is from being a strain.
 
@@ -345,8 +351,7 @@ def consistency_residual(grid: Grid, s_hat) -> float:
     s3 = sym3.full_matrix(grid.spectrum(s_hat))
     k = (grid.kdx, grid.kdy, grid.kdz)
     ksq = grid.ksq_diff
-    # t = S xi (= xi^T S by symmetry)
-    t = [k[0] * s3[0, j] + k[1] * s3[1, j] + k[2] * s3[2, j] for j in range(3)]
+    t = _strain_xi(grid, s3)
     num_sq = np.zeros_like(ksq)
     s_frob_sq = np.zeros_like(ksq)
     for j in range(3):
@@ -371,13 +376,8 @@ def velocity_from_strain(grid: Grid, s_hat):
     if resid > CONSISTENCY_TOL:
         raise ConstraintViolationError(
             f"tensor is not in the strain constraint space (residual {resid:.3e})")
-    s3 = sym3.full_matrix(np.asarray(s_hat))
-    k = (grid.kdx, grid.kdy, grid.kdz)
-    inv_ksq = grid.inv_ksq_diff
-    u_hat = np.stack([
-        -2j * (k[0] * s3[0, m] + k[1] * s3[1, m] + k[2] * s3[2, m]) * inv_ksq
-        for m in range(3)
-    ])
+    t = _strain_xi(grid, sym3.full_matrix(np.asarray(s_hat)))
+    u_hat = np.stack([-2j * t[m] * grid.inv_ksq_diff for m in range(3)])
     u_hat[:, 0, 0, 0] = 0.0
     return u_hat
 

@@ -122,21 +122,6 @@ class TraceFreeSym3:
         return np.shape(self.m11)
 
     @classmethod
-    def from_matrix(cls, a) -> "TraceFreeSym3":
-        """Build from a full 3x3 array, validating symmetry and trace to
-        1e-12 of its largest entry (or of 1)."""
-        a = np.asarray(a, dtype=float)
-        if a.shape != (3, 3):
-            raise InvalidInputError(f"expected a 3x3 matrix, got shape {a.shape}")
-        scale = max(np.max(np.abs(a)), 1.0)
-        asym = max(abs(a[0, 1] - a[1, 0]), abs(a[0, 2] - a[2, 0]), abs(a[1, 2] - a[2, 1]))
-        if asym > 1e-12 * scale:
-            raise InvalidInputError("matrix is not symmetric")
-        if abs(a[0, 0] + a[1, 1] + a[2, 2]) > 1e-12 * scale:
-            raise InvalidInputError("matrix is not trace-free")
-        return cls(a[0, 0], a[1, 1], a[0, 1], a[0, 2], a[1, 2])
-
-    @classmethod
     def from_components(cls, comps) -> "TraceFreeSym3":
         """Build from an array shaped (5, ...) in (11, 22, 12, 13, 23) order."""
         return cls(comps[0], comps[1], comps[2], comps[3], comps[4])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sym3
+from . import snapshots, sym3
 from .exceptions import InvalidInputError, NumericalFailureError
 
 # Zero of the lambda3 growth polynomial 2r^2 - 2r - 1: growth requires
@@ -449,26 +449,12 @@ def phase_sweep(lambda3_values, r_values, t_end: float = 1e7,
     return cells
 
 
-def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return "%.17g" % value
-
-
 def write_trajectory_csv(traj: ToyTrajectory, path) -> None:
-    lines = ["t,lambda1,lambda2,lambda3,r,inv_lambda3"]
-    for i in range(traj.t.size):
-        lines.append(",".join(_fmt(v) for v in (
-            traj.t[i], traj.lambda1[i], traj.lambda2[i], traj.lambda3[i],
-            traj.r[i], 1.0 / traj.lambda3[i])))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    snapshots.write_rows(path, ("t", "lambda1", "lambda2", "lambda3", "r", "inv_lambda3"), (
+        (traj.t[i], traj.lambda1[i], traj.lambda2[i], traj.lambda3[i], traj.r[i],
+         1.0 / traj.lambda3[i]) for i in range(traj.t.size)))
 
 
 def write_sweep_csv(cells, path) -> None:
-    lines = ["lambda3_0,r_0,outcome,T_est,r_terminal"]
-    for c in cells:
-        lines.append(",".join([_fmt(c.lambda3_0), _fmt(c.r_0), c.outcome,
-                               _fmt(c.t_est), _fmt(c.r_terminal)]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    snapshots.write_rows(path, ("lambda3_0", "r_0", "outcome", "T_est", "r_terminal"), (
+        (c.lambda3_0, c.r_0, c.outcome, c.t_est, c.r_terminal) for c in cells))

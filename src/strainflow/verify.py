@@ -64,7 +64,8 @@ def random_rotation(rng):
 
 def rotate(m: sym3.TraceFreeSym3, q) -> sym3.TraceFreeSym3:
     a = q @ m.to_matrix() @ q.T
-    return sym3.TraceFreeSym3.from_matrix(0.5 * (a + a.T))
+    a = 0.5 * (a + a.T)
+    return sym3.TraceFreeSym3(a[0, 0], a[1, 1], a[0, 1], a[0, 2], a[1, 2])
 
 
 def _scaled(values, scale):

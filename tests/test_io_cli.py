@@ -65,6 +65,29 @@ class TestSnapshots:
         first_vals = np.frombuffer(payload[:8 * n], dtype="<f8")
         assert np.array_equal(first_vals, np.arange(n, dtype=float))  # x varies fastest
 
+    def test_whole_payload_layout(self, tmp_path):
+        # every component x fastest, one after the other, whatever the
+        # memory order, float type or byte order of the input
+        n = 6
+        data = np.random.default_rng(2).standard_normal((3, n, n, n))
+        path = tmp_path / "c.snap"
+        snapshots.save_snapshot(path, "velocity", 0.0, 1.0, data)
+        blob = path.read_bytes()
+        payload = blob.split(b"---\n", 1)[1]
+        assert payload == b"".join(comp.T.tobytes() for comp in data.astype("<f8"))
+        values = np.frombuffer(payload, "<f8")
+        assert values[2 * n ** 3 + 1 + n * 4 + n * n * 3] == data[2, 1, 4, 3]
+        for variant in (np.asfortranarray(data), data.astype(np.float32), data.astype(">f8")):
+            reference = tmp_path / "reference.snap"
+            snapshots.save_snapshot(reference, "velocity", 0.0, 1.0,
+                                    np.ascontiguousarray(variant, dtype=np.float64))
+            snapshots.save_snapshot(path, "velocity", 0.0, 1.0, variant)
+            assert path.read_bytes() == reference.read_bytes()
+        path.write_bytes(blob)
+        loaded = snapshots.load_snapshot(path).data
+        assert loaded.flags.writeable and np.array_equal(loaded, data)
+        assert loaded.dtype == np.float64 and loaded.strides[1] == 8
+
     @pytest.mark.parametrize("key, value", [
         ("time", math.nan), ("time", math.inf), ("viscosity", -1.0),
         ("viscosity", 0.0), ("viscosity", math.inf), ("viscosity", math.nan)])
@@ -547,6 +570,35 @@ class TestCli:
             config, initial_data.from_file(grid8, snap), grid=grid8)
         diagnostics.write_csv(records, expected)
         assert csv.read_bytes() == expected.read_bytes()
+
+    def test_initial_data_settings_it_does_not_read_rejected(self, tmp_path, capsys, grid8,
+                                                             monkeypatch):
+        # --seed 5 with taylor_green exited 0 with the default run's CSV, the
+        # setting silently ignored; so did max_wavenumber and amplitude
+        snap = tmp_path / "u0.snap"
+        snapshots.save_snapshot(snap, "velocity", 0.0, 1.0,
+                                grid8.ifft(initial_data.taylor_green(grid8)))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("max_wavenumber = 2\n")
+        csv = tmp_path / "never.csv"
+        small = ["simulate", "--n", "8", "--dt", "1e-3", "--t-end", "0.01", "--csv", str(csv)]
+        for flags, env, key, name in (
+                (["--seed", "5"], {}, "seed", "taylor_green"),
+                (["--initial-data", "shear"], {"STRAINFLOW_MAX_WAVENUMBER": "2"},
+                 "max_wavenumber", "shear"),
+                (["--initial-data", f"file:{snap}", "--amplitude", "2"], {}, "amplitude",
+                 f"file:{snap}"),
+                (["--config", str(cfg_file)], {}, "max_wavenumber", "taylor_green")):
+            with monkeypatch.context() as m:
+                for var, value in env.items():
+                    m.setenv(var, value)
+                assert cli.main([*small, *flags]) == 1
+            assert capsys.readouterr().err == f"error: {key}: not read by initial_data = {name}\n"
+            assert not csv.exists()
+        monkeypatch.setenv("STRAINFLOW_MAX_WAVENUMBER", "2")
+        assert cli.main([*small, "--initial-data", "random_div_free", "--seed", "5",
+                         "--amplitude", "2"]) == 0
+        assert csv.exists()
 
     def test_snapshot_readers_reject_wrong_kind_and_grid(self, tmp_path, capsys, grid8):
         good = tmp_path / "good.snap"
