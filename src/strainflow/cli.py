@@ -31,20 +31,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_CONFIG_FLAGS = tuple(config_mod._PARSERS)
-_DIAGNOSE_FLAGS = ("q_list", "csv")  # the settings diagnose reads
-
-
-def _add_config_flags(parser, keys=_CONFIG_FLAGS):
+def _add_config_flags(parser, command):
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    for key in keys:
+    for key in config_mod.COMMAND_SETTINGS[command]:
         parser.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}",
                             metavar="VALUE", help=f"override the {key} setting")
-
-
-def _build_config(args, keys=None) -> config_mod.RunConfig:
-    overrides = {key: getattr(args, f"cfg_{key}", None) for key in _CONFIG_FLAGS}
-    return config_mod.build_config(args.config, overrides, keys=keys)
 
 
 def _snapshot_due(run_config, state) -> bool:
@@ -65,8 +56,7 @@ def _write_snapshots(grid, state, run_config, final=False):
                                 grid.ifft(state.u_hat))
 
 
-def cmd_simulate(args) -> int:
-    run_config = _build_config(args)
+def cmd_simulate(args, run_config) -> int:
     grid = Grid(run_config.n)
     u0 = initial_data.generate_initial(
         grid, run_config.initial_data, seed=run_config.seed,
@@ -98,8 +88,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
-    run_config = _build_config(args, _DIAGNOSE_FLAGS)
+def cmd_diagnose(args, run_config) -> int:
     first = snapshots.load_velocity(args.snapshots[0])
     snaps = [first] + [snapshots.load_velocity(path, first.n)
                        for path in args.snapshots[1:]]
@@ -158,8 +147,7 @@ _TOY_SWEEP = {"sweep_lambda3": np.linspace(0.1, 10.0, 20), "sweep_r": np.linspac
               "sweep_t_end": 1e7, "sweep_out": "toy_sweep.csv"}
 
 
-def cmd_toy_ode(args) -> int:
-    config_mod.build_config(keys=())  # toy-ode reads no setting
+def cmd_toy_ode(args, run_config) -> int:
     read, unread = (_TOY_SWEEP, [*_TOY_RUN]) if args.sweep else (_TOY_RUN, [*_TOY_SWEEP])
     mode = "--sweep" if args.sweep else "--matrix" if args.matrix is not None else "--lambda3 --r"
     if mode == "--matrix":
@@ -195,8 +183,7 @@ def cmd_toy_ode(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    config_mod.build_config(keys=())  # verify reads no setting
+def cmd_verify(args, run_config) -> int:
     checks = verify.run_checks(n=args.n, dt=args.dt, t_end=args.t_end)
     print(verify.format_table(checks))
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
@@ -209,11 +196,11 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="integrate a configured run",
                            description="Integrate and write diagnostics CSV/snapshots.")
-    _add_config_flags(p_sim)
+    _add_config_flags(p_sim, "simulate")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_diag = sub.add_parser("diagnose", help="diagnostics over snapshot files")
-    _add_config_flags(p_diag, _DIAGNOSE_FLAGS)
+    _add_config_flags(p_diag, "diagnose")
     p_diag.add_argument("snapshots", nargs="+", metavar="SNAPSHOT")
     p_diag.set_defaults(fn=cmd_diagnose)
 
@@ -247,7 +234,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        keys = config_mod.COMMAND_SETTINGS[args.command]
+        overrides = {key: getattr(args, f"cfg_{key}") for key in keys}
+        run_config = config_mod.build_config(getattr(args, "config", None), overrides, keys=keys)
+        return args.fn(args, run_config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

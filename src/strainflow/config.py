@@ -2,7 +2,8 @@
 
 Precedence (lowest to highest): built-in defaults, config file, process
 environment (STRAINFLOW_<KEY>), explicit CLI --key value flags.
-Config files hold one `key = value` per line; `#` starts a comment.
+Config files hold one `key = value` per line, no key twice; `#` starts a
+comment.  COMMAND_SETTINGS names the settings each command reads.
 """
 
 from __future__ import annotations
@@ -55,7 +56,11 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError("expected a boolean")
+
+
+def _parse_dt(text: str):
+    return None if text.strip().lower() == "auto" else float(text)  # None: the CFL step
 
 
 def _parse_q(text: str) -> float:
@@ -69,37 +74,40 @@ def _parse_q_list(text: str) -> tuple:
     return tuple(_parse_q(part) for part in text.split(",") if part.strip())
 
 
-def _parse_optional_int(text: str):
-    if text.strip().lower() in ("", "none"):
-        return None
-    return int(text)
-
-
-def _parse_optional_str(text: str):
-    return text if text.strip().lower() not in ("", "none") else None
+def _optional(parse):
+    """parse, with an empty value or `none` read as None."""
+    return lambda text: None if text.strip().lower() in ("", "none") else parse(text)
 
 
 _PARSERS = {
     "n": int,
     "viscosity": float,
-    "dt": float,
+    "dt": _parse_dt,
     "t_end": float,
     "dealias": _parse_bool,
     "record_every": int,
     "initial_data": str,
     "seed": int,
-    "max_wavenumber": _parse_optional_int,
+    "max_wavenumber": _optional(int),
     "amplitude": float,
     "force": str,
     "q_list": _parse_q_list,
     "csv": str,
-    "snapshot_dir": _parse_optional_str,
+    "snapshot_dir": _optional(str),
     "snapshot_every": int,
+}
+
+# The settings each command reads; any other setting given to it is rejected.
+COMMAND_SETTINGS = {
+    "simulate": tuple(_PARSERS),
+    "diagnose": ("q_list", "csv"),
+    "toy-ode": (),
+    "verify": (),
 }
 
 
 def parse_config_file(path) -> dict:
-    """Parse a flat key = value file into raw string settings."""
+    """Parse a flat key = value file (no key twice) into raw string settings."""
     raw = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -116,6 +124,8 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: repeated setting {key!r}")
         raw[key] = value.strip()
     return raw
 
@@ -139,9 +149,10 @@ def build_config(config_path=None, cli_overrides=None, environ=None,
                  keys=None) -> RunConfig:
     """Assemble a RunConfig from file, environment, and CLI layers.
 
-    keys, if given, are the only settings the caller reads: a file or
-    environment setting outside them is rejected rather than ignored, and
-    so is an initial-data setting that the initial data does not read.
+    keys, if given, are the only settings the caller reads (a row of
+    COMMAND_SETTINGS): a file or environment setting outside them is
+    rejected rather than ignored, and so is an initial-data setting that
+    the initial data does not read.  Every value goes through _PARSERS.
     """
     raw = {}
     if config_path is not None:
@@ -161,9 +172,6 @@ def build_config(config_path=None, cli_overrides=None, environ=None,
                 raw[key] = value
     settings = {}
     for key, value in raw.items():
-        if key == "dt" and str(value).strip().lower() == "auto":
-            settings["dt"] = None  # the library's auto step
-            continue
         try:
             settings[key] = _PARSERS[key](str(value))
         except (TypeError, ValueError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import filecmp
@@ -336,6 +337,92 @@ def test_every_command_runs_or_rejects_any_env_setting(command, name, value):
         assert len(lines) == 1 and lines[0].startswith("error: ") and not written
     else:
         assert command == "simulate" and code == 2 and len(lines) == 1
+        assert lines[0].startswith("numerical failure: ")
+
+
+# (values a run takes, values it rejects) of each setting in a drawn config
+# file; those of n, dt and t_end keep every run at n <= 16 and at most 20 steps
+_FILE_VALUES = {
+    "n": (["8", "12", "16"], ["9", "0", "x", ""]),
+    "viscosity": (["1", "0.05"], ["0", "-1", "nan", "x"]),
+    "dt": (["1e-3", "2e-3", "auto", " AUTO "], ["0", "nan", "x"]),
+    "t_end": (["0.01", "0.02"], ["0", "inf", "x"]),
+    "dealias": (["true", "false", "off", "1"], ["maybe", ""]),
+    "record_every": (["1", "2", "5", "10"], ["0", "x"]),
+    "initial_data": (["taylor_green", "shear", "random_div_free", "file:u8.snap"],
+                     ["file:", "file:missing.snap", "bogus"]),
+    "seed": (["0", "3"], ["-1", "x"]),
+    "max_wavenumber": (["none", "", "1", "2"], ["0", "99", "x"]),
+    "amplitude": (["1", "0.5", "0", "2"], ["1e300", "inf", "x"]),
+    "force": (["none", "expr:sin(y);0;0"], ["expr:x", "files:", "bogus"]),
+    "q_list": (["inf,2", "1.5", "3, inf"], ["", "1.2", "x"]),
+    "csv": (["series.csv", "other.csv"], []),
+    "snapshot_dir": (["none", "", "snaps"], []),
+    "snapshot_every": (["0", "10", "20"], ["-1", "5", "x"]),
+}
+_SMALL_RUN_KEYS = ("n", "dt", "t_end")
+_NOT_A_SETTING = ["", "   ", "# n = 8", "#", "wibble = 3", "N = 8", "n 8", "= 3"]
+
+
+def _file_value(key):
+    # one value in four from the rejected ones
+    valid, invalid = _FILE_VALUES[key]
+    return st.integers(0, 3).flatmap(
+        lambda pick: st.sampled_from(invalid if pick == 0 and invalid else valid))
+
+
+@st.composite
+def _config_file(draw):
+    """(setting lines as (key, value), file text): n, dt and t_end, up to
+    three other settings, in one file of four one of the keys set a second
+    time and in one of four a line that sets nothing (blank, comment,
+    unknown key, malformed), in any order."""
+    keys = [*_SMALL_RUN_KEYS, *draw(st.lists(st.sampled_from(
+        sorted(set(_FILE_VALUES) - set(_SMALL_RUN_KEYS))), unique=True, max_size=3))]
+    if draw(st.integers(0, 3)) == 0:
+        keys.append(draw(st.sampled_from(keys)))
+    settings = [(key, draw(_file_value(key))) for key in keys]
+    layout = st.sampled_from(["{} = {}", "{}={}", "  {}  =  {}  # note"])
+    lines = [draw(layout).format(key, value) for key, value in settings]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.sampled_from(_NOT_A_SETTING)))
+    return settings, "".join(line + "\n" for line in draw(st.permutations(lines)))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_config_file())
+def test_simulate_runs_or_rejects_any_config_file(drawn):
+    # simulate --config <file> in a scratch directory: exit 0 with the CSV
+    # the file names, exit 1 with one error line and no CSV (always, when a
+    # key is set twice), or exit 2 with one numerical failure line
+    settings, text = drawn
+    keys = [key for key, _ in settings]
+    grid = spectral.Grid(8)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            snapshots.save_snapshot("u8.snap", "velocity", 0.0, 1.0,
+                                    grid.ifft(initial_data.taylor_green(grid)))
+            with open("run.cfg", "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["simulate", "--config", "run.cfg"])
+            lines = err.getvalue().splitlines()
+            written = glob.glob("*.csv")
+            expected = dict(settings).get("csv", "diagnostics.csv")
+        finally:
+            os.chdir(cwd)
+    if len(set(keys)) < len(keys):
+        assert code == 1
+    if code == 0:
+        assert lines == [] and written == [expected]
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: ") and written == []
+    else:
+        assert code == 2 and len(lines) == 1
         assert lines[0].startswith("numerical failure: ")
 
 
@@ -982,6 +1069,59 @@ class TestCli:
                 captured = capsys.readouterr()
                 assert captured.out == "" and captured.err == f"error: {error}\n"
                 assert not traj.exists()
+
+    def test_repeated_config_setting_rejected(self, tmp_path, capsys, grid8):
+        # the last line won: this file ran at n=12 and exited 0
+        csv = tmp_path / "never.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 8\n# n = 10\nt_end = 0.01\nn=12\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--csv", str(csv)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:4: repeated setting 'n'\n"
+        assert not csv.exists()
+        snap = str(tmp_path / "s.snap")
+        snapshots.save_snapshot(snap, "velocity", 0.0, 1.0,
+                                grid8.ifft(initial_data.taylor_green(grid8)))
+        cfg.write_text("q_list = inf\nq_list = 2\n")
+        assert cli.main(["diagnose", "--config", str(cfg), "--csv", str(csv), snap]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: repeated setting 'q_list'\n"
+        assert not csv.exists()
+
+    def test_bad_boolean_names_its_setting(self, tmp_path, capsys, monkeypatch):
+        # each layer printed only "error: expected a boolean, got 'maybe'"
+        csv = tmp_path / "never.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dealias = maybe\n")
+        small = ["simulate", "--n", "8", "--t-end", "0.01", "--csv", str(csv)]
+        for argv, environ in ((small + ["--dealias", "maybe"], {}),
+                              (small + ["--config", str(cfg)], {}),
+                              (small, {"STRAINFLOW_DEALIAS": "maybe"})):
+            with monkeypatch.context() as env:
+                for name, value in environ.items():
+                    env.setenv(name, value)
+                assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: bad value for dealias: 'maybe' (expected a boolean)\n")
+            assert not csv.exists()
+
+    def test_each_command_flag_set(self):
+        # the options and positionals of each command, in --help order
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        got = {name: [" ".join(action.option_strings) or action.metavar
+                      for action in parser._actions
+                      if not isinstance(action, argparse._HelpAction)]
+               for name, parser in sub.choices.items()}
+        assert got == {
+            "simulate": ["--config", "--n", "--viscosity", "--dt", "--t-end", "--dealias",
+                         "--record-every", "--initial-data", "--seed", "--max-wavenumber",
+                         "--amplitude", "--force", "--q-list", "--csv", "--snapshot-dir",
+                         "--snapshot-every"],
+            "diagnose": ["--config", "--q-list", "--csv", "SNAPSHOT"],
+            "toy-ode": ["--lambda3", "--r", "--matrix", "--t-end", "--blowup-threshold",
+                        "--trajectory-out", "--sweep", "--sweep-lambda3", "--sweep-r",
+                        "--sweep-t-end", "--sweep-out"],
+            "verify": ["--n", "--dt", "--t-end"],
+        }
 
     def test_toy_ode_sweep_subcommand(self, tmp_path):
         out = tmp_path / "sweep.csv"
