@@ -34,6 +34,13 @@ COMMANDS = [
     ("file16", ["simulate", "--n", "16", "--t-end", "0.1",
                 "--initial-data", "file:tg16_snaps/state_final.snap", "--csv", "file16.csv"]),
     ("diagnose_tg16", ["diagnose", "--csv", "diagnose_tg16.csv", "tg16_snaps/state_0*"]),
+    # n = 24 is not a power of two: there a 1/n^3 split over the passes of an
+    # inverse transform, rather than applied once after the last, moves bits
+    ("rdf24", ["simulate", "--n", "24", "--t-end", "0.1",
+               "--initial-data", "random_div_free", "--seed", "5", "--amplitude", "3",
+               "--csv", "rdf24.csv", "--snapshot-dir", "rdf24_snaps",
+               "--snapshot-every", "20"]),
+    ("diagnose_rdf24", ["diagnose", "--csv", "diagnose_rdf24.csv", "rdf24_snaps/state_0*"]),
     ("toy_sweep", ["toy-ode", "--sweep", "--sweep-out", "toy_sweep.csv"]),
     ("toy_reduced", ["toy-ode", "--lambda3", "1", "--r", "0.7",
                      "--trajectory-out", "toy_reduced.csv"]),

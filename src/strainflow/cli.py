@@ -42,10 +42,23 @@ def _snapshot_due(run_config, state) -> bool:
     return bool(run_config.snapshot_every) and state.step_count % run_config.snapshot_every == 0
 
 
+def _prepare_outputs(run_config) -> None:
+    """Check, before any field is made, that the CSV can go where the run
+    config names it, and create the snapshot directory."""
+    csv_dir = os.path.dirname(run_config.csv) or os.curdir
+    if not os.path.isdir(csv_dir):
+        raise ConfigError(f"csv: no directory {csv_dir!r} to write {run_config.csv!r} in")
+    if run_config.snapshot_dir is not None:
+        try:
+            os.makedirs(run_config.snapshot_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"snapshot_dir: cannot create {run_config.snapshot_dir!r}: "
+                              f"{exc.strerror}") from exc
+
+
 def _write_snapshots(grid, state, run_config, final=False):
     if run_config.snapshot_dir is None:
         return
-    os.makedirs(run_config.snapshot_dir, exist_ok=True)
     step_path = os.path.join(run_config.snapshot_dir, f"state_{state.step_count:08d}.snap")
     path = os.path.join(run_config.snapshot_dir, "state_final.snap") if final else step_path
     if final and _snapshot_due(run_config, state):
@@ -57,6 +70,7 @@ def _write_snapshots(grid, state, run_config, final=False):
 
 
 def cmd_simulate(args, run_config) -> int:
+    _prepare_outputs(run_config)
     grid = Grid(run_config.n)
     u0 = initial_data.generate_initial(
         grid, run_config.initial_data, seed=run_config.seed,

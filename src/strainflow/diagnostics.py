@@ -29,9 +29,9 @@ from . import snapshots, solver, sym3
 from .exceptions import InvalidExponentError, InvalidInputError
 from .numerics import (check_uniform_spacing, cumulative_trapezoid,
                        fd4_derivative)
-from .spectral import (Grid, directional_strain, plancherel_sum, sobolev_inner,
-                       sobolev_norm_sq, strain_frobenius_sq, sym_gradient,
-                       vorticity)
+from .spectral import (Grid, directional_strain, ifft_in_place, plancherel_sum,
+                       sobolev_inner, sobolev_norm_sq, strain_frobenius_sq,
+                       sym_gradient, vorticity)
 
 # Coefficient of the cubic enstrophy-growth monitor (whole-space sharp
 # Sobolev value; on the torus it is monitored, never asserted).
@@ -184,6 +184,13 @@ class RecordCollector:
     go to physical space by c2r transforms, and the spectral sums count
     each half-plane for its mirror image.  E and diss_H1 are
     two Plancherel sums over one per-mode strain Frobenius norm.
+
+    The strain spectrum, then the vorticity spectrum, is written into one
+    (5,) + Grid.shape workspace built with the collector, and transformed
+    there in place (spectral.ifft_in_place).  The eigen-analysis of the
+    strain is dropped before the vorticity is transformed, and the
+    stretching density is formed chunk by chunk (sym3.quadratic_form), so
+    no more than the physical strain and vorticity are whole fields at once.
     """
 
     def __init__(self, grid: Grid, q_list=DEFAULT_Q_LIST, force=None,
@@ -195,17 +202,26 @@ class RecordCollector:
         self.force = force
         self.viscosity = viscosity
         self.records: list[DiagnosticsRecord] = []
+        self._spectra = np.empty((5,) + grid.shape, dtype=complex)
 
     def __call__(self, state) -> DiagnosticsRecord:
         grid = self.grid
         u_half = state.u_hat
-        s_half = sym_gradient(grid, u_half)
-        m = sym3.TraceFreeSym3.from_components(grid.ifft(s_half))
+        spectra = sym_gradient(grid, u_half, out=self._spectra)
+        frob_sq = strain_frobenius_sq(spectra)  # before the inverse overwrites spectra
+        enstrophy = plancherel_sum(grid, frob_sq, 0.0)
+        dissipation = plancherel_sum(grid, frob_sq, 1.0)
+        m = sym3.TraceFreeSym3.from_components(ifft_in_place(grid, spectra))
         eig = sym3.eigenvalues(m)
-        w = grid.ifft(vorticity(grid, u_half))
-        stretch = (m.m11 * w[0] ** 2 + m.m22 * w[1] ** 2 + m.m33 * w[2] ** 2
-                   + 2.0 * (m.m12 * w[0] * w[1] + m.m13 * w[0] * w[2]
-                            + m.m23 * w[1] * w[2]))
+        lam2p = eig.lambda2_plus
+        det_integral = grid.integrate(eig.det)
+        strain_cubed = grid.integrate(eig.norm_sq * np.sqrt(eig.norm_sq))
+        lambda2_norms = {q: lq_norm(grid, lam2p, q) for q in self.q_list}
+        lambda2_weighted = grid.integrate(lam2p * eig.norm_sq)
+        del frob_sq, eig, lam2p  # no field of the analysis outlives its columns
+        tr3_integral = grid.integrate(sym3.tr_cubed(m))
+        w = ifft_in_place(grid, vorticity(grid, u_half, out=spectra[:3]))
+        vortex_stretch = grid.integrate(sym3.quadratic_form(m, w))
 
         force_term = 0.0
         force_sq = 0.0
@@ -215,18 +231,16 @@ class RecordCollector:
                 force_term = sobolev_inner(grid, u_half, f_half, 1.0)
                 force_sq = sobolev_norm_sq(grid, f_half, 0.0)
 
-        lam2p = eig.lambda2_plus
-        frob_sq = strain_frobenius_sq(s_half)
         record = DiagnosticsRecord(
             t=state.t,
-            enstrophy=plancherel_sum(grid, frob_sq, 0.0),
-            dissipation=plancherel_sum(grid, frob_sq, 1.0),
-            det_integral=grid.integrate(eig.det),
-            tr3_integral=grid.integrate(sym3.tr_cubed(m)),
-            vortex_stretch=grid.integrate(stretch),
-            strain_cubed=grid.integrate(eig.norm_sq * np.sqrt(eig.norm_sq)),
-            lambda2_norms={q: lq_norm(grid, lam2p, q) for q in self.q_list},
-            lambda2_weighted=grid.integrate(lam2p * eig.norm_sq),
+            enstrophy=enstrophy,
+            dissipation=dissipation,
+            det_integral=det_integral,
+            tr3_integral=tr3_integral,
+            vortex_stretch=vortex_stretch,
+            strain_cubed=strain_cubed,
+            lambda2_norms=lambda2_norms,
+            lambda2_weighted=lambda2_weighted,
             force_term=force_term,
             force_norm_sq=force_sq,
         )

@@ -57,14 +57,19 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
             f"max_wavenumber must be in [1, n/2], got {max_wavenumber}")
     rng = np.random.default_rng(seed)
     shape = (3, grid.n, grid.n, grid.n)
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # c(-xi) in the slot of each xi of the half (the band is even in xi)
+    real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
     planes = grid.shape[-1]
-    mirror = coeffs[np.ix_(range(3), grid._rev, grid._rev, grid._rev[:planes])]
+    # c(-xi) in the slot of each xi of the half (the band is even in xi)
+    mirror = np.ix_(grid._rev, grid._rev, grid._rev[:planes])
     band = (np.abs(grid.kx) <= max_wavenumber) \
         & (np.abs(grid.ky) <= max_wavenumber) \
         & (grid.kz <= max_wavenumber)
-    coeffs = 0.5 * (coeffs[..., :planes] * band + np.conj(mirror * band))
+    coeffs = np.empty((3,) + grid.shape, dtype=complex)
+    for c in range(3):  # one component's half at a time, each value as on the whole draw
+        half = real[c, ..., :planes] + 1j * imag[c, ..., :planes]
+        mirrored = real[c][mirror] + 1j * imag[c][mirror]
+        coeffs[c] = 0.5 * (half * band + np.conj(mirrored * band))
+    del real, imag
     u_hat = project_divergence_free(grid, clean_half(grid, coeffs))
     norm = np.sqrt(sobolev_norm_sq(grid, u_hat, 0.0))
     if norm == 0.0:

@@ -111,12 +111,12 @@ def load_snapshot(path) -> Snapshot:
     if kind not in _COMPONENTS or components != _COMPONENTS[kind]:
         raise ConfigError(f"{path}: inconsistent kind/components")
     _check_header_values(path, time, viscosity)
-    payload = blob[split + len(marker):]
+    start = split + len(marker)
     expected = components * n ** 3 * 8
-    if len(payload) != expected:
+    if len(blob) - start != expected:
         raise ConfigError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, "<f8").reshape(components, n, n, n)
+            f"{path}: payload has {len(blob) - start} bytes, expected {expected}")
+    data = np.frombuffer(blob, "<f8", offset=start).reshape(components, n, n, n)
     data = data.transpose(0, 3, 2, 1).copy(order="K")  # writable, x fastest in memory
     return Snapshot(kind, n, time, viscosity, data)
 

@@ -32,6 +32,12 @@ Conventions (fixed once, used everywhere):
   owns the transforms at its boundary (Block.to_physical, from_physical),
   pruned to its b + 1 kz planes and equal to Grid.ifft and Grid.fft of the
   whole half to the bit.
+* One rule inverts a half-spectrum that may be overwritten, ifft_in_place:
+  an unscaled c2c over (x, y) in place on its nonzero kz planes, an
+  unscaled c2r along z, then 1/n^3 once, where irfftn applies it, so it
+  equals Grid.ifft to the bit (scaling each pass differs in the last bit
+  where n is not a power of two).  Block.to_physical and the diagnostics
+  record invert through it.
 """
 
 from __future__ import annotations
@@ -156,10 +162,8 @@ class Block:
     are pruned (Markel, IEEE Trans. Audio Electroacoust. AU-19, 305, 1971):
     a block's c2r input is zero above plane b and only planes 0..b of an
     r2c output are gathered, so each is a c2c over (x, y) on those b + 1
-    planes and a real transform along z.  The inverse passes are unscaled
-    and 1/n^3 is applied once after the last, where irfftn applies it;
-    scaling each pass differs from Grid.ifft in the last bit where n is not
-    a power of two.  Without dealiasing the same calls run unpruned.
+    planes and a real transform along z; the inverse is ifft_in_place.
+    Without dealiasing the same calls run unpruned.
     """
 
     def __init__(self, grid: Grid, b: int):
@@ -204,16 +208,8 @@ class Block:
         """Grid.ifft of the half that holds the block, zeros elsewhere, to the
         bit.  The block goes into the lower planes of a zeroed half, so the
         c2r along z reads it without a zero-padded copy."""
-        n = self.grid.n
-        planes = np.zeros(block.shape[:-3] + self.grid.shape, dtype=complex)
-        lower = planes[..., :self.shape[-1]]
-        # scipy writes the c2c of a complex input it may overwrite into that input
-        _fft_module.ifftn(self.scatter(block, lower), axes=(-3, -2), norm="forward",
-                          overwrite_x=True, workers=_FFT_WORKERS)
-        field = _fft_module.irfftn(planes, s=(n,), axes=(-1,), norm="forward",
-                                   workers=_FFT_WORKERS)
-        field *= 1.0 / n ** 3
-        return field
+        half = np.zeros(block.shape[:-3] + self.grid.shape, dtype=complex)
+        return ifft_in_place(self.grid, self.scatter(block, half), self.shape[-1])
 
     def from_physical(self, field, out):
         """The block of Grid.fft(field), to the bit, gathered into out."""
@@ -221,6 +217,21 @@ class Block:
         planes = _fft_module.fftn(planes[..., :self.shape[-1]], axes=(-3, -2),
                                   overwrite_x=True, workers=_FFT_WORKERS)
         return self.gather(planes, out)
+
+
+def ifft_in_place(grid: Grid, half, planes: int | None = None):
+    """Grid.ifft(half), to the bit, with half as the buffer of the c2c pass:
+    half (complex) is overwritten.  Only its kz planes below planes (all if
+    None) may be nonzero, and the c2c over (x, y) runs on those alone."""
+    n = grid.n
+    lower = grid.spectrum(half)[..., :planes]
+    # scipy writes the c2c of a complex input it may overwrite into that input
+    _fft_module.ifftn(lower, axes=(-3, -2), norm="forward", overwrite_x=True,
+                      workers=_FFT_WORKERS)
+    field = _fft_module.irfftn(half, s=(n,), axes=(-1,), norm="forward",
+                               workers=_FFT_WORKERS)
+    field *= 1.0 / n ** 3
+    return field
 
 
 def _mirror(space: Grid | Block, planes):
@@ -313,12 +324,13 @@ def helmholtz_project(grid: Grid, v_hat):
     return v_hat - grad, grad
 
 
-def sym_gradient(grid: Grid, u_hat):
+def sym_gradient(grid: Grid, u_hat, out=None):
     """Spectral strain tensor of a divergence-free velocity field.
 
     Returns the five independent components, shaped (5,) + Grid.shape,
     in the order (11, 22, 12, 13, 23); the 33 component is -(11 + 22) and
-    is never stored, so the output is trace-free structurally.
+    is never stored, so the output is trace-free structurally.  They are
+    written into out (allocated if None), which must not overlap u_hat.
     """
     u_hat = grid.spectrum(u_hat)
     resid = divergence_residual(grid, u_hat)
@@ -326,13 +338,13 @@ def sym_gradient(grid: Grid, u_hat):
         raise InvalidInputError(f"velocity is not divergence-free (residual {resid:.3e})")
     kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
     u1, u2, u3 = u_hat[0], u_hat[1], u_hat[2]
-    return np.stack([
-        1j * kx * u1,
-        1j * ky * u2,
-        0.5j * (kx * u2 + ky * u1),
-        0.5j * (kx * u3 + kz * u1),
-        0.5j * (ky * u3 + kz * u2),
-    ])
+    out = np.empty((5,) + grid.shape, dtype=complex) if out is None else out
+    np.multiply(1j * kx, u1, out=out[0])
+    np.multiply(1j * ky, u2, out=out[1])
+    np.multiply(0.5j, kx * u2 + ky * u1, out=out[2])
+    np.multiply(0.5j, kx * u3 + kz * u1, out=out[3])
+    np.multiply(0.5j, ky * u3 + kz * u2, out=out[4])
+    return out
 
 
 def _strain_xi(grid: Grid, s3):
@@ -382,16 +394,17 @@ def velocity_from_strain(grid: Grid, s_hat):
     return u_hat
 
 
-def vorticity(grid: Grid, u_hat):
-    """Spectral curl of a velocity field."""
+def vorticity(grid: Grid, u_hat, out=None):
+    """Spectral curl of a velocity field, written into out (allocated if
+    None), which must not overlap u_hat."""
     u_hat = grid.spectrum(u_hat)
     kx, ky, kz = grid.kdx, grid.kdy, grid.kdz
     u1, u2, u3 = u_hat[0], u_hat[1], u_hat[2]
-    return np.stack([
-        1j * (ky * u3 - kz * u2),
-        1j * (kz * u1 - kx * u3),
-        1j * (kx * u2 - ky * u1),
-    ])
+    out = np.empty((3,) + grid.shape, dtype=complex) if out is None else out
+    np.multiply(1j, ky * u3 - kz * u2, out=out[0])
+    np.multiply(1j, kz * u1 - kx * u3, out=out[1])
+    np.multiply(1j, kx * u2 - ky * u1, out=out[2])
+    return out
 
 
 def plancherel_sum(grid: Grid, mode_values, alpha: float) -> float:

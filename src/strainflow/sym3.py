@@ -64,11 +64,12 @@ ARCCOS_LIMIT = 0.99
 _BLOCK = 16384
 
 
-def _blockwise(formula, m: "TraceFreeSym3"):
-    """formula(m11, m22, m12, m13, m23) over a field of matrices, chunk
-    by chunk.  Only for arithmetic formulas: those are elementwise, so the
-    result is bit-identical to one whole-field call."""
-    entries = (m.m11, m.m22, m.m12, m.m13, m.m23)
+def _blockwise(formula, m: "TraceFreeSym3", *fields):
+    """formula(m11, m22, m12, m13, m23, *fields) over a field of matrices
+    (and fields of its shape), chunk by chunk.  Only for arithmetic
+    formulas: those are elementwise, so the result is bit-identical to one
+    whole-field call."""
+    entries = (m.m11, m.m22, m.m12, m.m13, m.m23, *fields)
     if getattr(m.m11, "size", 1) <= _BLOCK:  # scalar entries are floats
         return formula(*entries)
     shape = m.m11.shape
@@ -291,6 +292,18 @@ def _discriminant(m11, m22, m12, m13, m23):
     c = m13 * q23 - m23 * q13
     return (three_diagonal * three_diagonal + 2.0 * two_diagonal
             + 12.0 * (a * a + b * b + c * c))
+
+
+def _quadratic_form(m11, m22, m12, m13, m23, v1, v2, v3):
+    m33 = -m11 - m22
+    return (m11 * v1 ** 2 + m22 * v2 ** 2 + m33 * v3 ** 2
+            + 2.0 * (m12 * v1 * v2 + m13 * v1 * v3 + m23 * v2 * v3))
+
+
+def quadratic_form(m: TraceFreeSym3, v):
+    """v . M v pointwise, for a vector field v (3,) + m.shape (the vortex
+    stretching density w . S w for the vorticity w)."""
+    return _blockwise(_quadratic_form, m, *v)
 
 
 def discriminant(m: TraceFreeSym3):

@@ -6,6 +6,12 @@ from strainflow.exceptions import InvalidInputError
 from strainflow.spectral import Grid
 from strainflow.verify import ReferenceRun
 
+# Where a test turns every warning into an error, this one warning stays
+# ignored: hypothesis's report hook raises it (from mypy_extensions) while
+# the test's filters apply, and as an error it aborted the session with
+# INTERNALERROR instead of reporting a failing example.
+HYPOTHESIS_REPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+
 
 @pytest.fixture(scope="session")
 def grid8():
@@ -100,3 +106,22 @@ def nyquist_noise_state(grid):
 def tg16(grid16):
     """Small, fast Taylor-Green reference run for module-level tests."""
     return ReferenceRun(grid16, dt=1e-3, t_end=0.25)
+
+
+def random_div_free_full_cube(grid, seed, max_wavenumber=None, amplitude=1.0):
+    """random_div_free built as it was on the whole draw: the full-cube
+    complex coefficients first, then the half of their Hermitian part; the
+    oracle of the component-at-a-time construction."""
+    if max_wavenumber is None:
+        max_wavenumber = grid.dealias_kmax
+    rng = np.random.default_rng(seed)
+    shape = (3, grid.n, grid.n, grid.n)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    planes = grid.shape[-1]
+    mirror = coeffs[np.ix_(range(3), grid._rev, grid._rev, grid._rev[:planes])]
+    band = (np.abs(grid.kx) <= max_wavenumber) \
+        & (np.abs(grid.ky) <= max_wavenumber) \
+        & (grid.kz <= max_wavenumber)
+    coeffs = 0.5 * (coeffs[..., :planes] * band + np.conj(mirror * band))
+    u_hat = spectral.project_divergence_free(grid, spectral.clean_half(grid, coeffs))
+    return u_hat * (amplitude / np.sqrt(spectral.sobolev_norm_sq(grid, u_hat, 0.0)))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import c2c_ifft, full_cube_wavenumbers, nyquist_noise_state
+from conftest import (HYPOTHESIS_REPORT_WARNING, c2c_ifft, full_cube_wavenumbers,
+                      nyquist_noise_state)
 from strainflow import diagnostics, initial_data, solver, spectral, sym3, verify
 from strainflow.exceptions import InvalidExponentError, InvalidInputError
 
@@ -268,6 +269,7 @@ class TestDirectionalCriterion:
             with pytest.raises(InvalidInputError):
                 diagnostics.directional_criterion(grid8, u_hat, full, [bad], 2.0)
 
+    @pytest.mark.filterwarnings(HYPOTHESIS_REPORT_WARNING)
     @pytest.mark.filterwarnings("error")
     def test_large_q_does_not_overflow(self, grid8):
         # sum |S v|^200 overflowed for a field of amplitude 1e4; the norm is
@@ -363,6 +365,34 @@ class TestHalfSpectrumRecord:
             assert record.lambda2_norms[q] == pytest.approx(expected, rel=1e-12)
             assert diagnostics.lq_norm(grid16, eig.lambda2_plus, q) == pytest.approx(
                 expected, rel=1e-12)
+
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
+    def test_record_fields_are_the_allocating_transforms(self, n, monkeypatch):
+        # the strain, then the vorticity, pass through the collector's one
+        # workspace; each field and the stretching integral keep the bits of
+        # the allocating calls and the whole-field expression, record after record
+        grid = spectral.Grid(n)
+        fields = []
+
+        def kept(*args, **kwargs):
+            fields.append(spectral.ifft_in_place(*args, **kwargs))
+            return fields[-1]
+
+        monkeypatch.setattr(diagnostics, "ifft_in_place", kept)
+        collector = diagnostics.RecordCollector(grid)
+        for seed in (n, n + 1):
+            u_hat = initial_data.random_div_free(grid, seed=seed)
+            fields.clear()
+            record = collector(solver.SolverState(u_hat, 0.0, 0))
+            strain, w = fields
+            assert np.array_equal(strain, grid.ifft(spectral.sym_gradient(grid, u_hat)))
+            assert np.array_equal(w, grid.ifft(spectral.vorticity(grid, u_hat)))
+            m = sym3.TraceFreeSym3.from_components(strain)
+            stretch = (m.m11 * w[0] ** 2 + m.m22 * w[1] ** 2 + m.m33 * w[2] ** 2
+                       + 2.0 * (m.m12 * w[0] * w[1] + m.m13 * w[0] * w[2]
+                                + m.m23 * w[1] * w[2]))
+            assert record.vortex_stretch == grid.integrate(stretch)
 
 
 class TestRecordsAndCsv:

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import c2c_ifft, nyquist_noise_state
+from conftest import (HYPOTHESIS_REPORT_WARNING, c2c_ifft, nyquist_noise_state,
+                      random_div_free_full_cube)
 from strainflow import (cli, config as config_mod, diagnostics, initial_data, snapshots,
                         solver, spectral, verify)
 from strainflow.exceptions import ConfigError, InvalidInputError
@@ -129,6 +130,7 @@ _HEADER_VALUES = {
 }
 
 
+@pytest.mark.filterwarnings(HYPOTHESIS_REPORT_WARNING)
 @pytest.mark.filterwarnings("error")
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.integers(0, len(_HEADER_TIMES) - 1),
@@ -177,6 +179,7 @@ _q_item = (st.floats().map(repr)
 _q_list_text = st.lists(_q_item, max_size=4).map(",".join)
 
 
+@pytest.mark.filterwarnings(HYPOTHESIS_REPORT_WARNING)
 @pytest.mark.filterwarnings("error")
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.sampled_from(["flag", "config file", "environment"]), _q_list_text)
@@ -262,6 +265,7 @@ _expr_component = (_expr_of_depth(4)
                    | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8))
 
 
+@pytest.mark.filterwarnings(HYPOTHESIS_REPORT_WARNING)
 @pytest.mark.filterwarnings("error")
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.tuples(_expr_component, _expr_component, _expr_component))
@@ -307,6 +311,7 @@ _ENV_READ = {"simulate": {key.upper() for key in _ENV_KEYS}, "diagnose": {"Q_LIS
              "verify": set(), "toy-ode": set()}
 
 
+@pytest.mark.filterwarnings(HYPOTHESIS_REPORT_WARNING)
 @pytest.mark.filterwarnings("error")
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.sampled_from(sorted(_ENV_COMMANDS)), _env_name, _env_value)
@@ -389,6 +394,7 @@ def _config_file(draw):
     return settings, "".join(line + "\n" for line in draw(st.permutations(lines)))
 
 
+@pytest.mark.filterwarnings(HYPOTHESIS_REPORT_WARNING)
 @pytest.mark.filterwarnings("error")
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(_config_file())
@@ -471,6 +477,17 @@ class TestInitialData:
         expected = expected * (2.5 / np.sqrt(spectral.sobolev_norm_sq(grid16, expected)))
         assert np.array_equal(initial_data.random_div_free(grid16, seed=3, amplitude=2.5),
                               expected)
+
+    @pytest.mark.parametrize("seed", [3, 20171015])
+    @pytest.mark.parametrize("n", [8, 24, 64])
+    def test_random_div_free_is_the_full_cube_construction(self, n, seed):
+        # built one component's half at a time from the same two draws
+        grid = spectral.Grid(n)
+        assert initial_data.random_div_free(grid, seed).tobytes() \
+            == random_div_free_full_cube(grid, seed).tobytes()
+        if n == 24:
+            assert initial_data.random_div_free(grid, seed, 5, 0.3).tobytes() \
+                == random_div_free_full_cube(grid, seed, 5, 0.3).tobytes()
 
     def test_band_limit(self, grid16):
         u_hat = initial_data.random_div_free(grid16, seed=4, max_wavenumber=2)
@@ -1069,6 +1086,28 @@ class TestCli:
                 captured = capsys.readouterr()
                 assert captured.out == "" and captured.err == f"error: {error}\n"
                 assert not traj.exists()
+
+    def test_unwritable_outputs_rejected_before_any_field(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the run integrated every step and then printed "i/o error: ..."
+        made = []
+        monkeypatch.setattr(initial_data, "generate_initial",
+                            lambda *args, **kwargs: made.append(args))
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        small = ["simulate", "--n", "8", "--dt", "1e-3", "--t-end", "0.01"]
+        for flags, message in (
+                (["--csv", str(tmp_path / "missing" / "x.csv")],
+                 f"csv: no directory {str(tmp_path / 'missing')!r} to write "
+                 f"{str(tmp_path / 'missing' / 'x.csv')!r} in"),
+                (["--csv", str(not_a_dir / "x.csv")],
+                 f"csv: no directory {str(not_a_dir)!r} to write "
+                 f"{str(not_a_dir / 'x.csv')!r} in"),
+                (["--csv", str(tmp_path / "x.csv"), "--snapshot-dir", str(not_a_dir / "s")],
+                 f"snapshot_dir: cannot create {str(not_a_dir / 's')!r}: Not a directory")):
+            assert cli.main([*small, *flags]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert made == [] and os.listdir(tmp_path) == ["file"]
 
     def test_repeated_config_setting_rejected(self, tmp_path, capsys, grid8):
         # the last line won: this file ran at n=12 and exited 0

@@ -70,7 +70,46 @@ class TestGridAndFFT:
         assert np.max(np.abs(full - np.fft.fftn(field))) < 1e-9
 
 
+class TestInverseInPlace:
+    """spectral.ifft_in_place, the inverse of the record and of the block."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 64])
+    def test_equals_grid_ifft(self, n):
+        # at n = 12 and 24 a 1/n^3 split over the passes, rather than applied
+        # once after the last, differs in the last bit
+        grid = Grid(n)
+        rng = np.random.default_rng(n)
+        half = (rng.standard_normal((5,) + grid.shape)
+                + 1j * rng.standard_normal((5,) + grid.shape))
+        assert np.array_equal(spectral.ifft_in_place(grid, half.copy()), grid.ifft(half))
+        assert np.array_equal(spectral.ifft_in_place(grid, half[:3].copy()),
+                              grid.ifft(half[:3]))
+        half[..., 3:] = 0.0  # the c2c runs on the three lower planes only
+        assert np.array_equal(spectral.ifft_in_place(grid, half.copy(), 3), grid.ifft(half))
+
+
 class TestSymGradient:
+    def test_out_is_byte_equal_to_the_allocating_call(self, grid16):
+        # both against the whole-array products: the five components are
+        # written with the same products in the same order
+        u_hat = initial_data.random_div_free(grid16, seed=13)
+        kx, ky, kz = grid16.kdx, grid16.kdy, grid16.kdz
+        u1, u2, u3 = u_hat
+        products = {
+            spectral.sym_gradient: np.stack([
+                1j * kx * u1, 1j * ky * u2, 0.5j * (kx * u2 + ky * u1),
+                0.5j * (kx * u3 + kz * u1), 0.5j * (ky * u3 + kz * u2)]),
+            spectral.vorticity: np.stack([
+                1j * (ky * u3 - kz * u2), 1j * (kz * u1 - kx * u3),
+                1j * (kx * u2 - ky * u1)]),
+        }
+        workspace = np.full((5,) + grid16.shape, np.nan, dtype=complex)
+        for op, expected in products.items():
+            out = workspace[:len(expected)]  # a view, as the record passes
+            assert op(grid16, u_hat, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+            assert op(grid16, u_hat).tobytes() == expected.tobytes()
+
     def test_shear_strain(self, grid16):
         verify.shear_analytics(grid16)
 

@@ -222,6 +222,26 @@ class TestDeterminantAndCube:
             assert sym3.tr_cubed(m) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
+class TestQuadraticForm:
+    def test_matches_matrix_product(self):
+        rng = np.random.default_rng(10)
+        m = random_trace_free(rng, shape=(50,))
+        v = rng.standard_normal((3, 50))
+        expected = np.einsum("i...,ij...,j...->...", v, m.to_matrix(), v)
+        assert np.allclose(sym3.quadratic_form(m, v), expected, rtol=1e-13, atol=1e-13)
+
+    def test_chunks_keep_the_whole_field_bits(self):
+        # more points than one chunk: the stretching density of a record
+        # keeps the bits of the whole-field expression
+        rng = np.random.default_rng(11)
+        shape = (3 * sym3._BLOCK + 5,)
+        m = random_trace_free(rng, shape=shape)
+        w = rng.standard_normal((3,) + shape)
+        whole = (m.m11 * w[0] ** 2 + m.m22 * w[1] ** 2 + m.m33 * w[2] ** 2
+                 + 2.0 * (m.m12 * w[0] * w[1] + m.m13 * w[0] * w[2] + m.m23 * w[1] * w[2]))
+        assert sym3.quadratic_form(m, w).tobytes() == whole.tobytes()
+
+
 class TestOneAnalysis:
     """eigenvalues(m) carries the |M|^2 and det(M) its closed form reads,
     and the gap helpers read them instead of recomputing."""
