@@ -185,12 +185,10 @@ class RecordCollector:
     each half-plane for its mirror image.  E and diss_H1 are
     two Plancherel sums over one per-mode strain Frobenius norm.
 
-    The strain spectrum, then the vorticity spectrum, is written into one
-    (5,) + Grid.shape workspace built with the collector, and transformed
-    there in place (spectral.ifft_in_place).  The eigen-analysis of the
-    strain is dropped before the vorticity is transformed, and the
-    stretching density is formed chunk by chunk (sym3.quadratic_form), so
-    no more than the physical strain and vorticity are whole fields at once.
+    The strain spectrum, then the vorticity's, goes into one workspace the
+    collector owns and is transformed there in place; the eigen-analysis is
+    dropped before the vorticity is transformed, and the stretching density
+    is formed chunk by chunk.
     """
 
     def __init__(self, grid: Grid, q_list=DEFAULT_Q_LIST, force=None,
@@ -231,19 +229,9 @@ class RecordCollector:
                 force_term = sobolev_inner(grid, u_half, f_half, 1.0)
                 force_sq = sobolev_norm_sq(grid, f_half, 0.0)
 
-        record = DiagnosticsRecord(
-            t=state.t,
-            enstrophy=enstrophy,
-            dissipation=dissipation,
-            det_integral=det_integral,
-            tr3_integral=tr3_integral,
-            vortex_stretch=vortex_stretch,
-            strain_cubed=strain_cubed,
-            lambda2_norms=lambda2_norms,
-            lambda2_weighted=lambda2_weighted,
-            force_term=force_term,
-            force_norm_sq=force_sq,
-        )
+        record = DiagnosticsRecord(state.t, enstrophy, dissipation, det_integral,
+                                   tr3_integral, vortex_stretch, strain_cubed, lambda2_norms,
+                                   lambda2_weighted, force_term, force_sq)
         record.vortex_stretch_residual = vortex_stretch_identity_residual(
             record.vortex_stretch, record.det_integral, record.tr3_integral,
             cubic_scale=record.strain_cubed)

@@ -221,12 +221,14 @@ class Block:
 
 def ifft_in_place(grid: Grid, half, planes: int | None = None):
     """Grid.ifft(half), to the bit, with half as the buffer of the c2c pass:
-    half (complex) is overwritten.  Only its kz planes below planes (all if
+    half (complex128) is overwritten.  Only its kz planes below planes (all if
     None) may be nonzero, and the c2c over (x, y) runs on those alone."""
     n = grid.n
-    lower = grid.spectrum(half)[..., :planes]
+    half = grid.spectrum(half)
+    if half.dtype != np.complex128:  # a real input would be transformed in a copy
+        raise InvalidInputError(f"an in-place inverse needs complex128, got {half.dtype}")
     # scipy writes the c2c of a complex input it may overwrite into that input
-    _fft_module.ifftn(lower, axes=(-3, -2), norm="forward", overwrite_x=True,
+    _fft_module.ifftn(half[..., :planes], axes=(-3, -2), norm="forward", overwrite_x=True,
                       workers=_FFT_WORKERS)
     field = _fft_module.irfftn(half, s=(n,), axes=(-1,), norm="forward",
                                workers=_FFT_WORKERS)

@@ -86,6 +86,8 @@ class TestInverseInPlace:
                               grid.ifft(half[:3]))
         half[..., 3:] = 0.0  # the c2c runs on the three lower planes only
         assert np.array_equal(spectral.ifft_in_place(grid, half.copy(), 3), grid.ifft(half))
+        with pytest.raises(InvalidInputError):
+            spectral.ifft_in_place(grid, half.astype(np.complex64))
 
 
 class TestSymGradient:
