@@ -216,7 +216,7 @@ class RecordCollector:
         strain_cubed = grid.integrate(eig.norm_sq * np.sqrt(eig.norm_sq))
         lambda2_norms = {q: lq_norm(grid, lam2p, q) for q in self.q_list}
         lambda2_weighted = grid.integrate(lam2p * eig.norm_sq)
-        del frob_sq, eig, lam2p  # no field of the analysis outlives its columns
+        del frob_sq, eig, lam2p  # dropped before the vorticity is made: the peak is lower
         tr3_integral = grid.integrate(sym3.tr_cubed(m))
         w = ifft_in_place(grid, vorticity(grid, u_half, out=spectra[:3]))
         vortex_stretch = grid.integrate(sym3.quadratic_form(m, w))

@@ -65,10 +65,9 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
         & (np.abs(grid.ky) <= max_wavenumber) \
         & (grid.kz <= max_wavenumber)
     coeffs = np.empty((3,) + grid.shape, dtype=complex)
-    for c in range(3):  # one component's half at a time, each value as on the whole draw
-        half = real[c, ..., :planes] + 1j * imag[c, ..., :planes]
-        mirrored = real[c][mirror] + 1j * imag[c][mirror]
-        coeffs[c] = 0.5 * (half * band + np.conj(mirrored * band))
+    for c in range(3):  # one component at a time, each value as on the whole draw
+        cube = real[c] + 1j * imag[c]
+        coeffs[c] = 0.5 * (cube[..., :planes] * band + np.conj(cube[mirror] * band))
     del real, imag
     u_hat = project_divergence_free(grid, clean_half(grid, coeffs))
     norm = np.sqrt(sobolev_norm_sq(grid, u_hat, 0.0))
