@@ -8,7 +8,7 @@ from strainflow.verify import ReferenceRun
 
 # Where a test turns every warning into an error, this one warning stays
 # ignored: hypothesis's report hook raises it (from mypy_extensions) while
-# the test's filters apply, and as an error it aborted the session with
+# the test's filters apply, and as an error it aborted the pytest run with
 # INTERNALERROR instead of reporting a failing example.
 HYPOTHESIS_REPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 
