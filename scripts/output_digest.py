@@ -46,6 +46,9 @@ COMMANDS = [
                      "--trajectory-out", "toy_reduced.csv"]),
     ("toy_matrix", ["toy-ode", "--matrix=-1.3,0.4,0.7,-0.2,0.5", "--t-end", "50",
                     "--trajectory-out", "toy_matrix.csv"]),
+    # eigenvalues (-2, 1, 1): theta comes from the atan2 branch at every step
+    ("toy_degenerate", ["toy-ode", "--matrix=-2,1,0,0,0", "--t-end", "5",
+                        "--trajectory-out", "toy_degenerate.csv"]),
     ("verify8", ["verify", "--n", "8", "--t-end", "0.1"]),
 ]
 

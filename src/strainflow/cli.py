@@ -252,9 +252,6 @@ def main(argv=None) -> int:
         overrides = {key: getattr(args, f"cfg_{key}") for key in keys}
         run_config = config_mod.build_config(getattr(args, "config", None), overrides, keys=keys)
         return args.fn(args, run_config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -35,17 +35,19 @@ class RunConfig(SolverConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.snapshot_every < 0:
-            raise ConfigError("snapshot_every must be >= 0")
+            raise InvalidInputError("snapshot_every must be >= 0")
         if self.snapshot_every % self.record_every:
             # snapshots are written from record steps only
-            raise ConfigError(f"snapshot_every={self.snapshot_every} is not a multiple "
-                              f"of record_every={self.record_every}")
+            raise InvalidInputError(f"snapshot_every={self.snapshot_every} is not a multiple "
+                                    f"of record_every={self.record_every}")
         if self.snapshot_every and self.snapshot_dir is None:
-            raise ConfigError("snapshot_every needs snapshot_dir")
-        initial_data.check_name(self.initial_data)
+            raise InvalidInputError("snapshot_every needs snapshot_dir")
+        read = initial_data.check_name(self.initial_data)
         initial_data.check_seed(self.seed)
+        if "max_wavenumber" in read:  # else build_config's "not read by" rule speaks
+            initial_data.check_band(self.n, self.max_wavenumber)
         if not math.isfinite(self.amplitude):
-            raise ConfigError(f"amplitude must be finite, got {self.amplitude}")
+            raise InvalidInputError(f"amplitude must be finite, got {self.amplitude}")
         for q in self.q_list:
             diagnostics.check_q(q)
 
@@ -181,8 +183,7 @@ def build_config(config_path=None, cli_overrides=None, environ=None,
     except InvalidInputError as exc:
         raise ConfigError(str(exc)) from exc
     read = initial_data.check_name(run_config.initial_data)
-    unread = [key for key in ("seed", "max_wavenumber", "amplitude")
-              if key in settings and key not in read]
+    unread = [key for key in initial_data.SETTINGS if key in settings and key not in read]
     if unread:
         raise ConfigError(f"{', '.join(unread)}: not read by "
                           f"initial_data = {run_config.initial_data}")

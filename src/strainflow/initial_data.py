@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import snapshots
-from .exceptions import ConfigError, InvalidInputError
+from .exceptions import InvalidInputError
 from .spectral import (Grid, clean_half, project_divergence_free, sobolev_norm_sq,
                        velocity_half)
 
@@ -52,9 +52,7 @@ def random_div_free(grid: Grid, seed: int, max_wavenumber: int | None = None,
     check_seed(seed)
     if max_wavenumber is None:
         max_wavenumber = grid.dealias_kmax
-    if max_wavenumber < 1 or max_wavenumber > grid.n // 2:
-        raise InvalidInputError(
-            f"max_wavenumber must be in [1, n/2], got {max_wavenumber}")
+    check_band(grid.n, max_wavenumber)
     rng = np.random.default_rng(seed)
     shape = (3, grid.n, grid.n, grid.n)
     real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -81,13 +79,15 @@ def from_file(grid: Grid, path):
     return velocity_half(grid, snapshots.load_velocity(path, grid.n).data)
 
 
+# The settings an initial-data generator can read, in generate_initial's order.
+SETTINGS = ("seed", "max_wavenumber", "amplitude")
 # Each initial_data name with the settings its generator reads.  The
 # generator is this module's function of that name, looked up per call so
 # that a wrapped function is the one called; file:<path> reads none.
 _GENERATORS = {
     "taylor_green": ("amplitude",),
     "shear": ("amplitude",),
-    "random_div_free": ("seed", "max_wavenumber", "amplitude"),
+    "random_div_free": SETTINGS,
 }
 _FILE_PREFIX = "file:"
 
@@ -96,10 +96,10 @@ def check_name(name: str) -> tuple:
     """Reject an initial_data name that generate_initial does not take;
     return the settings that generate_initial passes on for it."""
     if name == _FILE_PREFIX:
-        raise ConfigError("initial_data = file:<path> needs a path")
+        raise InvalidInputError("initial_data = file:<path> needs a path")
     if not name.startswith(_FILE_PREFIX) and name not in _GENERATORS:
-        raise ConfigError(f"unknown initial_data {name!r}; expected "
-                          f"{', '.join(_GENERATORS)} or file:<path>")
+        raise InvalidInputError(f"unknown initial_data {name!r}; expected "
+                                f"{', '.join(_GENERATORS)} or file:<path>")
     return _GENERATORS.get(name, ())
 
 
@@ -109,6 +109,12 @@ def check_seed(seed) -> None:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def check_band(n: int, max_wavenumber) -> None:
+    """Reject a max_wavenumber outside [1, n/2]; None, the default band, passes."""
+    if max_wavenumber is not None and not 1 <= max_wavenumber <= n // 2:
+        raise InvalidInputError(f"max_wavenumber must be in [1, n/2], got {max_wavenumber}")
+
+
 def generate_initial(grid: Grid, name: str, *, seed: int = 1,
                      max_wavenumber: int | None = None, amplitude: float = 1.0):
     """Dispatch on the initial_data name used in run configurations,
@@ -116,5 +122,5 @@ def generate_initial(grid: Grid, name: str, *, seed: int = 1,
     read = check_name(name)
     if name.startswith(_FILE_PREFIX):
         return from_file(grid, name[len(_FILE_PREFIX):])
-    given = {"seed": seed, "max_wavenumber": max_wavenumber, "amplitude": amplitude}
+    given = dict(zip(SETTINGS, (seed, max_wavenumber, amplitude)))
     return globals()[name](grid, **{key: given[key] for key in read})

@@ -31,7 +31,8 @@ where Delta = prod_{i<j} (lambda_i - lambda_j)^2 = (|M|^6 - 54 det^2)/2
 is `discriminant`, a sum of squares that keeps its accuracy where the
 eigenvalues meet (Parlett, Linear Algebra Appl. 355, 85, 2002).  Every
 eigenvalue is then accurate to a few eps |M| everywhere, degenerate and
-nearly degenerate matrices included.
+nearly degenerate matrices included.  `eigenvalues` takes theta once per
+matrix and keeps it: each eigenvalue and r are read from theta and |M|^2.
 """
 
 from __future__ import annotations
@@ -142,26 +143,22 @@ class TraceFreeSym3:
 @dataclass(frozen=True)
 class EigenTriple:
     """The analysis of a trace-free symmetric matrix (or field of them):
-    the matrix, its invariants norm_sq = |M|^2 and det = det(M), and
-    lambda2_plus = max(lambda2, 0), the one eigenvalue quantity a
-    diagnostics record reads.
+    its invariants norm_sq = |M|^2 and det = det(M), the closed-form angle
+    theta in [0, pi], and lambda2_plus = max(lambda2, 0), the one
+    eigenvalue quantity a diagnostics record reads.
 
-    The closed-form angle theta, the sorted eigenvalues lambda1 <= lambda2
-    <= lambda3, the shape ratio r = -lambda1/lambda3 in [1/2, 2] and
-    r_defined are derived from these on first read and kept; lambda2 has
-    the bits lambda2_plus was taken from.  r is NaN wherever the matrix is
-    (numerically) zero; r_defined marks the points where it is meaningful.
-    Scalar matrices give floats throughout.
+    The sorted eigenvalues lambda1 <= lambda2 <= lambda3, the shape ratio
+    r = -lambda1/lambda3 in [1/2, 2] and r_defined are derived from theta
+    and |M|^2 on first read and kept; lambda2 has the bits lambda2_plus
+    was taken from.  r is NaN wherever the matrix is (numerically) zero;
+    r_defined marks the points where it is meaningful.  Scalar matrices
+    give floats throughout.
     """
 
-    matrix: TraceFreeSym3
     norm_sq: object
     det: object
+    theta: object
     lambda2_plus: object
-
-    @cached_property
-    def theta(self):
-        return _as_result(_theta(self.matrix, self.norm_sq, self.det))
 
     @cached_property
     def lambda2(self):
@@ -233,15 +230,13 @@ def _theta(m: TraceFreeSym3, norm_sq, d):
 
 
 def eigenvalues(m: TraceFreeSym3) -> EigenTriple:
-    """The analysis of m, broadcast over fields: |M|^2, det(M) and lambda2+;
-    theta, the eigenvalues and r follow from these when read."""
+    """The analysis of m, broadcast over fields: |M|^2, det(M), theta and
+    lambda2+; the eigenvalues and r follow from these when read."""
     norm_sq = m.norm_sq()
     d = det(m)  # before the norm temporaries: at n=64 this order kept peak RSS ~6 MiB lower
-    # theta is not kept: lambda1..3 and r recompute it, and a record reads none
-    lam2_plus = np.maximum(_scale(norm_sq) * _middle_sine(_theta(m, norm_sq, d)), 0.0)
-    if np.ndim(norm_sq) == 0:
-        return EigenTriple(m, float(norm_sq), float(d), float(lam2_plus))
-    return EigenTriple(m, norm_sq, d, lam2_plus)
+    theta = _theta(m, norm_sq, d)  # its temporaries are freed before the lambda2 line's
+    lam2_plus = np.maximum(_scale(norm_sq) * _middle_sine(theta), 0.0)
+    return EigenTriple(*map(_as_result, (norm_sq, d, theta, lam2_plus)))
 
 
 def _norm_sq(m11, m22, m12, m13, m23):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, initial_data, solver, spectral, sym3, toy_ode
-from .exceptions import ConfigError
+from .exceptions import InvalidInputError
 
 SEED = 2024         # seeds the random matrices, fields and rotations
 SWEEP_CELLS = 5     # toy attractor sweep resolution per axis
@@ -406,7 +406,7 @@ def run_checks(n: int = 32, dt: float = 1e-3, t_end: float = 1.0) -> list[Check]
     steps = round(t_end / dt)
     if steps % RECORD_EVERY or steps < 4 * RECORD_EVERY:
         # the budget, growth and energy checks need 5 uniformly spaced records
-        raise ConfigError(
+        raise InvalidInputError(
             f"verify needs at least 5 uniformly spaced records, one every "
             f"{RECORD_EVERY} steps, so t_end/dt must be a multiple of "
             f"{RECORD_EVERY} and at least {4 * RECORD_EVERY}; got {steps} steps")

@@ -503,7 +503,7 @@ class TestInitialData:
         assert np.max(np.abs(back - u_hat)) < 1e-12 * np.max(np.abs(u_hat))
 
     def test_unknown_name(self, grid8):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             initial_data.generate_initial(grid8, "vortex_sheet")
 
     def test_negative_seed_rejected(self, tmp_path, capsys, grid8, monkeypatch):
@@ -1108,6 +1108,18 @@ class TestCli:
             assert cli.main([*small, *flags]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
         assert made == [] and os.listdir(tmp_path) == ["file"]
+
+    def test_bad_band_rejected_before_any_output(self, tmp_path, capsys):
+        # the band was checked inside random_div_free, after snapshot_dir was made
+        run = ["simulate", "--n", "16", "--max-wavenumber", "9", "--csv",
+               str(tmp_path / "x.csv"), "--snapshot-dir", str(tmp_path / "snaps"),
+               "--snapshot-every", "10"]
+        for initial, message in (("random_div_free", "max_wavenumber must be in [1, n/2], got 9"),
+                                 ("taylor_green", "max_wavenumber: not read by "
+                                                  "initial_data = taylor_green")):
+            assert cli.main([*run, "--initial-data", initial]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_repeated_config_setting_rejected(self, tmp_path, capsys, grid8):
         # the last line won: this file ran at n=12 and exited 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,20 @@ class TestOneAnalysis:
         floor = m.norm() / np.sqrt(6.0)
         assert np.array_equal(top, eig.lambda3 - floor)
         assert np.array_equal(bottom, -eig.lambda1 - floor)
+
+    @pytest.mark.parametrize("m", MATRICES)
+    def test_theta_taken_once(self, m, monkeypatch):
+        # lambda1, lambda3 and r ran _theta a second time from the matrix
+        calls = []
+        theta = sym3._theta
+        monkeypatch.setattr(sym3, "_theta", lambda *args: calls.append(args) or theta(*args))
+        eig = sym3.eigenvalues(m)
+        for name in ("theta", "lambda1", "lambda2", "lambda3", "r"):
+            getattr(eig, name)
+        assert len(calls) == 1
+        assert np.array_equal(eig.theta, theta(m, m.norm_sq(), sym3.det(m)))
+        assert [f.name for f in dataclasses.fields(eig)] == [
+            "norm_sq", "det", "theta", "lambda2_plus"]
 
 
 class TestDetBoundGap:
