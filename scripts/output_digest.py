@@ -44,6 +44,11 @@ COMMANDS = [
     ("toy_sweep", ["toy-ode", "--sweep", "--sweep-out", "toy_sweep.csv"]),
     ("toy_reduced", ["toy-ode", "--lambda3", "1", "--r", "0.7",
                      "--trajectory-out", "toy_reduced.csv"]),
+    # r near 1/2 runs the reduced loop longest (T ~ 147); r = 1/2 decays
+    ("toy_slow", ["toy-ode", "--lambda3", "1", "--r", "0.50001", "--t-end", "1000",
+                  "--trajectory-out", "toy_slow.csv"]),
+    ("toy_decay", ["toy-ode", "--lambda3", "1", "--r", "0.5", "--t-end", "1e7",
+                   "--trajectory-out", "toy_decay.csv"]),
     ("toy_matrix", ["toy-ode", "--matrix=-1.3,0.4,0.7,-0.2,0.5", "--t-end", "50",
                     "--trajectory-out", "toy_matrix.csv"]),
     # eigenvalues (-2, 1, 1): theta comes from the atan2 branch at every step

@@ -42,18 +42,25 @@ def _snapshot_due(run_config, state) -> bool:
     return bool(run_config.snapshot_every) and state.step_count % run_config.snapshot_every == 0
 
 
-def _prepare_outputs(run_config) -> None:
+def _prepare_outputs(run_config) -> list:
     """Check, before any field is made, that the CSV can go where the run
-    config names it, and create the snapshot directory."""
+    config names it, and create the snapshot directory.  Returns the
+    directories this created, the deepest first."""
     csv_dir = os.path.dirname(run_config.csv) or os.curdir
     if not os.path.isdir(csv_dir):
         raise ConfigError(f"csv: no directory {csv_dir!r} to write {run_config.csv!r} in")
+    made = []
     if run_config.snapshot_dir is not None:
+        path = os.path.abspath(run_config.snapshot_dir)
+        while not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
         try:
             os.makedirs(run_config.snapshot_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"snapshot_dir: cannot create {run_config.snapshot_dir!r}: "
                               f"{exc.strerror}") from exc
+    return made
 
 
 def _write_snapshots(grid, state, run_config, final=False):
@@ -70,7 +77,18 @@ def _write_snapshots(grid, state, run_config, final=False):
 
 
 def cmd_simulate(args, run_config) -> int:
-    _prepare_outputs(run_config)
+    made = _prepare_outputs(run_config)
+    try:
+        return _simulate(run_config)
+    finally:  # a run that stopped before its first snapshot leaves no directory it made
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:  # it holds a snapshot
+                break
+
+
+def _simulate(run_config) -> int:
     grid = Grid(run_config.n)
     u0 = initial_data.generate_initial(
         grid, run_config.initial_data, seed=run_config.seed,

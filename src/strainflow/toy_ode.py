@@ -205,17 +205,23 @@ def _integrate_reduced(lambda3: float, r: float, t_end: float, *,
                        record: bool, t_eval=None):
     """Adaptive Dormand-Prince on the (lambda3, r) pair in plain floats.
 
-    One straight-line loop keeps large phase sweeps cheap: a step calls
-    no Python function, because the right side (as in rhs_reduced), the
-    compensated clock (_KahanClock.advance) and the step factor
-    (_step_factor) are written out with each operation in their order,
-    so the results match those helpers bit for bit.  Returns (times, l3s, rs,
-    status) where status is "blew_up" or "reached_end"; the arrays hold
-    every accepted sample when record is set, else just the first and
-    the last two.
+    One straight-line loop keeps large phase sweeps cheap.  A step calls
+    no Python function and reads the tableau from locals: the right side
+    (rhs_reduced), the compensated clock (_KahanClock.advance) and the step
+    factor (_step_factor) are written out so that every float keeps the
+    bits of those helpers; the README lists the rules that keep them.
+    Returns (times, l3s, rs, status) where status is "blew_up" or
+    "reached_end"; the arrays hold every accepted sample when record is
+    set, else the first and last two.
     """
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54, a61, a62, a63, a64, a65 = (_A51, _A52, _A53, _A54,
+                                                   _A61, _A62, _A63, _A64, _A65)
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    sqrt, isfinite = math.sqrt, math.isfinite
     times, l3s, rs = [0.0], [lambda3], [r]  # every sample, or the first only
-    t = comp = 0.0  # Kahan-compensated time
+    t = comp = 0.0  # Kahan-compensated time, never negative
     t_prev = l3_prev = r_prev = 0.0
     accepted = 0
     eval_times = list(t_eval) if t_eval is not None else []
@@ -223,8 +229,9 @@ def _integrate_reduced(lambda3: float, r: float, t_end: float, *,
     eval_idx = 0
     end_tol = 1e-14 * max(abs(t_end), 1.0)
 
-    k1a = lambda3 * lambda3 * (2.0 * r * r - 2.0 * r - 1.0) / 3.0
-    k1b = lambda3 * (((-2.0 * r + 3.0) * r + 3.0) * r - 2.0) / 3.0
+    k1a = lambda3 * lambda3 * ((s := 2.0 * r) * r - s - 1.0) / 3.0
+    k1b = lambda3 * (((3.0 - s) * r + 3.0) * r - 2.0) / 3.0  # 3 - s is -2r + 3 exactly
+    abs_a = abs(lambda3)  # r stays in [1/2, 2], so abs(r) is r
     h = 1e-4
     status = "reached_end"
     failure = None
@@ -232,52 +239,53 @@ def _integrate_reduced(lambda3: float, r: float, t_end: float, *,
         remaining = t_end - t
         if remaining <= end_tol:
             break
-        h = min(h, remaining)
+        if remaining < h:
+            h = remaining
         if eval_idx < n_eval:
-            while eval_idx < n_eval and eval_times[eval_idx] <= t + 1e-14 * max(abs(t), 1.0):
+            t_near = t + 1e-14 * (t if t > 1.0 else 1.0)
+            while eval_idx < n_eval and eval_times[eval_idx] <= t_near:
                 eval_idx += 1
-            if eval_idx < n_eval:
-                h = min(h, eval_times[eval_idx] - t)
-        if h < 1e-16 * max(abs(t), 1.0) or h <= 0.0:
+            if eval_idx < n_eval and eval_times[eval_idx] - t < h:
+                h = eval_times[eval_idx] - t
+        if h < 1e-16 * (t if t > 1.0 else 1.0) or h <= 0.0:
             failure = f"step size underflow at t={t:.6g}"
             break
 
-        y2a = lambda3 + h * _A21 * k1a
-        y2b = r + h * _A21 * k1b
-        k2a = y2a * y2a * (2.0 * y2b * y2b - 2.0 * y2b - 1.0) / 3.0
-        k2b = y2a * (((-2.0 * y2b + 3.0) * y2b + 3.0) * y2b - 2.0) / 3.0
-        y3a = lambda3 + h * (_A31 * k1a + _A32 * k2a)
-        y3b = r + h * (_A31 * k1b + _A32 * k2b)
-        k3a = y3a * y3a * (2.0 * y3b * y3b - 2.0 * y3b - 1.0) / 3.0
-        k3b = y3a * (((-2.0 * y3b + 3.0) * y3b + 3.0) * y3b - 2.0) / 3.0
-        y4a = lambda3 + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
-        y4b = r + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b)
-        k4a = y4a * y4a * (2.0 * y4b * y4b - 2.0 * y4b - 1.0) / 3.0
-        k4b = y4a * (((-2.0 * y4b + 3.0) * y4b + 3.0) * y4b - 2.0) / 3.0
-        y5a = lambda3 + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
-        y5b = r + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-        k5a = y5a * y5a * (2.0 * y5b * y5b - 2.0 * y5b - 1.0) / 3.0
-        k5b = y5a * (((-2.0 * y5b + 3.0) * y5b + 3.0) * y5b - 2.0) / 3.0
-        y6a = lambda3 + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a)
-        y6b = r + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b)
-        k6a = y6a * y6a * (2.0 * y6b * y6b - 2.0 * y6b - 1.0) / 3.0
-        k6b = y6a * (((-2.0 * y6b + 3.0) * y6b + 3.0) * y6b - 2.0) / 3.0
-        newa = lambda3 + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
-        newb = r + h * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
-        k7a = newa * newa * (2.0 * newb * newb - 2.0 * newb - 1.0) / 3.0
-        k7b = newa * (((-2.0 * newb + 3.0) * newb + 3.0) * newb - 2.0) / 3.0
+        y2a = lambda3 + (ha := h * a21) * k1a
+        y2b = r + ha * k1b
+        k2a = y2a * y2a * ((s := 2.0 * y2b) * y2b - s - 1.0) / 3.0
+        k2b = y2a * (((3.0 - s) * y2b + 3.0) * y2b - 2.0) / 3.0
+        y3a = lambda3 + h * (a31 * k1a + a32 * k2a)
+        y3b = r + h * (a31 * k1b + a32 * k2b)
+        k3a = y3a * y3a * ((s := 2.0 * y3b) * y3b - s - 1.0) / 3.0
+        k3b = y3a * (((3.0 - s) * y3b + 3.0) * y3b - 2.0) / 3.0
+        y4a = lambda3 + h * (a41 * k1a + a42 * k2a + a43 * k3a)
+        y4b = r + h * (a41 * k1b + a42 * k2b + a43 * k3b)
+        k4a = y4a * y4a * ((s := 2.0 * y4b) * y4b - s - 1.0) / 3.0
+        k4b = y4a * (((3.0 - s) * y4b + 3.0) * y4b - 2.0) / 3.0
+        y5a = lambda3 + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
+        y5b = r + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
+        k5a = y5a * y5a * ((s := 2.0 * y5b) * y5b - s - 1.0) / 3.0
+        k5b = y5a * (((3.0 - s) * y5b + 3.0) * y5b - 2.0) / 3.0
+        y6a = lambda3 + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
+        y6b = r + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
+        k6a = y6a * y6a * ((s := 2.0 * y6b) * y6b - s - 1.0) / 3.0
+        k6b = y6a * (((3.0 - s) * y6b + 3.0) * y6b - 2.0) / 3.0
+        newa = lambda3 + h * (b1 * k1a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
+        newb = r + h * (b1 * k1b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
+        k7a = newa * newa * ((s := 2.0 * newb) * newb - s - 1.0) / 3.0
+        k7b = newa * (((3.0 - s) * newb + 3.0) * newb - 2.0) / 3.0
 
-        erra = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
-        errb = h * (_E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
-        sca = atol + rtol * max(abs(lambda3), abs(newa))
-        scb = atol + rtol * max(abs(r), abs(newb))
-        err_norm = math.sqrt(0.5 * ((erra / sca) ** 2 + (errb / scb) ** 2))
+        erra = h * (e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
+        errb = h * (e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
+        abs_newa, abs_newb = abs(newa), abs(newb)
+        sca = atol + rtol * (abs_newa if abs_newa > abs_a else abs_a)
+        scb = atol + rtol * (abs_newb if abs_newb > r else r)
+        err_norm = sqrt(0.5 * ((erra / sca) ** 2 + (errb / scb) ** 2))
 
-        if not math.isfinite(err_norm):
-            h *= 0.2
-            continue
-        if err_norm > 1.0:
-            h *= min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        if not err_norm <= 1.0:  # rejected (a non-finite norm too): fac < 0.9 < 5
+            fac = 0.9 * err_norm ** -0.2 if isfinite(err_norm) else 0.2
+            h *= fac if fac > 0.2 else 0.2
             continue
 
         # accepted
@@ -285,9 +293,9 @@ def _integrate_reduced(lambda3: float, r: float, t_end: float, *,
             if newb > 2.0 + _RATIO_CLAMP or newb < 0.5 - _RATIO_CLAMP:
                 failure = f"ratio left [1/2, 2] by more than {_RATIO_CLAMP} (r={newb!r})"
                 break
-            newb = min(max(newb, 0.5), 2.0)
+            newb = 2.0 if newb > 2.0 else 0.5
         t_prev, l3_prev, r_prev = t, lambda3, r
-        lambda3, r = newa, newb
+        lambda3, r, abs_a = newa, newb, abs_newa
         k1a, k1b = k7a, k7b
         y = h - comp
         total = t + y
@@ -301,7 +309,8 @@ def _integrate_reduced(lambda3: float, r: float, t_end: float, *,
         if lambda3 >= blowup_threshold:
             status = "blew_up"
             break
-        h *= 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        fac = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0  # here fac >= 0.9 > 0.2
+        h *= fac if fac < 5.0 else 5.0
     else:
         failure = "step budget exhausted"
 
@@ -368,8 +377,13 @@ def _integrate_matrix(y0, t_end: float, *, blowup_threshold: float,
         k1 = k7
         times.append(clock.advance(h))
         comps.append(y.copy())
-        m = sym3.TraceFreeSym3(y[0], y[1], y[2], y[3], y[4])
-        if sym3.eigenvalues(m).lambda3 >= blowup_threshold:
+        # sym3 computes lambda3 as max(s cos(theta/3), s sin(theta/3 - pi/6))
+        # with s = 2|M|/sqrt(6), the radius of its closed form, so lambda3
+        # never exceeds s: while s is below the threshold by more than
+        # rounding, no step can have crossed it and M needs no analysis
+        radius = sym3._scale(sym3._norm_sq(*y.tolist()))
+        if radius * (1.0 + 1e-9) >= blowup_threshold and sym3.eigenvalues(
+                sym3.TraceFreeSym3(*y)).lambda3 >= blowup_threshold:
             status = "blew_up"
             break
         h *= _step_factor(err_norm)

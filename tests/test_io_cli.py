@@ -1109,6 +1109,29 @@ class TestCli:
             assert capsys.readouterr().err == f"error: {message}\n"
         assert made == [] and os.listdir(tmp_path) == ["file"]
 
+    def test_failed_set_up_leaves_no_snapshot_dir(self, tmp_path, capsys, monkeypatch):
+        # each exited 1 with its error line and left the empty s1/ or s2/ behind
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kept").mkdir()
+        run = ["simulate", "--n", "16", "--t-end", "0.01", "--snapshot-every", "10"]
+        for flags, message in (
+                (["--force", "expr:import(1);0;0", "--snapshot-dir", "s1"],
+                 "bad force expression 'import(1)': invalid syntax (<unknown>, line 1)"),
+                (["--initial-data", "file:missing.snap", "--snapshot-dir", "s2"],
+                 "cannot read snapshot missing.snap: [Errno 2] No such file or "
+                 "directory: 'missing.snap'"),
+                (["--force", "expr:import(1);0;0", "--snapshot-dir", "kept/a/b"],
+                 "bad force expression 'import(1)': invalid syntax (<unknown>, line 1)")):
+            assert cli.main([*run, *flags]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["kept"] and os.listdir("kept") == []
+        # a run that failed after a snapshot keeps it; one that wrote none leaves no directory
+        blow_up = ["simulate", "--n", "16", "--dt", "0.1", "--t-end", "1e3", "--viscosity",
+                   "1e-9", "--initial-data", "random_div_free", "--amplitude", "1e3"]
+        assert cli.main([*blow_up, "--snapshot-dir", "s3", "--snapshot-every", "10"]) == 2
+        assert cli.main([*blow_up, "--snapshot-dir", "s4"]) == 2
+        assert "state_00000000.snap" in os.listdir("s3") and not os.path.exists("s4")
+
     def test_bad_band_rejected_before_any_output(self, tmp_path, capsys):
         # the band was checked inside random_div_free, after snapshot_dir was made
         run = ["simulate", "--n", "16", "--max-wavenumber", "9", "--csv",

@@ -11,7 +11,8 @@ from strainflow.exceptions import InvalidInputError, NumericalFailureError
 from strainflow.toy_ode import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63,
     _A64, _A65, _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7, _MAX_STEPS,
-    _RATIO_CLAMP, _KahanClock, _growth_poly, _ratio_poly, _step_factor)
+    _RATIO_CLAMP, _KahanClock, _growth_poly, _ratio_poly, _rhs_matrix_components,
+    _step_factor)
 from strainflow.verify import random_rotation, random_trace_free, rotate as rotate_matrix
 
 GOLDEN_BLOWUP = sym3.TraceFreeSym3(-2.0, 1.0, 0.0, 0.0, 0.0)
@@ -447,6 +448,24 @@ class TestInlinedKernel:
             lambda3, r, t_end=100.0, t_eval=t_eval))
         _assert_same_result(got, want)
 
+    # the longest loop (T ~ 147), r = 2 and the growth zero exactly, and the
+    # decay line out to the sweep's t_end, each also landing on t_eval times
+    @pytest.mark.parametrize("r, t_end", [(0.5 + 1e-5, 1e3), (2.0, 10.0),
+                                          (toy_ode.R_GROWTH_ZERO, 100.0), (0.5, 1e7)],
+                             ids=["slow", "r_2", "growth_zero", "decay"])
+    @pytest.mark.parametrize("t_eval", [None, np.geomspace(1e-2, 1e6, 41)],
+                             ids=["steps", "t_eval"])
+    def test_long_and_edge_starts(self, monkeypatch, r, t_end, t_eval):
+        got, want = _kernel_and_reference(monkeypatch, lambda: toy_ode.integrate_reduced(
+            1.0, r, t_end=t_end, t_eval=t_eval))
+        _assert_same_result(got, want)
+
+    def test_long_and_edge_sweep(self, monkeypatch):
+        rs = [0.5, 0.5 + 1e-5, toy_ode.R_GROWTH_ZERO, 2.0]
+        got, want = _kernel_and_reference(
+            monkeypatch, lambda: toy_ode.phase_sweep([1.0, 3.0], rs))
+        assert got == want
+
     def test_verify_reduced_vs_matrix_call(self, monkeypatch):
         calls = []
 
@@ -479,6 +498,91 @@ class TestInlinedKernel:
             got, want = _failures(monkeypatch, call)
             assert str(got) == "step budget exhausted"
             _assert_same_failure(got, want)
+
+
+# The matrix loop as it was when it analysed M after every accepted step,
+# kept verbatim as the reference that skipping the analysis must match.
+def _reference_integrate_matrix(y0, t_end: float, *, blowup_threshold: float,
+                                rtol: float, atol: float):
+    """Adaptive Dormand-Prince on the five stored matrix components."""
+    clock = _KahanClock()
+    y = np.asarray(y0, dtype=float).copy()
+    times = [0.0]
+    comps = [y.copy()]
+    with np.errstate(over="ignore", invalid="ignore"):  # as for every stage below
+        k1 = _rhs_matrix_components(y)
+    h = 1e-4
+    status = "reached_end"
+    for _ in range(_MAX_STEPS):
+        remaining = t_end - clock.value
+        if remaining <= 1e-14 * max(abs(t_end), 1.0):
+            break
+        h = min(h, remaining)
+        if h < 1e-16 * max(abs(clock.value), 1.0) or h <= 0.0:
+            raise NumericalFailureError(
+                f"step size underflow at t={clock.value:.6g}",
+                trajectory=(np.array(times), np.array(comps)))
+
+        # an overflowing stage gives a non-finite error norm, which shrinks
+        # the step below; only finite states are accepted
+        with np.errstate(over="ignore", invalid="ignore"):
+            k2 = _rhs_matrix_components(y + h * (_A21 * k1))
+            k3 = _rhs_matrix_components(y + h * (_A31 * k1 + _A32 * k2))
+            k4 = _rhs_matrix_components(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = _rhs_matrix_components(
+                y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+            k6 = _rhs_matrix_components(
+                y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7 = _rhs_matrix_components(y_new)
+
+            err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
+
+        if not math.isfinite(err_norm):
+            h *= 0.2
+            continue
+        if err_norm > 1.0:
+            h *= _step_factor(err_norm)
+            continue
+
+        y = y_new
+        k1 = k7
+        times.append(clock.advance(h))
+        comps.append(y.copy())
+        m = sym3.TraceFreeSym3(y[0], y[1], y[2], y[3], y[4])
+        if sym3.eigenvalues(m).lambda3 >= blowup_threshold:
+            status = "blew_up"
+            break
+        h *= _step_factor(err_norm)
+    else:
+        raise NumericalFailureError(
+            "step budget exhausted", trajectory=(np.array(times), np.array(comps)))
+
+    return np.array(times), np.stack(comps), status
+
+
+class TestMatrixAnalysisSkip:
+    """integrate_matrix analyses M only near the threshold, with the same results."""
+
+    @pytest.mark.parametrize("entries, t_end, threshold", [
+        ((-1.3, 0.4, 0.7, -0.2, 0.5), 50.0, None),  # the output digest's start
+        ((-2.0, 1.0, 0.0, 0.0, 0.0), 5.0, None),  # eigenvalues (-2, 1, 1)
+        ((-1.0, -1.0, 0.0, 0.0, 0.0), 100.0, None),  # decays
+        ((-2.0, 1.0, 0.0, 0.0, 0.0), 10.0, 1.0 + 1e-12),  # lambda3 = 1 just below
+        ((-1.3, 0.4, 0.7, -0.2, 0.5), 50.0, "start")],
+        ids=["digest", "degenerate", "decay", "just_below", "digest_just_below"])
+    def test_same_as_analysis_every_step(self, monkeypatch, entries, t_end, threshold):
+        m0 = sym3.TraceFreeSym3(*entries)
+        if threshold == "start":
+            threshold = sym3.eigenvalues(m0).lambda3 * (1.0 + 1e-12)
+        kwargs = {} if threshold is None else {"blowup_threshold": threshold}
+        got = toy_ode.integrate_matrix(m0, t_end, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(toy_ode, "_integrate_matrix", _reference_integrate_matrix)
+            want = toy_ode.integrate_matrix(m0, t_end, **kwargs)
+        _assert_same_result(got, want)
 
 
 ratio_values = st.floats(min_value=0.5, max_value=2.0,
