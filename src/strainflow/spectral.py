@@ -38,6 +38,8 @@ Conventions (fixed once, used everywhere):
   equals Grid.ifft to the bit (scaling each pass differs in the last bit
   where n is not a power of two).  Block.to_physical and the diagnostics
   record invert through it.
+* Every transform calls scipy.fft through one object, _fft_module, which
+  imports it at the first transform: importing strainflow loads no scipy.
 """
 
 from __future__ import annotations
@@ -45,10 +47,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft_module  # pocketfft
 
 from . import sym3
 from .exceptions import ConstraintViolationError, InvalidInputError
+
+
+class _ScipyFFT:
+    """scipy.fft (pocketfft), imported at the first attribute read, so a
+    process that never transforms (toy-ode, --help) never loads it.  That
+    read binds the module's public names onto this object, so a later call
+    costs what a call through the module does."""
+
+    def __getattr__(self, name):
+        from scipy import fft
+        vars(self).update((key, value) for key, value in vars(fft).items()
+                          if not key.startswith("_"))
+        return getattr(fft, name)
+
+
+_fft_module = _ScipyFFT()  # every transform calls through this one object
 
 DIVERGENCE_TOL = 1e-12
 HERMITIAN_TOL = 1e-12  # of hermitian_residual, relative to the peak mode
@@ -307,9 +324,22 @@ def divergence_residual(grid: Grid, u_hat) -> float:
 
 
 def project_divergence_free(grid: Grid, v_hat):
-    """Leray projection: divergence-free part of a spectral vector field."""
-    df, _ = helmholtz_project(grid, v_hat)
-    return df
+    """Leray projection: divergence-free part of a spectral vector field,
+    helmholtz_project's first part to the bit, formed in its output one
+    component at a time.  Until its own turn the output's last component
+    holds dot = (xi . v)/|xi|^2, and its first the product being summed
+    into dot, so no array besides the output is allocated."""
+    v_hat = grid.spectrum(v_hat)
+    k = (grid.kdx, grid.kdy, grid.kdz)
+    out = np.empty((3,) + grid.shape, dtype=np.result_type(v_hat, grid.inv_ksq_diff))
+    dot = out[2]
+    np.multiply(k[0], v_hat[0], out=dot)
+    for i in (1, 2):
+        dot += np.multiply(k[i], v_hat[i], out=out[0])
+    dot *= grid.inv_ksq_diff
+    for i in range(3):  # out[2] last, as it holds dot
+        np.subtract(v_hat[i], np.multiply(k[i], dot, out=out[i]), out=out[i])
+    return out
 
 
 def helmholtz_project(grid: Grid, v_hat):

@@ -90,6 +90,18 @@ class TestSnapshots:
         assert loaded.flags.writeable and np.array_equal(loaded, data)
         assert loaded.dtype == np.float64 and loaded.strides[1] == 8
 
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 20, 24, 32, 48, 64])
+    def test_loaded_layout_transforms_like_c_order(self, tmp_path, n):
+        # the r2c of a loaded field (x fastest in memory) has the bits of
+        # the r2c of the same values in C order
+        data = np.random.default_rng(n).standard_normal((3, n, n, n))
+        path = tmp_path / "f.snap"
+        snapshots.save_snapshot(path, "velocity", 0.0, 1.0, data)
+        loaded = snapshots.load_snapshot(path).data
+        grid = spectral.Grid(n)
+        assert data.flags.c_contiguous and not loaded.flags.c_contiguous
+        assert grid.fft(loaded).tobytes() == grid.fft(data).tobytes()
+
     @pytest.mark.parametrize("key, value", [
         ("time", math.nan), ("time", math.inf), ("viscosity", -1.0),
         ("viscosity", 0.0), ("viscosity", math.inf), ("viscosity", math.nan)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,30 @@ class TestHelmholtz:
         split = spectral.sobolev_norm_sq(grid16, df) + spectral.sobolev_norm_sq(grid16, grad)
         assert abs(total - split) < 1e-12 * total
         assert np.max(np.abs(df + grad - v_hat)) == pytest.approx(0.0, abs=1e-16 * np.max(np.abs(v_hat)))
+
+    @pytest.mark.parametrize("n", [8, 10, 16, 64])
+    def test_projection_is_the_divergence_free_part_to_the_bit(self, n):
+        grid = Grid(n)
+        v_hat = grid.fft(np.random.default_rng(n).standard_normal((3,) + (n,) * 3))
+        for v in (v_hat, v_hat.real, v_hat.astype(np.complex64)):
+            df = spectral.project_divergence_free(grid, v)
+            expected = spectral.helmholtz_project(grid, v)[0]
+            assert df.dtype == expected.dtype and df.tobytes() == expected.tobytes()
+
+    def test_projection_allocates_under_half_of_the_split(self):
+        # the split stacks the gradient and subtracts it: 14.4 MiB above its
+        # input at n=64, where the projection needs only its 6.2 MiB output
+        grid = Grid(64)
+        v_hat = grid.fft(np.random.default_rng(3).standard_normal((3,) + (grid.n,) * 3))
+        peaks = []
+        for project in (spectral.helmholtz_project, spectral.project_divergence_free):
+            tracemalloc.start()
+            try:
+                project(grid, v_hat)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 0.5 * peaks[0]
 
 
 class TestVorticity:

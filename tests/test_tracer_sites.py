@@ -8,6 +8,9 @@ that a step's pruned transforms still go through spectral._fft_module.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from strainflow import diagnostics, initial_data, snapshots, solver, spectral
@@ -64,3 +67,37 @@ def test_tracer_wraps_a_short_run(tmp_path, grid8):
     assert "expand_half" in vars(spectral)
     assert any(owner is spectral and attr == "expand_half"
                for owner, attr, _, _ in tracing._SITES)
+
+
+CHILD = """
+import importlib.util, sys
+from strainflow import diagnostics, initial_data, solver, spectral
+from strainflow.spectral import Grid
+
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+assert "scipy.fft" not in sys.modules
+original = spectral._fft_module
+grid = Grid(8)
+config = solver.SolverConfig(n=8, dt=1e-3, t_end=0.002, record_every=1)
+with tracing.installed(tracing.Tracer()) as tracer:
+    import scipy.fft
+    for name in tracing.FFT_NAMES:
+        assert getattr(spectral._fft_module, name).__wrapped__ is getattr(scipy.fft, name)
+    diagnostics.run_with_diagnostics(config, initial_data.taylor_green(grid), grid=grid)
+names = {span[0] for span in tracer.spans}
+assert {"spectral." + name for name in tracing.FFT_NAMES} <= names, names
+assert spectral._fft_module is original
+print("ok", file=sys.stderr)
+"""
+
+
+def test_tracer_installed_before_the_first_transform():
+    # in a fresh process scipy.fft is first loaded when the tracer reads
+    # the four transforms it wraps
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(spectral.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(TRACING)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr.endswith("ok\n"), proc.stderr
