@@ -44,6 +44,9 @@ COMMANDS = [
     ("toy_sweep", ["toy-ode", "--sweep", "--sweep-out", "toy_sweep.csv"]),
     ("toy_reduced", ["toy-ode", "--lambda3", "1", "--r", "0.7",
                      "--trajectory-out", "toy_reduced.csv"]),
+    # r0 = 1.5 is above the growth zero (1 + sqrt 3)/2, so the bound is printed
+    ("toy_bound", ["toy-ode", "--lambda3", "1", "--r", "1.5",
+                   "--trajectory-out", "toy_bound.csv"]),
     # r near 1/2 runs the reduced loop longest (T ~ 147); r = 1/2 decays
     ("toy_slow", ["toy-ode", "--lambda3", "1", "--r", "0.50001", "--t-end", "1000",
                   "--trajectory-out", "toy_slow.csv"]),

@@ -121,26 +121,32 @@ def _simulate(run_config) -> int:
 
 
 def cmd_diagnose(args, run_config) -> int:
-    first = snapshots.load_velocity(args.snapshots[0])
-    snaps = [first] + [snapshots.load_velocity(path, first.n)
-                       for path in args.snapshots[1:]]
-    for snap, path in zip(snaps, args.snapshots):
-        if snap.viscosity != first.viscosity:
-            raise ConfigError(f"{path}: mixed viscosities {snap.viscosity} vs {first.viscosity}")
-    ordered = sorted(zip(snaps, args.snapshots), key=lambda pair: pair[0].time)
-    for (snap, path), (later, later_path) in zip(ordered, ordered[1:]):
-        if later.time == snap.time:  # the series columns need distinct times
-            raise ConfigError(f"{path} and {later_path} hold the same time {snap.time!r}")
-    grid = Grid(first.n)
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        halves = [spectral.velocity_half(grid, snap.data) for snap, _ in ordered]
-    for u_hat, (_, path) in zip(halves, ordered):
+    # every header is checked before the first record; the fields are then
+    # loaded again one at a time, so memory does not grow with their number
+    headers = []  # (time, viscosity, path)
+    n = None
+    for path in args.snapshots:
+        snap = snapshots.load_velocity(path, n)
+        n = snap.n
+        headers.append((snap.time, snap.viscosity, path))
+        del snap  # its field, before the next is loaded
+    viscosity = headers[0][1]
+    for _, other, path in headers:
+        if other != viscosity:
+            raise ConfigError(f"{path}: mixed viscosities {other} vs {viscosity}")
+    headers.sort(key=lambda header: header[0])
+    for (time, _, path), (later, _, later_path) in zip(headers, headers[1:]):
+        if later == time:  # the series columns need distinct times
+            raise ConfigError(f"{path} and {later_path} hold the same time {time!r}")
+    grid = Grid(n)
+    collector = diagnostics.RecordCollector(grid, q_list=run_config.q_list,
+                                            viscosity=viscosity)
+    for index, (time, _, path) in enumerate(headers):
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            u_hat = spectral.velocity_half(grid, snapshots.load_velocity(path, n).data)
         if solver._too_large(grid, u_hat):  # the rule run applies to its records
             raise ConfigError(f"{path}: velocity is too large: {solver._TOO_LARGE}")
-    collector = diagnostics.RecordCollector(grid, q_list=run_config.q_list,
-                                            viscosity=first.viscosity)
-    for index, (u_hat, (snap, _)) in enumerate(zip(halves, ordered)):
-        collector(solver.SolverState(u_hat, snap.time, index))
+        collector(solver.SolverState(u_hat, time, index))
     records = collector.finalize()
     diagnostics.write_csv(records, run_config.csv)
     print(f"diagnosed {len(records)} snapshots -> {run_config.csv}")
@@ -193,8 +199,12 @@ def cmd_toy_ode(args, run_config) -> int:
                                     t_end=args.sweep_t_end,
                                     blowup_threshold=args.blowup_threshold)
         toy_ode.write_sweep_csv(cells, args.sweep_out)
-        blown = sum(c.outcome == "blew_up" for c in cells)
-        print(f"sweep: {blown}/{len(cells)} cells blew up -> {args.sweep_out}")
+        blown = [c for c in cells if c.outcome == "blew_up"]
+        print(f"sweep: {len(blown)}/{len(cells)} cells blew up -> {args.sweep_out}")
+        if blown:
+            print(f"blown-up cells: terminal r in [{min(c.r_terminal for c in blown):.12g}, "
+                  f"{max(c.r_terminal for c in blown):.12g}], T_est in "
+                  f"[{min(c.t_est for c in blown):.12g}, {max(c.t_est for c in blown):.12g}]")
         return EXIT_OK
     if args.matrix is not None:
         result = toy_ode.integrate_matrix(args.matrix, t_end=args.t_end,
@@ -207,8 +217,12 @@ def cmd_toy_ode(args, run_config) -> int:
     if args.trajectory_out:
         toy_ode.write_trajectory_csv(result.trajectory, args.trajectory_out)
     if result.outcome == "blew_up":
-        print(f"blew_up: T_est = {result.t_est:.12g} "
-              f"(terminal r = {result.trajectory.r[-1]:.9g})")
+        # the closed-form bound of a reduced start, from its r clamped into [1/2, 2]
+        bound = (None if args.matrix is not None else
+                 toy_ode.blowup_time_bound(args.lambda3, result.trajectory.r[0]))
+        print(f"blew_up: T_est = {result.t_est:.12g} ("
+              + ("" if bound is None else f"bound {bound:.12g}, ")
+              + f"terminal r = {result.trajectory.r[-1]:.9g})")
     else:
         print(f"{result.outcome}: lambda3({result.trajectory.t[-1]:.6g}) = "
               f"{result.trajectory.lambda3[-1]:.12g}")

@@ -33,10 +33,18 @@ eigenvalues meet (Parlett, Linear Algebra Appl. 355, 85, 2002).  Every
 eigenvalue is then accurate to a few eps |M| everywhere, degenerate and
 nearly degenerate matrices included.  `eigenvalues` takes theta once per
 matrix and keeps it: each eigenvalue and r are read from theta and |M|^2.
+
+|M|^3 and |M|^6 overflow for |M| above about 1e102 and 1e51, long before
+the eigenvalues do.  So `eigenvalues` and `discriminant` analyse M scaled
+by an exact power of two where |M|^2 exceeds _CUBE_SAFE_NORM_SQ or
+_SIXTH_SAFE_NORM_SQ somewhere, and scale the results back exactly: every
+eigenvalue of a finite M is finite, while |M|^2, det(M) and Delta read
+inf (with the sign of det) where they lie beyond the float range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,6 +66,11 @@ _PI_6 = np.pi / 6.0
 # |cos theta| from which theta is taken from the discriminant instead of
 # by arccos (see the module docstring for the error bound it gives).
 ARCCOS_LIMIT = 0.99
+
+# |M|^2 up to these keeps |M|^3 (det, the closed form's cube) and |M|^6
+# (the discriminant) far below the float maximum 2^1024.
+_CUBE_SAFE_NORM_SQ = 2.0 ** 600
+_SIXTH_SAFE_NORM_SQ = 2.0 ** 300
 
 # Elements per chunk in _blockwise (128 kB per float64 temporary): the
 # temporaries of a polynomial in the entries then stay in a 1-2 MB L2 cache
@@ -160,19 +173,23 @@ class EigenTriple:
     theta: object
     lambda2_plus: object
 
+    def _radius(self):
+        """2|M|/sqrt(6), the radius of the closed form."""
+        return _scale(self.norm_sq)
+
     @cached_property
     def lambda2(self):
-        return _as_result(_scale(self.norm_sq) * _middle_sine(self.theta))
+        return _as_result(self._radius() * _middle_sine(self.theta))
 
     @cached_property
     def lambda3(self):
         # max and min keep the order where two eigenvalues meet to rounding
-        return _as_result(np.maximum(_scale(self.norm_sq) * np.cos(self.theta / 3.0),
+        return _as_result(np.maximum(self._radius() * np.cos(self.theta / 3.0),
                                      self.lambda2))
 
     @cached_property
     def lambda1(self):
-        return _as_result(np.minimum(-_scale(self.norm_sq) * np.sin(self.theta / 3.0 + _PI_6),
+        return _as_result(np.minimum(-self._radius() * np.sin(self.theta / 3.0 + _PI_6),
                                      self.lambda2))
 
     @cached_property
@@ -185,6 +202,17 @@ class EigenTriple:
         lam3 = np.asarray(self.lambda3, dtype=float)
         return _as_result(np.divide(-self.lambda1, lam3, out=np.full_like(lam3, np.nan),
                                     where=self.r_defined))
+
+
+@dataclass(frozen=True)
+class _ScaledEigenTriple(EigenTriple):
+    """What eigenvalues returns for an M it analysed scaled (see the module
+    docstring): norm_sq may read inf there, so |M| itself is kept."""
+
+    norm: object
+
+    def _radius(self):
+        return self.norm * _SCALE_PER_NORM
 
 
 def _as_result(values):
@@ -225,14 +253,37 @@ def _theta(m: TraceFreeSym3, norm_sq, d):
     near_norm = near_values(norm)
     unit = TraceFreeSym3(*(near_values(x) / near_norm
                            for x in (m.m11, m.m22, m.m12, m.m13, m.m23)))
-    flat_arg[near] = np.arctan2(np.sqrt(2.0 * discriminant(unit)), near_arg)
+    flat_arg[near] = np.arctan2(np.sqrt(2.0 * _blockwise(_discriminant, unit)), near_arg)
     return arg
+
+
+def _overflow_exponent(m: TraceFreeSym3, norm_sq, limit: float) -> int:
+    """0 where |M|^2 = norm_sq is at most limit throughout m; else the power
+    of two e that brings every entry of m * 2^-e below 1 in magnitude."""
+    if np.max(norm_sq, initial=0.0) <= limit:
+        return 0
+    return math.frexp(max(float(np.max(np.abs(x)))
+                          for x in (m.m11, m.m22, m.m12, m.m13, m.m23)))[1]
+
+
+def _scaled(m: TraceFreeSym3, exponent: int) -> TraceFreeSym3:
+    """m * 2^exponent, exact where no entry underflows."""
+    return TraceFreeSym3(*(np.ldexp(x, exponent) for x in (m.m11, m.m22, m.m12, m.m13, m.m23)))
 
 
 def eigenvalues(m: TraceFreeSym3) -> EigenTriple:
     """The analysis of m, broadcast over fields: |M|^2, det(M), theta and
     lambda2+; the eigenvalues and r follow from these when read."""
-    norm_sq = m.norm_sq()
+    with np.errstate(over="ignore"):  # an overflowing |M|^2 is scaled below
+        norm_sq = m.norm_sq()
+    exponent = _overflow_exponent(m, norm_sq, _CUBE_SAFE_NORM_SQ)
+    if exponent:  # analyse m * 2^-exponent and scale back exactly
+        eig = eigenvalues(_scaled(m, -exponent))
+        with np.errstate(over="ignore"):  # |M|^2 and det(M) may read inf
+            back = (np.ldexp(eig.norm_sq, 2 * exponent), np.ldexp(eig.det, 3 * exponent),
+                    eig.theta, np.ldexp(eig.lambda2_plus, exponent),
+                    np.ldexp(np.sqrt(eig.norm_sq), exponent))
+        return _ScaledEigenTriple(*map(_as_result, back))
     d = det(m)  # before the norm temporaries: at n=64 this order kept peak RSS ~6 MiB lower
     theta = _theta(m, norm_sq, d)  # its temporaries are freed before the lambda2 line's
     lam2_plus = np.maximum(_scale(norm_sq) * _middle_sine(theta), 0.0)
@@ -241,8 +292,9 @@ def eigenvalues(m: TraceFreeSym3) -> EigenTriple:
 
 def _norm_sq(m11, m22, m12, m13, m23):
     m33 = -m11 - m22
-    return (m11 ** 2 + m22 ** 2 + m33 ** 2
-            + 2.0 * (m12 ** 2 + m13 ** 2 + m23 ** 2))
+    # products, not ** 2: a float ** 2 that overflows raises OverflowError
+    return (m11 * m11 + m22 * m22 + m33 * m33
+            + 2.0 * (m12 * m12 + m13 * m13 + m23 * m23))
 
 
 def _det(m11, m22, m12, m13, m23):
@@ -305,6 +357,11 @@ def discriminant(m: TraceFreeSym3):
     """Delta = prod_{i<j} (lambda_i - lambda_j)^2 = (|M|^6 - 54 det^2)/2,
     as a weighted sum of 13 squares: >= 0, exactly 0 on (c, c, -2c), and
     accurate to rounding relative to |M|^6 where eigenvalues meet."""
+    with np.errstate(over="ignore"):  # |M|^2 and Delta beyond the float range read inf
+        exponent = _overflow_exponent(m, m.norm_sq(), _SIXTH_SAFE_NORM_SQ)
+        if exponent:
+            return _as_result(np.ldexp(_blockwise(_discriminant, _scaled(m, -exponent)),
+                                       6 * exponent))
     return _blockwise(_discriminant, m)
 
 

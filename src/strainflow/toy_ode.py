@@ -98,13 +98,8 @@ def _check_reduced(lambda3: float, r: float, blowup_threshold: float = math.inf)
 
 
 def _check_matrix_start(m0: sym3.TraceFreeSym3, blowup_threshold: float) -> None:
-    """Reject a matrix start whose lambda3 is already at blowup_threshold.
-    lambda3 is judged on m0 scaled exactly by a power of two to a largest
-    stored entry below 1, where no square or cube of an entry overflows."""
-    entries = (m0.m11, m0.m22, m0.m12, m0.m13, m0.m23)
-    exponent = max(math.frexp(max(abs(x) for x in entries))[1], 0)
-    unit = sym3.TraceFreeSym3(*(math.ldexp(x, -exponent) for x in entries))
-    if sym3.eigenvalues(unit).lambda3 >= math.ldexp(blowup_threshold, -exponent):
+    """Reject a matrix start whose lambda3 is already at blowup_threshold."""
+    if sym3.eigenvalues(m0).lambda3 >= blowup_threshold:
         raise InvalidInputError("initial matrix has lambda3 at or above "
                                 f"blowup_threshold={blowup_threshold:.9g}")
 

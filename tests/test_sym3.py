@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +192,38 @@ class TestAccurateTheta:
         field = sym3.eigenvalues(random_trace_free(np.random.default_rng(23), shape=(8,)))
         assert "lambda1" not in vars(field)  # nothing derived before it is read
         assert field.lambda1 is field.lambda1
+
+
+class TestLargeEntries:
+    # entries of 1e200 raised OverflowError from |M|^2, and a field of
+    # 1e150 entries warned of overflow in det(M) and |M|^3
+    @pytest.mark.parametrize("scale", [1e200, 1e150, 1e60])
+    def test_eigenvalues_are_the_scaled_back_ones(self, scale):
+        exponent = math.frexp(scale)[1]
+        field = random_trace_free(np.random.default_rng(24), shape=(50,), scale=scale)
+        for m in (sym3.TraceFreeSym3(scale, scale, 0.0, 0.0, 0.0), field):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                eig = sym3.eigenvalues(m)
+                got = [eig.lambda1, eig.lambda2, eig.lambda3, eig.lambda2_plus, eig.r]
+            small = sym3.eigenvalues(sym3.TraceFreeSym3(
+                *(np.ldexp(x, -exponent) for x in (m.m11, m.m22, m.m12, m.m13, m.m23))))
+            assert all(np.all(np.isfinite(x)) for x in got)
+            want = [np.ldexp(x, exponent) for x in
+                    (small.lambda1, small.lambda2, small.lambda3, small.lambda2_plus)]
+            assert all(np.array_equal(x, y) for x, y in zip(got, want + [small.r]))
+            with np.errstate(over="ignore"):  # beyond the float range they read inf
+                assert np.array_equal(eig.norm_sq, np.ldexp(small.norm_sq, 2 * exponent))
+                assert np.array_equal(eig.det, np.ldexp(small.det, 3 * exponent))
+
+    def test_discriminant_scaled_back(self):
+        # (1, 2, 0, 0, 0) has Delta = 400; entries of 1e200 read NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = sym3.TraceFreeSym3(2.0 ** 169, 2.0 ** 170, 0.0, 0.0, 0.0)
+            assert sym3.discriminant(big) == 400.0 * 2.0 ** 1014
+            assert sym3.discriminant(sym3.TraceFreeSym3(1e200, 1e200, 0.0, 0.0, 0.0)) == 0.0
+            assert sym3.discriminant(sym3.TraceFreeSym3(1e200, 2e200, 0.0, 0.0, 0.0)) == np.inf
 
 
 class TestDeterminantAndCube:
